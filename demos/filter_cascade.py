@@ -9,16 +9,14 @@ itself has decayed.  Desk-scale version of the study on a 64^2 grid.
 
 import numpy as np
 
-from jfft import (assemble_green, assemble_rhs, build_preconditioner,
-                  isotropic_material, make_operator, pcg)
+from jfft import assemble_green, isotropic_material, solve_cell
 from jfft.microstructures import (gaussian_filter, inclusion_density,
                                   total_contrast)
 
 n = 64
 material = isotropic_material(2.0 / 3.0, 0.5)
-green = assemble_green(make_operator(
-    inclusion_density(n), material).grid, material)
 rho = inclusion_density(n, rho_soft=1e-4, radius_fraction=0.25)
+green = assemble_green(rho.grid, material)
 eps_bar = np.array([1.0, 1.0, 1.0])
 
 print(f"{'step':>5s} {'contrast':>10s} {'green':>7s} {'green-jacobi':>13s}")
@@ -27,12 +25,9 @@ while True:
     contrast = total_contrast(rho)
     done = contrast <= 100.0
     if step % 5 == 0 or done:
-        counts = {}
-        for kind in ("green", "green-jacobi"):
-            op = make_operator(rho, material)
-            precond = build_preconditioner(kind, op, green)
-            counts[kind] = pcg(op, assemble_rhs(op, eps_bar), precond,
-                               green).iterations
+        counts = {kind: solve_cell(rho, eps_bar, kind, material,
+                                   green).iterations
+                  for kind in ("green", "green-jacobi")}
         print(f"{step:>5d} {contrast:>10.1f} {counts['green']:>7d} "
               f"{counts['green-jacobi']:>13d}")
     if done:

@@ -8,8 +8,7 @@ composition stays flat in both directions.
 
 import numpy as np
 
-from jfft import (assemble_green, assemble_rhs, build_preconditioner,
-                  isotropic_material, make_operator, pcg)
+from jfft import assemble_green, isotropic_material, solve_cell
 from jfft.microstructures import laminate_density, refine_to_grid
 
 material = isotropic_material(2.0 / 3.0, 0.5)
@@ -28,12 +27,11 @@ for kind in ("green", "jacobi", "green-jacobi"):
                 row += "     -"
                 continue
             rho = refine_to_grid(laminate_density(p, chi), n)
-            op = make_operator(rho, material)
             if n not in greens:
-                greens[n] = assemble_green(op.grid, material)
-            precond = build_preconditioner(kind, op, greens[n])
-            rhs = assemble_rhs(op, np.array([1.0, 1.0, 1.0]))
-            row += f"{pcg(op, rhs, precond, greens[n]).iterations:>6d}"
+                greens[n] = assemble_green(rho.grid, material)
+            report = solve_cell(rho, np.array([1.0, 1.0, 1.0]), kind,
+                                material, greens[n])
+            row += f"{report.iterations:>6d}"
         print(row)
 
 print("\nGreen columns are constant (mesh independence); Jacobi rows grow "

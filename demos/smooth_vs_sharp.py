@@ -9,9 +9,8 @@ the sharp two-phase ones and is almost insensitive to their contrast.
 
 import numpy as np
 
-from jfft import (TopOptConfig, assemble_green, assemble_rhs,
-                  build_preconditioner, isotropic_material, lbfgs_minimize,
-                  make_operator, pcg)
+from jfft import (TopOptConfig, assemble_green, isotropic_material,
+                  lbfgs_minimize, solve_cell)
 from jfft.microstructures import rescale_contrast, threshold
 
 rho, _ = lbfgs_minimize(TopOptConfig(n=64, seed=1, max_outer=40,
@@ -24,11 +23,8 @@ print(f"{'variant':>8s} {'contrast':>9s} {'green':>7s} {'green-jacobi':>13s}")
 for chi in (1e2, 1e5, 1e8):
     for variant, field in (("smooth", rescale_contrast(rho, chi)),
                            ("sharp", threshold(rho, chi))):
-        counts = {}
-        for kind in ("green", "green-jacobi"):
-            op = make_operator(field, material)
-            precond = build_preconditioner(kind, op, green)
-            counts[kind] = pcg(op, assemble_rhs(op, eps_bar), precond,
-                               green).iterations
+        counts = {kind: solve_cell(field, eps_bar, kind, material,
+                                   green).iterations
+                  for kind in ("green", "green-jacobi")}
         print(f"{variant:>8s} {chi:>9.0e} {counts['green']:>7d} "
               f"{counts['green-jacobi']:>13d}")

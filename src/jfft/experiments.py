@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -18,11 +19,10 @@ import numpy as np
 from . import microstructures as micro
 from .grid import Grid, ScalarField, load_field, save_field
 from .material import MaterialModel, isotropic_material
-from .operators import assemble_rhs, homogenized_stress, make_operator
-from .preconditioners import (PRECONDITIONER_KINDS, assemble_green,
-                              build_preconditioner)
+from .operators import homogenized_stress, make_operator
+from .preconditioners import PRECONDITIONER_KINDS, assemble_green
 from .solver import (DEFAULT_ETA_CG, DEFAULT_LAMBDA0, DEFAULT_MAX_ITER,
-                     DEFAULT_MU0, SolveReport, pcg)
+                     DEFAULT_MU0, SolveReport, solve_cell)
 from .topopt import OptHistory, TopOptConfig, lbfgs_minimize
 
 DEFAULT_EPS_BAR = (1.0, 1.0, 1.0)
@@ -58,6 +58,13 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _finite_number(value) -> bool:
+    """A number that is no boolean and lies in the float range; Python's
+    json accepts ``NaN`` and ``Infinity``, which fail this test."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _get(cfg: dict, key: str, kinds, default=None, required=False):
     if key not in cfg:
         if required:
@@ -69,8 +76,9 @@ def _get(cfg: dict, key: str, kinds, default=None, required=False):
             raise ConfigError(f"key {key!r}: expected a boolean, got {value!r}")
         return value
     if kinds is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"key {key!r}: expected a number, got {value!r}")
+        if not _finite_number(value):
+            raise ConfigError(
+                f"key {key!r}: expected a finite number, got {value!r}")
         return float(value)
     if kinds is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -86,7 +94,8 @@ def _contrast(value, key: str) -> float:
         if value.lower() in ("inf", "infinity"):
             return np.inf
         raise ConfigError(f"key {key!r}: bad contrast {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and np.isnan(value))):
         raise ConfigError(f"key {key!r}: bad contrast {value!r}")
     if value < 1.0:
         raise ConfigError(f"key {key!r}: contrast must be >= 1, got {value}")
@@ -105,8 +114,9 @@ def _material(cfg: dict) -> MaterialModel:
 
 def _eps_bar(cfg: dict) -> np.ndarray:
     raw = _get(cfg, "eps_bar", list, default=list(DEFAULT_EPS_BAR))
-    if len(raw) != 3 or not all(isinstance(v, (int, float)) for v in raw):
-        raise ConfigError(f"key 'eps_bar': expected three numbers, got {raw!r}")
+    if len(raw) != 3 or not all(_finite_number(v) for v in raw):
+        raise ConfigError(
+            f"key 'eps_bar': expected three finite numbers, got {raw!r}")
     return np.asarray(raw, dtype=float)
 
 
@@ -116,6 +126,16 @@ def _preconditioner_name(name, key: str) -> str:
             f"key {key!r}: unknown preconditioner {name!r}; "
             f"choose one of {PRECONDITIONER_KINDS}")
     return name
+
+
+def _check_jacobi_grid(n: int, kinds, key: str):
+    """The Jacobi kinds probe the stiffness diagonal with a period-two comb,
+    which needs an even node count."""
+    jacobi = [k for k in kinds if k in ("jacobi", "green-jacobi")]
+    if n % 2 != 0 and jacobi:
+        raise ConfigError(
+            f"key {key!r}: preconditioner {jacobi[0]!r} needs an even n, "
+            f"got n = {n}")
 
 
 def _solver_opts(cfg: dict) -> tuple[float, int]:
@@ -151,31 +171,48 @@ def build_geometry(spec: dict, config_dir: str) -> ScalarField:
             rho_soft=_get(spec, "rho_soft", float, default=1e-4),
             radius_fraction=_get(spec, "radius_fraction", float, default=0.25))
     if kind == "from-file":
-        rel = _get(spec, "path", str, required=True)
-        base = Path(config_dir) / rel
-        if not (base.parent / (base.name + ".json")).exists():
-            raise ConfigError(f"geometry file not found: {base}.json")
-        field = load_field(base)
-        if not isinstance(field, ScalarField):
-            raise ConfigError(f"geometry file {base} is not a scalar field")
-        return field
+        rho = _load_density(config_dir, _get(spec, "path", str, required=True),
+                            "geometry.path")
+        if np.any(rho.values < 0.0):
+            raise ConfigError("key 'geometry.path': negative density")
+        return rho
     raise ConfigError(f"key 'geometry.kind': unknown geometry {kind!r}")
 
 
-def _check_experiment_tag(cfg: dict, expected: str):
+def _load_density(config_dir: str, rel: str, key: str) -> ScalarField:
+    """Read a finite density field from a file named in a config.
+
+    Negative values pass: smooth-vs-sharp rescales the field it reads, which
+    may be an unconstrained optimizer iterate."""
+    base = Path(config_dir) / rel
+    if not (base.parent / (base.name + ".json")).exists():
+        raise ConfigError(f"geometry file not found: {base}.json")
+    try:
+        rho = load_field(base)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from exc
+    if not isinstance(rho, ScalarField):
+        raise ConfigError(f"key {key!r}: {base} is not a scalar field")
+    if not np.all(np.isfinite(rho.values)):
+        raise ConfigError(f"key {key!r}: {base} holds non-finite densities")
+    return rho
+
+
+def _begin_run(cfg: dict, expected: str, out_dir) -> Path:
+    """Check the config's experiment tag, then copy the config into the
+    output directory."""
     tag = _get(cfg, "experiment", str, default=expected)
     if tag != expected:
         raise ConfigError(
             f"key 'experiment': config says {tag!r} but the "
             f"{expected!r} command was invoked")
-
-
-def _dump_config(cfg: dict, out_dir: Path):
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     copy = {k: v for k, v in cfg.items() if not k.startswith("_")}
     with open(out_dir / "config.json", "w") as fh:
         json.dump(copy, fh, indent=2, default=str)
         fh.write("\n")
+    return out_dir
 
 
 def _write_csv(path: Path, schema: str, fieldnames: list[str], rows) -> None:
@@ -185,6 +222,12 @@ def _write_csv(path: Path, schema: str, fieldnames: list[str], rows) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
+
+
+def _write_residuals(path: Path, report: SolveReport) -> None:
+    _write_csv(path, "residual-history v1", ["k", "green_norm_squared"],
+               ({"k": k, "green_norm_squared": repr(v)}
+                for k, v in enumerate(report.residual_history)))
 
 
 def _fmt_chi(chi: float) -> str:
@@ -205,23 +248,9 @@ def _cached_green(grid: Grid, material: MaterialModel):
     return _GREEN_CACHE[key]
 
 
-def _equilibrium_solve(rho: ScalarField, material: MaterialModel, kind: str,
-                       eps_bar, eta: float, cap: int) -> tuple[SolveReport, np.ndarray]:
-    """One linear cell solve; returns the report and homogenized stress."""
-    op = make_operator(rho, material)
-    green = _cached_green(op.grid, material)
-    precond = build_preconditioner(kind, op, green)
-    report = pcg(op, assemble_rhs(op, eps_bar), precond, green,
-                 eta=eta, max_iter=cap)
-    sigma = homogenized_stress(op, report.solution, eps_bar)
-    return report, sigma
-
-
 def run_solve(cfg: dict, out_dir: Path) -> tuple[SolveReport, np.ndarray]:
     """Solve one cell problem and write solution/residuals/stress artifacts."""
-    _check_experiment_tag(cfg, "solve")
-    out_dir = Path(out_dir)
-    _dump_config(cfg, out_dir)
+    out_dir = _begin_run(cfg, "solve", out_dir)
     n = _get(cfg, "n", int, required=True)
     geometry = build_geometry(_get(cfg, "geometry", dict, required=True),
                               cfg.get("_config_dir", "."))
@@ -232,16 +261,17 @@ def run_solve(cfg: dict, out_dir: Path) -> tuple[SolveReport, np.ndarray]:
     material = _material(cfg)
     kind = _preconditioner_name(
         _get(cfg, "preconditioner", str, default="green"), "preconditioner")
+    _check_jacobi_grid(n, [kind], "n")
     eta, cap = _solver_opts(cfg)
     eps_bar = _eps_bar(cfg)
 
-    report, sigma = _equilibrium_solve(rho, material, kind, eps_bar, eta, cap)
+    report = solve_cell(rho, eps_bar, kind, material,
+                        _cached_green(rho.grid, material), eta, cap)
+    sigma = homogenized_stress(make_operator(rho, material), report.solution,
+                               eps_bar)
 
     save_field(out_dir / "solution", report.solution)
-    _write_csv(out_dir / "residual_history.csv", "residual-history v1",
-               ["k", "green_norm_squared"],
-               ({"k": k, "green_norm_squared": repr(v)}
-                for k, v in enumerate(report.residual_history)))
+    _write_residuals(out_dir / "residual_history.csv", report)
     with open(out_dir / "homogenized_stress.json", "w") as fh:
         json.dump({
             "eps_bar": list(eps_bar),
@@ -263,15 +293,14 @@ SWEEP_COLUMNS = ["experiment", "preconditioner", "p", "n", "chi_tot",
 
 
 def _sweep_cell(args) -> dict:
-    (family, kind, p, n, chi, lam, mu, eps_bar, eta, cap) = args
+    (family, kind, p, n, chi, material, eps_bar, eta, cap) = args
     if family == "laminate":
         geometry = micro.laminate_density(p, chi)
     else:
         geometry = micro.cosine_density(p, chi)
     rho = micro.refine_to_grid(geometry, n)
-    material = isotropic_material(lam, mu)
-    report, _ = _equilibrium_solve(rho, material, kind, np.asarray(eps_bar),
-                                   eta, cap)
+    report = solve_cell(rho, np.asarray(eps_bar), kind, material,
+                        _cached_green(rho.grid, material), eta, cap)
     return {
         "experiment": f"{family}-sweep",
         "preconditioner": kind,
@@ -301,9 +330,7 @@ def _sweep_axes(cfg: dict) -> tuple[list[int], list[int]]:
 
 
 def _run_sweep(family: str, cfg: dict, out_dir: Path, workers: int) -> list[dict]:
-    _check_experiment_tag(cfg, f"{family}-sweep")
-    out_dir = Path(out_dir)
-    _dump_config(cfg, out_dir)
+    out_dir = _begin_run(cfg, f"{family}-sweep", out_dir)
     p_values, n_values = _sweep_axes(cfg)
     contrasts = [_contrast(c, "contrasts")
                  for c in _get(cfg, "contrasts", list, required=True)]
@@ -312,12 +339,13 @@ def _run_sweep(family: str, cfg: dict, out_dir: Path, workers: int) -> list[dict
     kinds = [_preconditioner_name(k, "preconditioners") for k in
              _get(cfg, "preconditioners", list,
                   default=["green", "jacobi", "green-jacobi"])]
+    for n in n_values:
+        _check_jacobi_grid(n, kinds, "n_values")
     material = _material(cfg)
     eta, cap = _solver_opts(cfg)
     eps_bar = tuple(_eps_bar(cfg))
 
-    cells = [(family, kind, p, n, chi, material.lambda0, material.mu0,
-              eps_bar, eta, cap)
+    cells = [(family, kind, p, n, chi, material, eps_bar, eta, cap)
              for kind in kinds
              for chi in contrasts
              for p in p_values
@@ -356,9 +384,7 @@ def run_motivate(cfg: dict, out_dir: Path) -> list[dict]:
     each configured preconditioner every ``stride`` steps and always at the
     final step, where the total contrast has dropped to the stop value.
     """
-    _check_experiment_tag(cfg, "motivate")
-    out_dir = Path(out_dir)
-    _dump_config(cfg, out_dir)
+    out_dir = _begin_run(cfg, "motivate", out_dir)
     n = _get(cfg, "n", int, default=256)
     rho = micro.inclusion_density(
         n,
@@ -372,6 +398,7 @@ def run_motivate(cfg: dict, out_dir: Path) -> list[dict]:
     kinds = [_preconditioner_name(k, "preconditioners") for k in
              _get(cfg, "preconditioners", list,
                   default=["green", "green-jacobi"])]
+    _check_jacobi_grid(n, kinds, "n")
     material = _material(cfg)
     eta, cap = _solver_opts(cfg)
     eps_bar = _eps_bar(cfg)
@@ -383,8 +410,8 @@ def run_motivate(cfg: dict, out_dir: Path) -> list[dict]:
         done = contrast <= stop_contrast or step >= max_steps
         if step % stride == 0 or done:
             for kind in kinds:
-                report, _ = _equilibrium_solve(rho, material, kind, eps_bar,
-                                               eta, cap)
+                report = solve_cell(rho, eps_bar, kind, material,
+                                    _cached_green(rho.grid, material), eta, cap)
                 rows.append({
                     "experiment": "motivate",
                     "preconditioner": kind,
@@ -412,6 +439,7 @@ def run_motivate(cfg: dict, out_dir: Path) -> list[dict]:
 def _topopt_config(cfg: dict) -> tuple[TopOptConfig, int]:
     measure = _get(cfg, "measure", list, default=[])
     kinds = tuple(_preconditioner_name(k, "measure") for k in measure)
+    material = _material(cfg)
     eta, cap = _solver_opts(cfg)
     try:
         topt = TopOptConfig(
@@ -419,10 +447,8 @@ def _topopt_config(cfg: dict) -> tuple[TopOptConfig, int]:
             eta_pf=_get(cfg, "eta_pf", float, default=0.01),
             k_target=_get(cfg, "k_target", float, default=0.025),
             mu_target=_get(cfg, "mu_target", float, default=0.15),
-            lambda0=_get(_get(cfg, "material", dict, default={}), "lambda0",
-                         float, default=DEFAULT_LAMBDA0),
-            mu0=_get(_get(cfg, "material", dict, default={}), "mu0",
-                     float, default=DEFAULT_MU0),
+            lambda0=material.lambda0,
+            mu0=material.mu0,
             lbfgs_memory=_get(cfg, "lbfgs_memory", int, default=10),
             max_outer=_get(cfg, "max_outer", int, default=200),
             objective_tol=_get(cfg, "objective_tol", float, default=0.0),
@@ -436,6 +462,8 @@ def _topopt_config(cfg: dict) -> tuple[TopOptConfig, int]:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_jacobi_grid(topt.n, (topt.preconditioner, *topt.measure),
+                       "preconditioner/measure")
     return topt, _get(cfg, "snapshot_stride", int, default=0)
 
 
@@ -466,9 +494,7 @@ def _history_rows(history: OptHistory) -> tuple[list[str], list[dict]]:
 
 def run_topopt(cfg: dict, out_dir: Path) -> tuple[ScalarField, OptHistory]:
     """Optimize a density layout and write history, snapshots, and summary."""
-    _check_experiment_tag(cfg, "topopt")
-    out_dir = Path(out_dir)
-    _dump_config(cfg, out_dir)
+    out_dir = _begin_run(cfg, "topopt", out_dir)
     topt_cfg, stride = _topopt_config(cfg)
 
     def snapshot(outer: int, rho: ScalarField):
@@ -502,22 +528,17 @@ def run_smooth_vs_sharp(cfg: dict, out_dir: Path) -> dict:
     sharp field thresholds the original at one half.  Both variants are
     solved with every configured preconditioner.
     """
-    _check_experiment_tag(cfg, "smooth-vs-sharp")
-    out_dir = Path(out_dir)
-    _dump_config(cfg, out_dir)
-    rel = _get(cfg, "rho_file", str, required=True)
-    base = Path(cfg.get("_config_dir", ".")) / rel
-    if not (base.parent / (base.name + ".json")).exists():
-        raise ConfigError(f"geometry file not found: {base}.json")
-    rho_smooth = load_field(base)
-    if not isinstance(rho_smooth, ScalarField):
-        raise ConfigError(f"key 'rho_file': {base} is not a scalar field")
+    out_dir = _begin_run(cfg, "smooth-vs-sharp", out_dir)
+    rho_smooth = _load_density(cfg.get("_config_dir", "."),
+                               _get(cfg, "rho_file", str, required=True),
+                               "rho_file")
     contrasts = [_contrast(c, "contrasts")
                  for c in _get(cfg, "contrasts", list,
                                default=[1e2, 1e5, 1e8])]
     kinds = [_preconditioner_name(k, "preconditioners") for k in
              _get(cfg, "preconditioners", list,
                   default=["green", "green-jacobi"])]
+    _check_jacobi_grid(rho_smooth.grid.n, kinds, "preconditioners")
     material = _material(cfg)
     eta, cap = _solver_opts(cfg)
     eps_bar = _eps_bar(cfg)
@@ -530,14 +551,11 @@ def run_smooth_vs_sharp(cfg: dict, out_dir: Path) -> dict:
         }
         for variant, rho in variants.items():
             for kind in kinds:
-                report, _ = _equilibrium_solve(rho, material, kind, eps_bar,
-                                               eta, cap)
+                report = solve_cell(rho, eps_bar, kind, material,
+                                    _cached_green(rho.grid, material), eta, cap)
                 reports[(variant, chi, kind)] = report
                 name = f"residuals_{variant}_chi{_fmt_chi(chi)}_{kind}.csv"
-                _write_csv(out_dir / name, "residual-history v1",
-                           ["k", "green_norm_squared"],
-                           ({"k": k, "green_norm_squared": repr(v)}
-                            for k, v in enumerate(report.residual_history)))
+                _write_residuals(out_dir / name, report)
     summary = [{
         "variant": variant,
         "chi_tot": _fmt_chi(chi),

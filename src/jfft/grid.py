@@ -1,5 +1,5 @@
-"""Periodic regular-grid bookkeeping: index maps, field containers, Mandel
-algebra, FFT helpers, and the field file format.
+"""Periodic regular-grid bookkeeping: field containers, Mandel algebra, the
+FFT pair every spectral operator goes through, and the field file format.
 
 Conventions used throughout the package:
 
@@ -15,13 +15,14 @@ Conventions used throughout the package:
   sqrt(2)*a12)`` so that the Euclidean dot product of two Mandel vectors
   equals the tensor double contraction.
 * FFTs use the unnormalized forward transform and put the ``1/N`` factor on
-  the inverse (numpy's default), in the real-to-complex layout.
+  the inverse (numpy's default), in the real-to-complex layout.  Only
+  :func:`fft_forward` and :func:`fft_inverse` call ``np.fft``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,32 +51,12 @@ class Grid:
         return self.n ** 2
 
     @property
-    def n_pixels(self) -> int:
-        return self.n ** 2
-
-    @property
     def n_quad(self) -> int:
         return 2 * self.n ** 2
 
     @property
     def cell_volume(self) -> float:
         return self.lengths[0] * self.lengths[1]
-
-    def node_index(self, i1: int, i2: int) -> int:
-        """Linear node index with periodic wrap, ``i1`` fastest."""
-        return (i1 % self.n) + self.n * (i2 % self.n)
-
-    def node_coords(self, index: int) -> tuple[int, int]:
-        """Inverse of :meth:`node_index` for ``0 <= index < n_nodes``."""
-        return (index % self.n, index // self.n)
-
-    # Pixels use the same (i1, i2) <-> linear map as nodes.
-    pixel_index = node_index
-    pixel_coords = node_coords
-
-    def quad_index(self, pixel: int, triangle: int) -> int:
-        """Linear quadrature index; triangle-major over pixel planes."""
-        return triangle * self.n_pixels + pixel
 
 
 def make_grid(n: int, lengths: tuple[float, float] = (1.0, 1.0)) -> Grid:
@@ -105,25 +86,22 @@ def _as_float_array(values, shape, what: str) -> np.ndarray:
 
 @dataclass
 class ScalarField:
-    """One real value per pixel (densities) or per node, shape ``(n, n)``."""
+    """One real value per pixel (densities), shape ``(n, n)``."""
 
     grid: Grid
     values: np.ndarray
-    site: str = "pixel"
 
     def __post_init__(self):
-        if self.site not in ("pixel", "node"):
-            raise ValueError(f"unknown site kind {self.site!r}")
         n = self.grid.n
         self.values = _as_float_array(self.values, (n, n), "scalar field")
 
     @classmethod
-    def zeros(cls, grid: Grid, site: str = "pixel") -> "ScalarField":
-        return cls(grid, np.zeros((grid.n, grid.n)), site)
+    def zeros(cls, grid: Grid) -> "ScalarField":
+        return cls(grid, np.zeros((grid.n, grid.n)))
 
     @classmethod
-    def full(cls, grid: Grid, value: float, site: str = "pixel") -> "ScalarField":
-        return cls(grid, np.full((grid.n, grid.n), float(value)), site)
+    def full(cls, grid: Grid, value: float) -> "ScalarField":
+        return cls(grid, np.full((grid.n, grid.n), float(value)))
 
 
 @dataclass
@@ -255,7 +233,7 @@ def save_field(basepath, field) -> None:
 
 def load_field(basepath):
     """Read a field written by :func:`save_field`; scalar fields load as
-    pixel-site densities."""
+    pixel densities."""
     base = str(basepath)
     with open(base + ".json") as fh:
         header = json.load(fh)
@@ -271,24 +249,17 @@ def load_field(basepath):
     raw = np.fromfile(base + ".raw", dtype="<f8")
     n = grid.n
     kind = header["kind"]
-    if kind == "scalar":
-        expected = n * n
-        shape_planes = 1
-    elif kind == "vector":
-        expected = Grid.d * n * n
-        shape_planes = Grid.d
-    elif kind == "quad":
-        expected = MANDEL_DIM * 2 * n * n
-        shape_planes = MANDEL_DIM * 2
-    else:
+    shape_planes = {"scalar": 1, "vector": Grid.d, "quad": MANDEL_DIM * 2}.get(kind)
+    if shape_planes is None:
         raise ValueError(f"unknown field kind {kind!r}")
+    expected = shape_planes * n * n
     if raw.size != expected:
         raise ValueError(
             f"{base}.raw holds {raw.size} doubles, expected {expected}")
     planes = [raw[k * n * n:(k + 1) * n * n].reshape((n, n), order="F")
               for k in range(shape_planes)]
     if kind == "scalar":
-        return ScalarField(grid, planes[0], site="pixel")
+        return ScalarField(grid, planes[0])
     if kind == "vector":
         return VectorField(grid, np.stack(planes))
     values = np.stack(planes).reshape(MANDEL_DIM, 2, n, n)

@@ -53,20 +53,7 @@ def stress(rho: ScalarField, material: MaterialModel, eps: QuadField) -> QuadFie
     """
     if rho.grid != eps.grid:
         raise ValueError("density and strain live on different grids")
-    if rho.site != "pixel":
-        raise ValueError("density must be a pixel field")
-    if np.any(rho.values < 0.0):
-        raise ValueError("negative density")
     sig = np.einsum("mk,ktij->mtij", material.stiffness, eps.values)
     sig *= rho.values[None, None, :, :]
     return QuadField(eps.grid, sig)
 
-
-def tangent(rho: ScalarField, material: MaterialModel) -> np.ndarray:
-    """Per-pixel algorithmic tangent ``rho * C0``, shape ``(n, n, 3, 3)``.
-
-    Constant in strain; the material is linear.
-    """
-    if np.any(rho.values < 0.0):
-        raise ValueError("negative density")
-    return rho.values[:, :, None, None] * material.stiffness[None, None, :, :]

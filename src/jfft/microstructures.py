@@ -31,7 +31,7 @@ def laminate_density(p: int, chi_tot: float,
     x1, _ = _sample_coords(p)
     dx1 = 1.0 / p
     rho = chi + (1.0 - chi) / (1.0 - dx1) * x1
-    return ScalarField(grid, rho, site="pixel")
+    return ScalarField(grid, rho)
 
 
 def cosine_density(p: int, chi_tot: float,
@@ -51,7 +51,7 @@ def cosine_density(p: int, chi_tot: float,
     if np.isinf(chi):
         # the cosines cancel only up to rounding; voids must be exact zeros
         rho[np.abs(rho) < 1e-12] = 0.0
-    return ScalarField(grid, rho, site="pixel")
+    return ScalarField(grid, rho)
 
 
 def inclusion_density(p: int, rho_soft: float = 1e-4,
@@ -67,7 +67,7 @@ def inclusion_density(p: int, rho_soft: float = 1e-4,
     x1, x2 = _sample_coords(p)
     inside = (x1 - 0.5) ** 2 + (x2 - 0.5) ** 2 < radius_fraction ** 2
     rho = np.where(inside, float(rho_soft), 1.0)
-    return ScalarField(grid, rho, site="pixel")
+    return ScalarField(grid, rho)
 
 
 def gaussian_filter(rho: ScalarField) -> ScalarField:
@@ -79,7 +79,7 @@ def gaussian_filter(rho: ScalarField) -> ScalarField:
     v = rho.values
     v = (v + np.roll(v, 1, axis=0) / 2 + np.roll(v, -1, axis=0) / 2) / 2
     v = (v + np.roll(v, 1, axis=1) / 2 + np.roll(v, -1, axis=1) / 2) / 2
-    return ScalarField(rho.grid, v, site=rho.site)
+    return ScalarField(rho.grid, v)
 
 
 def total_contrast(rho: ScalarField) -> float:
@@ -98,7 +98,7 @@ def threshold(rho_smooth: ScalarField, chi_tot: float) -> ScalarField:
         raise ValueError(f"total phase contrast must be >= 1, got {chi}")
     soft = 0.0 if np.isinf(chi) else 1.0 / chi
     values = np.where(rho_smooth.values >= 0.5, 1.0, soft)
-    return ScalarField(rho_smooth.grid, values, site="pixel")
+    return ScalarField(rho_smooth.grid, values)
 
 
 def rescale_contrast(rho: ScalarField, chi_tot: float) -> ScalarField:
@@ -112,7 +112,7 @@ def rescale_contrast(rho: ScalarField, chi_tot: float) -> ScalarField:
         raise ValueError("cannot rescale a constant field to a target contrast")
     soft = 0.0 if np.isinf(chi) else 1.0 / chi
     values = soft + (1.0 - soft) * (rho.values - lo) / (hi - lo)
-    return ScalarField(rho.grid, values, site="pixel")
+    return ScalarField(rho.grid, values)
 
 
 def refine_to_grid(rho: ScalarField, n: int) -> ScalarField:
@@ -127,4 +127,4 @@ def refine_to_grid(rho: ScalarField, n: int) -> ScalarField:
     factor = n // p
     grid = make_grid(n, rho.grid.lengths)
     values = np.repeat(np.repeat(rho.values, factor, axis=0), factor, axis=1)
-    return ScalarField(grid, values, site="pixel")
+    return ScalarField(grid, values)

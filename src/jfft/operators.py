@@ -29,8 +29,6 @@ class SystemOperator:
     def __post_init__(self):
         if self.density.grid != self.grid or self.weights.grid != self.grid:
             raise ValueError("density/weights grid mismatch")
-        if self.density.site != "pixel":
-            raise ValueError("density must be a pixel field")
         if np.any(self.density.values < 0.0):
             raise ValueError("negative density")
 
@@ -81,18 +79,6 @@ def total_strain(op: SystemOperator, u: VectorField, eps_bar) -> QuadField:
     eps = fem.sym_gradient(u)
     eps.values += np.asarray(eps_bar, dtype=np.float64)[:, None, None, None]
     return eps
-
-
-def residual_force(op: SystemOperator, u: VectorField, eps_bar) -> VectorField:
-    """Out-of-balance nodal force ``-B^T W sigma(rho, E + B u)``.
-
-    Evaluated through the constitutive law, not the linear recurrence, so it
-    is the honest nonlinear equilibrium residual.
-    """
-    sig = stress(op.density, op.material, total_strain(op, u, eps_bar))
-    sig.values *= op.weights.per_point
-    dx1, dx2 = op.grid.pixel_size
-    return VectorField(op.grid, -fem._sym_gradient_adjoint_values(sig.values, dx1, dx2))
 
 
 def homogenized_stress(op: SystemOperator, u: VectorField, eps_bar) -> np.ndarray:

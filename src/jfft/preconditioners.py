@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField, VectorField
+from .grid import Grid, ScalarField, VectorField, fft_forward, fft_inverse
 from .material import MaterialModel
 from .operators import SystemOperator, apply_system, make_operator
 
@@ -64,8 +64,7 @@ def assemble_green(grid: Grid, material_ref: MaterialModel) -> GreenOperator:
         impulse = VectorField.zeros(grid)
         impulse.values[beta, 0, 0] = 1.0
         response = apply_system(ref_op, impulse)
-        khat[:, :, :, beta] = np.moveaxis(
-            np.fft.rfftn(response.values, axes=(1, 2)), 0, -1)
+        khat[:, :, :, beta] = np.moveaxis(fft_forward(response), 0, -1)
     # rigid translations: the zero-frequency block is zero by construction,
     # up to the rounding of the column sums
     khat[0, 0] = 0.0
@@ -88,10 +87,8 @@ def apply_green(green: GreenOperator, r: VectorField) -> VectorField:
     """
     if r.grid != green.grid:
         raise ValueError("residual lives on a different grid")
-    rhat = np.fft.rfftn(r.values, axes=(1, 2))
-    zhat = np.einsum("xyab,bxy->axy", green.blocks, rhat)
-    n = green.grid.n
-    return VectorField(green.grid, np.fft.irfftn(zhat, s=(n, n), axes=(1, 2)))
+    zhat = np.einsum("xyab,bxy->axy", green.blocks, fft_forward(r))
+    return fft_inverse(zhat, green.grid)
 
 
 def assemble_jacobi(op: SystemOperator) -> JacobiDiagonal:

@@ -1,5 +1,5 @@
 """Preconditioned conjugate gradients with Green-norm termination, and the
-Newton driver around it.
+cell solve at a macroscopic strain built on it.
 
 Iteration counts are comparable across preconditioners because every run
 terminates on the same functional, the squared Green norm of the residual
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ScalarField, VectorField
-from .material import MaterialModel, isotropic_material
-from .operators import (SystemOperator, apply_system, make_operator,
-                        residual_force)
+from .material import MaterialModel
+from .operators import (SystemOperator, apply_system, assemble_rhs,
+                        make_operator)
 from .preconditioners import (GreenOperator, Preconditioner, apply_green,
                               assemble_green, build_preconditioner)
 
@@ -54,7 +54,6 @@ class SolveReport:
     terminated: str
     wall_time: float
     solution: VectorField
-    newton_steps: int = 0
 
 
 def _dot(a: VectorField, b: VectorField) -> float:
@@ -140,46 +139,19 @@ def pcg(op: SystemOperator, rhs: VectorField, preconditioner: Preconditioner,
                        time.perf_counter() - start, x)
 
 
-def newton_solve(density: ScalarField, eps_bar, preconditioner: str = "green",
-                 material: MaterialModel | None = None,
-                 eta: float = DEFAULT_ETA_CG, max_iter: int = DEFAULT_MAX_ITER,
-                 green: GreenOperator | None = None,
-                 max_newton: int = 10) -> SolveReport:
-    """Newton iteration for the cell problem at a given macroscopic strain.
+def solve_cell(rho: ScalarField, eps_bar, kind: str, material: MaterialModel,
+               green: GreenOperator | None = None, eta: float = DEFAULT_ETA_CG,
+               max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:
+    """Solve the cell problem at the macroscopic strain ``eps_bar``.
 
-    The constitutive law is linear, so the tangent is constant and a single
-    Newton step reaches equilibrium; the loop structure only verifies that
-    the recomputed out-of-balance force passes the same Green-norm test the
-    inner PCG used.  A pre-assembled ``green`` operator (reference material
-    = solid phase) can be passed in to amortize sweeps.
+    The material is linear, so one PCG solve of ``K u = f`` with
+    ``f = -B^T W C(rho) E`` from the zero initial guess is the whole
+    equilibrium problem.  A pre-assembled ``green`` operator (reference
+    material = ``material``) can be passed in to amortize sweeps.
     """
-    start = time.perf_counter()
-    if material is None:
-        material = isotropic_material(DEFAULT_LAMBDA0, DEFAULT_MU0)
-    op = make_operator(density, material)
+    op = make_operator(rho, material)
     if green is None:
         green = assemble_green(op.grid, material)
-    precond = build_preconditioner(preconditioner, op, green)
-
-    u = VectorField.zeros(op.grid)
-    report = SolveReport(0, [0.0], CONVERGED, 0.0, u)
-    steps = 0
-    while True:
-        force = residual_force(op, u, eps_bar)
-        gnorm2 = _dot(force, apply_green(green, force))
-        if gnorm2 <= eta or steps >= max_newton:
-            if steps == 0:
-                report.residual_history = [gnorm2]
-                report.terminated = CONVERGED if gnorm2 <= eta else ITERATION_CAP
-            break
-        report = pcg(op, force, precond, green, eta=eta, max_iter=max_iter)
-        u.values += report.solution.values
-        steps += 1
-        if report.terminated != CONVERGED:
-            break
-
-    u.values -= u.component_means()[:, None, None]
-    report.solution = u
-    report.newton_steps = steps
-    report.wall_time = time.perf_counter() - start
-    return report
+    precond = build_preconditioner(kind, op, green)
+    return pcg(op, assemble_rhs(op, eps_bar), precond, green,
+               eta=eta, max_iter=max_iter)

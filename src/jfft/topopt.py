@@ -177,8 +177,7 @@ def _clamped_density(problem: TopOptProblem, rho: np.ndarray) -> ScalarField:
     if clamped:
         log.info("lifting %d pixels to the density floor %.0e",
                  clamped, DENSITY_FLOOR)
-    return ScalarField(problem.grid,
-                       np.maximum(rho, DENSITY_FLOOR), site="pixel")
+    return ScalarField(problem.grid, np.maximum(rho, DENSITY_FLOOR))
 
 
 def _stress_gradient(problem: TopOptProblem, strains: np.ndarray,
@@ -220,17 +219,6 @@ def evaluate(problem: TopOptProblem, rho: np.ndarray,
     f_phase, g_phase = _phase_field_parts(cfg, problem.grid, rho)
     return Evaluation(f_stress + f_phase, f_stress, f_phase,
                       g_stress + g_phase, counts)
-
-
-def objective(problem: TopOptProblem, rho: ScalarField):
-    """Objective value with its stress-mismatch / phase-field breakdown."""
-    ev = evaluate(problem, rho.values)
-    return ev.value, {"stress": ev.stress_part, "phase_field": ev.phase_part}
-
-
-def gradient(problem: TopOptProblem, rho: ScalarField) -> np.ndarray:
-    """Per-pixel derivative of the objective."""
-    return evaluate(problem, rho.values).gradient
 
 
 def _measured_counts(problem: TopOptProblem, rho: np.ndarray,
@@ -316,7 +304,7 @@ def lbfgs_minimize(cfg: TopOptConfig, callback=None,
     ev = evaluate(problem, x)
     record(ev, x)
     if callback is not None:
-        callback(0, ScalarField(problem.grid, x.copy(), site="pixel"))
+        callback(0, ScalarField(problem.grid, x.copy()))
 
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
@@ -361,7 +349,7 @@ def lbfgs_minimize(cfg: TopOptConfig, callback=None,
         ev = ev_new
         record(ev, x)
         if callback is not None:
-            callback(outer, ScalarField(problem.grid, x.copy(), site="pixel"))
+            callback(outer, ScalarField(problem.grid, x.copy()))
         if decrease <= 0.0:
             # Armijo accepted a step whose decrease underflowed: stuck
             history.status = "stationary"
@@ -371,4 +359,4 @@ def lbfgs_minimize(cfg: TopOptConfig, callback=None,
             history.status = "converged"
             break
 
-    return ScalarField(problem.grid, x, site="pixel"), history
+    return ScalarField(problem.grid, x), history

@@ -52,9 +52,10 @@ def test_geometry_validation(tmp_path):
                        str(tmp_path))
     with pytest.raises(ConfigError, match="not found"):
         build_geometry({"kind": "from-file", "path": "missing"}, str(tmp_path))
-    rho = build_geometry({"kind": "cosine", "p": 4, "chi_tot": "inf"},
-                         str(tmp_path))
-    assert rho.values.min() == 0.0
+    for chi in ("inf", float("inf")):
+        rho = build_geometry({"kind": "cosine", "p": 4, "chi_tot": chi},
+                             str(tmp_path))
+        assert rho.values.min() == 0.0
 
 
 def test_experiment_tag_mismatch(tmp_path):
@@ -316,3 +317,59 @@ def test_cli_rejects_bad_threads(tmp_path):
     })
     assert main(["laminate-sweep", "--config", str(cfg),
                  "--out", str(tmp_path / "out"), "--threads", "0"]) == 2
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("solve", {"n": 9, "geometry": {"kind": "cosine", "p": 3, "chi_tot": 100.0},
+               "preconditioner": "green-jacobi"}),
+    ("topopt", {"n": 9, "max_outer": 1}),
+    ("topopt", {"n": 9, "max_outer": 1, "preconditioner": "green",
+                "measure": ["jacobi"]}),
+    ("laminate-sweep", {"p_values": [3], "n_values": [3], "contrasts": [10.0],
+                        "preconditioners": ["jacobi"]}),
+], ids=["solve", "topopt", "topopt-measure", "laminate-sweep"])
+def test_cli_rejects_odd_n_with_jacobi(tmp_path, command, cfg):
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("eta_cg", float("nan")),
+    ("eta_cg", float("inf")),
+    ("eta_cg", 10 ** 400),
+    ("chi_tot", float("nan")),
+    ("eps_bar", [1.0, float("nan"), 0.0]),
+    ("eps_bar", [True, 0, 0]),
+], ids=["eta_cg-nan", "eta_cg-inf", "eta_cg-huge", "chi_tot-nan", "eps_bar-nan", "eps_bar-bool"])
+def test_cli_rejects_non_finite_and_boolean_numbers(tmp_path, key, value):
+    cfg = {"n": 8, "geometry": {"kind": "cosine", "p": 8, "chi_tot": 100.0}}
+    if key == "chi_tot":
+        cfg["geometry"]["chi_tot"] = value
+    else:
+        cfg[key] = value
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert main(["solve", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
+def solve_from_file(tmp_path):
+    path = write_config(tmp_path / "cfg.json", {
+        "n": 8, "geometry": {"kind": "from-file", "path": "rho"}})
+    return main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+def test_cli_rejects_bad_density_file_values(tmp_path, bad):
+    values = np.ones((8, 8))
+    values[2, 3] = bad
+    save_field(tmp_path / "rho", ScalarField(make_grid(8), values))
+    assert solve_from_file(tmp_path) == 2
+
+
+def test_cli_rejects_malformed_density_header(tmp_path):
+    save_field(tmp_path / "rho", ScalarField.full(make_grid(8), 1.0))
+    header = json.loads((tmp_path / "rho.json").read_text())
+    del header["order"]
+    (tmp_path / "rho.json").write_text(json.dumps(header))
+    assert solve_from_file(tmp_path) == 2

@@ -13,7 +13,6 @@ from oracles import dft2_direct
 def test_grid_counts():
     grid = make_grid(4, (1.0, 1.0))
     assert grid.n_nodes == 16
-    assert grid.n_pixels == 16
     assert grid.n_quad == 32
     assert grid.pixel_size == (0.25, 0.25)
 
@@ -31,26 +30,6 @@ def test_grid_rejects_degenerate():
         make_grid(8, (1.0, -2.0))
 
 
-def test_node_index_bijection_and_wrap():
-    grid = make_grid(5)
-    seen = set()
-    for i1 in range(5):
-        for i2 in range(5):
-            idx = grid.node_index(i1, i2)
-            assert grid.node_coords(idx) == (i1, i2)
-            seen.add(idx)
-    assert seen == set(range(25))
-    # periodic neighbor of the last column is the first column
-    assert grid.node_index(5, 3) == grid.node_index(0, 3)
-    assert grid.node_index(4 + 1, 3) == grid.node_index(0, 3)
-
-
-def test_quad_index_bijection():
-    grid = make_grid(3)
-    ids = {grid.quad_index(p, t) for p in range(9) for t in range(2)}
-    assert ids == set(range(18))
-
-
 def test_field_shape_validation():
     grid = make_grid(4)
     with pytest.raises(ValueError):
@@ -59,8 +38,6 @@ def test_field_shape_validation():
         ScalarField(grid, np.zeros((5, 4)))
     with pytest.raises(ValueError):
         QuadField(grid, np.zeros((3, 2, 4, 5)))
-    with pytest.raises(ValueError):
-        ScalarField(grid, np.zeros((4, 4)), site="edge")
 
 
 def test_mandel_contract():

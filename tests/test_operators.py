@@ -3,7 +3,7 @@ import pytest
 
 from jfft.grid import ScalarField, VectorField, make_grid
 from jfft.operators import (apply_system, assemble_rhs, homogenized_stress,
-                            make_operator, residual_force)
+                            make_operator)
 
 from oracles import dense_k, dense_rhs, vec_flat
 
@@ -106,13 +106,12 @@ def test_rhs_rejects_bad_strain(solid_material):
         assemble_rhs(op, np.array([1.0, 2.0]))
 
 
-def test_residual_force_equals_rhs_at_zero_displacement(solid_material):
-    rng = np.random.default_rng(8)
-    op = random_operator(6, rng, solid_material)
-    eps_bar = np.array([1.0, -0.5, 0.25])
-    f = assemble_rhs(op, eps_bar)
-    r = residual_force(op, VectorField.zeros(op.grid), eps_bar)
-    assert np.abs(f.values - r.values).max() <= 1e-14 * np.abs(f.values).max()
+def test_operator_rejects_negative_density(solid_material):
+    grid = make_grid(4)
+    rho = ScalarField.zeros(grid)
+    rho.values[1, 2] = -0.5
+    with pytest.raises(ValueError, match="negative"):
+        make_operator(rho, solid_material)
 
 
 def test_homogenized_stress_uniform(solid_material):

@@ -6,8 +6,9 @@ from jfft.grid import ScalarField, VectorField, make_grid
 from jfft.operators import (apply_system, assemble_rhs, homogenized_stress,
                             make_operator)
 from jfft.preconditioners import assemble_green, build_preconditioner
-from jfft.solver import (CONVERGED, ITERATION_CAP, SolverAbortError,
-                         newton_solve, pcg)
+from jfft.preconditioners import apply_green
+from jfft.solver import (CONVERGED, ITERATION_CAP, SolverAbortError, pcg,
+                         solve_cell)
 
 
 def laminate_problem(n, chi, material):
@@ -102,54 +103,41 @@ def test_green_norm_is_measured_for_every_preconditioner(solid_material):
     assert all(abs(h[0] - first) <= 1e-12 * first for h in histories)
 
 
-def test_newton_single_step_for_linear_material(solid_material):
+def test_solve_cell_is_the_rhs_then_pcg_path(solid_material):
     rho = micro.refine_to_grid(micro.laminate_density(8, 100.0), 16)
-    report = newton_solve(rho, np.array([1.0, 1.0, 1.0]), "green",
-                          material=solid_material)
-    assert report.newton_steps == 1
+    eps_bar = np.array([1.0, 1.0, 1.0])
+    report = solve_cell(rho, eps_bar, "green", solid_material)
+    op = make_operator(rho, solid_material)
+    green = assemble_green(op.grid, solid_material)
+    direct = pcg(op, assemble_rhs(op, eps_bar),
+                 build_preconditioner("green", op, green), green)
+    assert report.terminated == CONVERGED
+    assert report.iterations == direct.iterations
+    assert report.residual_history == direct.residual_history
+    assert np.array_equal(report.solution.values, direct.solution.values)
+
+
+def test_solve_cell_zero_load_takes_zero_iterations(solid_material):
+    rho = ScalarField.full(make_grid(8), 1.0)
+    report = solve_cell(rho, np.zeros(3), "green", solid_material)
+    assert report.iterations == 0
     assert report.terminated == CONVERGED
 
 
-def test_newton_linearity_certificate(solid_material):
-    # the honestly recomputed out-of-balance force equals the final PCG
-    # residual because the tangent is constant
-    from jfft.operators import residual_force
-
-    rho = micro.refine_to_grid(micro.laminate_density(8, 100.0), 16)
-    op = make_operator(rho, solid_material)
-    green = assemble_green(op.grid, solid_material)
-    eps_bar = np.array([1.0, 1.0, 1.0])
-    rhs = assemble_rhs(op, eps_bar)
-    report = pcg(op, rhs, build_preconditioner("green", op, green), green,
-                 eta=1e-10, max_iter=2000)
-    recomputed = residual_force(op, report.solution, eps_bar)
-    linear = rhs.values - apply_system(op, report.solution).values
-    scale = np.abs(rhs.values).max()
-    assert np.abs(recomputed.values - linear).max() <= 1e-10 * scale
-
-
-def test_newton_zero_load_takes_zero_steps(solid_material):
-    rho = ScalarField.full(make_grid(8), 1.0)
-    report = newton_solve(rho, np.zeros(3), "green", material=solid_material)
-    assert report.newton_steps == 0
-    assert report.iterations == 0
-
-
-def test_newton_uniform_medium_stress(solid_material):
+def test_solve_cell_uniform_medium_stress(solid_material):
     grid = make_grid(8)
     rho = ScalarField.full(grid, 1.0)
-    report = newton_solve(rho, np.array([1.0, 1.0, 1.0]), "green",
-                          material=solid_material)
+    eps_bar = np.array([1.0, 1.0, 1.0])
+    report = solve_cell(rho, eps_bar, "green", solid_material)
     op = make_operator(rho, solid_material)
-    sigma = homogenized_stress(op, report.solution, np.array([1.0, 1.0, 1.0]))
+    sigma = homogenized_stress(op, report.solution, eps_bar)
     assert np.allclose(sigma, [7.0 / 3.0, 7.0 / 3.0, 1.0], rtol=0, atol=1e-12)
 
 
-def test_newton_solution_satisfies_tolerance(solid_material):
-    from jfft.preconditioners import apply_green
+def test_solve_cell_solution_satisfies_tolerance(solid_material):
     rho = micro.refine_to_grid(micro.cosine_density(8, 1e4), 16)
-    report = newton_solve(rho, np.array([1.0, 1.0, 1.0]), "green-jacobi",
-                          material=solid_material, eta=1e-6)
+    report = solve_cell(rho, np.array([1.0, 1.0, 1.0]), "green-jacobi",
+                        solid_material, eta=1e-6)
     op = make_operator(rho, solid_material)
     green = assemble_green(op.grid, solid_material)
     residual = assemble_rhs(op, np.array([1.0, 1.0, 1.0]))
