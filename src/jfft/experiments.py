@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import microstructures as micro
-from .grid import Grid, ScalarField, load_field, save_field
+from .grid import Grid, ScalarField, finite_number, load_field, save_field
 from .material import MaterialModel, isotropic_material
 from .operators import homogenized_stress, make_operator
 from .preconditioners import PRECONDITIONER_KINDS, assemble_green
@@ -58,13 +57,6 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _finite_number(value) -> bool:
-    """A number that is no boolean and lies in the float range; Python's
-    json accepts ``NaN`` and ``Infinity``, which fail this test."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
 def _get(cfg: dict, key: str, kinds, default=None, required=False):
     if key not in cfg:
         if required:
@@ -76,7 +68,7 @@ def _get(cfg: dict, key: str, kinds, default=None, required=False):
             raise ConfigError(f"key {key!r}: expected a boolean, got {value!r}")
         return value
     if kinds is float:
-        if not _finite_number(value):
+        if not finite_number(value):
             raise ConfigError(
                 f"key {key!r}: expected a finite number, got {value!r}")
         return float(value)
@@ -114,7 +106,7 @@ def _material(cfg: dict) -> MaterialModel:
 
 def _eps_bar(cfg: dict) -> np.ndarray:
     raw = _get(cfg, "eps_bar", list, default=list(DEFAULT_EPS_BAR))
-    if len(raw) != 3 or not all(_finite_number(v) for v in raw):
+    if len(raw) != 3 or not all(finite_number(v) for v in raw):
         raise ConfigError(
             f"key 'eps_bar': expected three finite numbers, got {raw!r}")
     return np.asarray(raw, dtype=float)
@@ -146,6 +138,20 @@ def _solver_opts(cfg: dict) -> tuple[float, int]:
     return eta, cap
 
 
+def _generate(key: str, generator, *args) -> ScalarField:
+    """Run a density generator; its range checks become config errors."""
+    try:
+        return generator(*args)
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from exc
+
+
+def _inclusion(cfg: dict, key: str, p: int) -> ScalarField:
+    return _generate(key, micro.inclusion_density, p,
+                     _get(cfg, "rho_soft", float, default=1e-4),
+                     _get(cfg, "radius_fraction", float, default=0.25))
+
+
 def build_geometry(spec: dict, config_dir: str) -> ScalarField:
     """Resolve a geometry spec to a density field on its sampling lattice."""
     if not isinstance(spec, dict):
@@ -158,18 +164,15 @@ def build_geometry(spec: dict, config_dir: str) -> ScalarField:
         chi = _contrast(spec["chi_tot"], "geometry.chi_tot")
         if not np.isfinite(chi):
             raise ConfigError("key 'geometry.chi_tot': laminate needs finite contrast")
-        return micro.laminate_density(p, chi)
+        return _generate("geometry", micro.laminate_density, p, chi)
     if kind == "cosine":
         p = _get(spec, "p", int, required=True)
         if "chi_tot" not in spec:
             raise ConfigError("missing required key 'geometry.chi_tot'")
-        return micro.cosine_density(p, _contrast(spec["chi_tot"], "geometry.chi_tot"))
+        return _generate("geometry", micro.cosine_density, p,
+                         _contrast(spec["chi_tot"], "geometry.chi_tot"))
     if kind == "inclusion":
-        p = _get(spec, "p", int, required=True)
-        return micro.inclusion_density(
-            p,
-            rho_soft=_get(spec, "rho_soft", float, default=1e-4),
-            radius_fraction=_get(spec, "radius_fraction", float, default=0.25))
+        return _inclusion(spec, "geometry", _get(spec, "p", int, required=True))
     if kind == "from-file":
         rho = _load_density(config_dir, _get(spec, "path", str, required=True),
                             "geometry.path")
@@ -386,10 +389,7 @@ def run_motivate(cfg: dict, out_dir: Path) -> list[dict]:
     """
     out_dir = _begin_run(cfg, "motivate", out_dir)
     n = _get(cfg, "n", int, default=256)
-    rho = micro.inclusion_density(
-        n,
-        rho_soft=_get(cfg, "rho_soft", float, default=1e-4),
-        radius_fraction=_get(cfg, "radius_fraction", float, default=0.25))
+    rho = _inclusion(cfg, "rho_soft/radius_fraction/n", n)
     stop_contrast = _get(cfg, "stop_contrast", float, default=100.0)
     stride = _get(cfg, "stride", int, default=1)
     max_steps = _get(cfg, "max_steps", int, default=100_000)
@@ -546,7 +546,7 @@ def run_smooth_vs_sharp(cfg: dict, out_dir: Path) -> dict:
     reports = {}
     for chi in contrasts:
         variants = {
-            "smooth": micro.rescale_contrast(rho_smooth, chi),
+            "smooth": _generate("rho_file", micro.rescale_contrast, rho_smooth, chi),
             "sharp": micro.threshold(rho_smooth, chi),
         }
         for variant, rho in variants.items():

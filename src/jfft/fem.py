@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SQRT2, Grid, QuadField, VectorField
+from .grid import MANDEL_DIM, SQRT2, Grid, QuadField, VectorField
 
 
 @dataclass(frozen=True)
@@ -38,49 +38,86 @@ def quadrature_weights(grid: Grid) -> QuadratureWeights:
     return QuadratureWeights(grid, dx1 * dx2 / 2.0)
 
 
-def _dx(a: np.ndarray, dx1: float) -> np.ndarray:
-    return (np.roll(a, -1, axis=0) - a) / dx1
+def _along(a: np.ndarray, axis: int) -> np.ndarray:
+    """View of an ``(n, n)`` plane whose first index runs along ``axis``."""
+    return a if axis == 0 else a.T
 
 
-def _dy(a: np.ndarray, dx2: float) -> np.ndarray:
-    return (np.roll(a, -1, axis=1) - a) / dx2
+def _forward_difference(a: np.ndarray, axis: int, h: float,
+                        out: np.ndarray) -> None:
+    """``out = (roll(a, -1, axis) - a) / h``, the periodic forward difference."""
+    src, dst = _along(a, axis), _along(out, axis)
+    np.subtract(src[1:], src[:-1], out=dst[:-1])
+    np.subtract(src[:1], src[-1:], out=dst[-1:])
+    out /= h
 
 
-def _dx_t(a: np.ndarray, dx1: float) -> np.ndarray:
-    # adjoint of _dx: (roll(+1) - identity) / dx1
-    return (np.roll(a, 1, axis=0) - a) / dx1
+def _backward_difference(a: np.ndarray, axis: int, h: float,
+                         out: np.ndarray) -> None:
+    """``out = (roll(a, 1, axis) - a) / h``, the adjoint of
+    :func:`_forward_difference`."""
+    src, dst = _along(a, axis), _along(out, axis)
+    np.subtract(src[:-1], src[1:], out=dst[1:])
+    np.subtract(src[-1:], src[:1], out=dst[:1])
+    out /= h
 
 
-def _dy_t(a: np.ndarray, dx2: float) -> np.ndarray:
-    return (np.roll(a, 1, axis=1) - a) / dx2
+def _shift(a: np.ndarray, step: int, axis: int, out: np.ndarray) -> None:
+    """``out = roll(a, step, axis)`` for ``step`` = +1 or -1."""
+    src, dst = _along(a, axis), _along(out, axis)
+    if step == 1:
+        dst[1:] = src[:-1]
+        dst[:1] = src[-1:]
+    else:
+        dst[:-1] = src[1:]
+        dst[-1:] = src[:1]
 
 
-def _sym_gradient_values(u: np.ndarray, dx1: float, dx2: float) -> np.ndarray:
-    """Strain planes (3, 2, n, n) from displacement planes (2, n, n)."""
-    dxu1 = _dx(u[0], dx1)
-    dyu1 = _dy(u[0], dx2)
-    dxu2 = _dx(u[1], dx1)
-    dyu2 = _dy(u[1], dx2)
-    s = np.empty((3, 2) + u.shape[1:])
+def sym_gradient_into(u: np.ndarray, pixel_size: tuple[float, float],
+                      eps: np.ndarray, planes: np.ndarray) -> None:
+    """Strain planes ``eps`` (3, 2, n, n) from displacement planes ``u``
+    (2, n, n); ``planes`` (2, n, n) is scratch."""
+    dx1, dx2 = pixel_size
+    dyu1, dxu2 = planes
     # lower triangle: gradients anchored at the pixel's lower-left node
-    s[0, 0] = dxu1
-    s[1, 0] = dyu2
-    s[2, 0] = (dyu1 + dxu2) / SQRT2
+    _forward_difference(u[0], 0, dx1, eps[0, 0])
+    _forward_difference(u[1], 1, dx2, eps[1, 0])
+    _forward_difference(u[0], 1, dx2, dyu1)
+    _forward_difference(u[1], 0, dx1, dxu2)
+    np.add(dyu1, dxu2, out=eps[2, 0])
+    eps[2, 0] /= SQRT2
     # upper triangle: the same differences taken along the far pixel edges
-    s[0, 1] = np.roll(dxu1, -1, axis=1)
-    s[1, 1] = np.roll(dyu2, -1, axis=0)
-    s[2, 1] = (np.roll(dyu1, -1, axis=0) + np.roll(dxu2, -1, axis=1)) / SQRT2
-    return s
+    _shift(eps[0, 0], -1, 1, eps[0, 1])
+    _shift(eps[1, 0], -1, 0, eps[1, 1])
+    _shift(dyu1, -1, 0, eps[2, 1])
+    _shift(dxu2, -1, 1, dyu1)
+    eps[2, 1] += dyu1
+    eps[2, 1] /= SQRT2
 
 
-def _sym_gradient_adjoint_values(s: np.ndarray, dx1: float, dx2: float) -> np.ndarray:
-    """Exact transpose of :func:`_sym_gradient_values`."""
-    f = np.empty((2,) + s.shape[2:])
-    f[0] = (_dx_t(s[0, 0] + np.roll(s[0, 1], 1, axis=1), dx1)
-            + _dy_t(s[2, 0] + np.roll(s[2, 1], 1, axis=0), dx2) / SQRT2)
-    f[1] = (_dy_t(s[1, 0] + np.roll(s[1, 1], 1, axis=0), dx2)
-            + _dx_t(s[2, 0] + np.roll(s[2, 1], 1, axis=1), dx1) / SQRT2)
-    return f
+def sym_gradient_adjoint_into(s: np.ndarray, pixel_size: tuple[float, float],
+                              f: np.ndarray, planes: np.ndarray) -> None:
+    """Exact transpose of :func:`sym_gradient_into`: nodal planes ``f``
+    (2, n, n) from quadrature planes ``s`` (3, 2, n, n), which are left
+    unchanged; ``planes`` (2, n, n) is scratch."""
+    dx1, dx2 = pixel_size
+    gathered, term = planes
+    _shift(s[0, 1], 1, 1, gathered)
+    gathered += s[0, 0]
+    _backward_difference(gathered, 0, dx1, f[0])
+    _shift(s[2, 1], 1, 0, gathered)
+    gathered += s[2, 0]
+    _backward_difference(gathered, 1, dx2, term)
+    term /= SQRT2
+    f[0] += term
+    _shift(s[1, 1], 1, 0, gathered)
+    gathered += s[1, 0]
+    _backward_difference(gathered, 1, dx2, f[1])
+    _shift(s[2, 1], 1, 1, gathered)
+    gathered += s[2, 0]
+    _backward_difference(gathered, 0, dx1, term)
+    term /= SQRT2
+    f[1] += term
 
 
 def sym_gradient(u: VectorField) -> QuadField:
@@ -88,8 +125,10 @@ def sym_gradient(u: VectorField) -> QuadField:
 
     Linear in ``u``; a rigid translation maps to the zero field.
     """
-    dx1, dx2 = u.grid.pixel_size
-    return QuadField(u.grid, _sym_gradient_values(u.values, dx1, dx2))
+    n = u.grid.n
+    eps = np.empty((MANDEL_DIM, 2, n, n))
+    sym_gradient_into(u.values, u.grid.pixel_size, eps, np.empty((2, n, n)))
+    return QuadField(u.grid, eps)
 
 
 def sym_gradient_adjoint(s: QuadField) -> VectorField:
@@ -99,8 +138,10 @@ def sym_gradient_adjoint(s: QuadField) -> VectorField:
     plain Euclidean pairings; the caller composes with weights.  The result
     always has zero mean per component.
     """
-    dx1, dx2 = s.grid.pixel_size
-    return VectorField(s.grid, _sym_gradient_adjoint_values(s.values, dx1, dx2))
+    n = s.grid.n
+    f = np.empty((2, n, n))
+    sym_gradient_adjoint_into(s.values, s.grid.pixel_size, f, np.empty((2, n, n)))
+    return VectorField(s.grid, f)
 
 
 def cell_average(s: QuadField, weights: QuadratureWeights) -> np.ndarray:

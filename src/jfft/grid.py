@@ -16,12 +16,17 @@ Conventions used throughout the package:
   equals the tensor double contraction.
 * FFTs use the unnormalized forward transform and put the ``1/N`` factor on
   the inverse (numpy's default), in the real-to-complex layout.  Only
-  :func:`fft_forward` and :func:`fft_inverse` call ``np.fft``.
+  :func:`fft_forward` and :func:`fft_inverse` call ``np.fft``.  The forward
+  transform writes into a caller's spectrum buffer when given ``out=``
+  (numpy >= 2.0), bitwise equal to the allocating call.  The inverse always
+  allocates its result: ``irfftn`` makes a temporary of the spectrum's size
+  either way, and writing into a fresh ``out=`` was no faster.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,18 +180,22 @@ def spectral_shape(grid: Grid) -> tuple[int, int, int]:
     return (Grid.d, grid.n, grid.n // 2 + 1)
 
 
-def fft_forward(u: VectorField) -> np.ndarray:
+def fft_forward(u: VectorField, out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized forward FFT of each component plane.
 
     Returns the half-spectrum of the real-to-complex layout; Hermitian
     symmetry of the full spectrum is implied.  A constant field ``c`` maps to
-    ``c * n_nodes`` at the zero frequency.
+    ``c * n_nodes`` at the zero frequency.  ``out``, when given, is a complex
+    array of :func:`spectral_shape` that receives (and is) the result.
     """
-    return np.fft.rfftn(u.values, axes=(1, 2))
+    return np.fft.rfftn(u.values, axes=(1, 2), out=out)
 
 
 def fft_inverse(spectrum: np.ndarray, grid: Grid) -> VectorField:
-    """Inverse of :func:`fft_forward` (carries the ``1/N`` normalization)."""
+    """Inverse of :func:`fft_forward` (carries the ``1/N`` normalization).
+
+    ``spectrum`` is left unchanged.
+    """
     if spectrum.shape != spectral_shape(grid):
         raise ValueError(
             f"spectrum has shape {spectrum.shape}, expected {spectral_shape(grid)}")
@@ -231,12 +240,21 @@ def save_field(basepath, field) -> None:
     payload.astype("<f8").tofile(base + ".raw")
 
 
+def finite_number(value) -> bool:
+    """A number that is no boolean and lies in the float range; Python's
+    json accepts ``NaN`` and ``Infinity``, which fail this test."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def load_field(basepath):
     """Read a field written by :func:`save_field`; scalar fields load as
     pixel densities."""
     base = str(basepath)
     with open(base + ".json") as fh:
         header = json.load(fh)
+    if not isinstance(header, dict):
+        raise ValueError(f"field header {base}.json is not a JSON object")
     for key in ("kind", "d", "n", "lengths", "order", "dtype"):
         if key not in header:
             raise ValueError(f"field header {base}.json misses key {key!r}")
@@ -245,13 +263,21 @@ def load_field(basepath):
     if header["order"] != "x1-fastest" or header["dtype"] != "float64-le":
         raise ValueError("unsupported field file layout "
                          f"(order={header['order']!r}, dtype={header['dtype']!r})")
-    grid = make_grid(header["n"], tuple(header["lengths"]))
+    n, lengths = header["n"], header["lengths"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"field header {base}.json: 'n' must be an integer, "
+                         f"got {n!r}")
+    if (not isinstance(lengths, list) or len(lengths) != Grid.d
+            or not all(finite_number(v) for v in lengths)):
+        raise ValueError(f"field header {base}.json: 'lengths' must be "
+                         f"{Grid.d} finite numbers, got {lengths!r}")
+    grid = make_grid(n, tuple(lengths))
     raw = np.fromfile(base + ".raw", dtype="<f8")
-    n = grid.n
     kind = header["kind"]
-    shape_planes = {"scalar": 1, "vector": Grid.d, "quad": MANDEL_DIM * 2}.get(kind)
-    if shape_planes is None:
+    planes_of_kind = {"scalar": 1, "vector": Grid.d, "quad": MANDEL_DIM * 2}
+    if not isinstance(kind, str) or kind not in planes_of_kind:
         raise ValueError(f"unknown field kind {kind!r}")
+    shape_planes = planes_of_kind[kind]
     expected = shape_planes * n * n
     if raw.size != expected:
         raise ValueError(

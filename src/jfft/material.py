@@ -11,15 +11,23 @@ from .grid import QuadField, ScalarField
 
 @dataclass(frozen=True)
 class MaterialModel:
-    """Base stiffness of the solid phase; local stiffness is ``rho * C0``."""
+    """Base stiffness of the solid phase; local stiffness is ``rho * C0``.
+
+    ``C0`` has the isotropic Mandel pattern of :func:`isotropic_material`
+    (no coupling between normal and shear components), which
+    :func:`stiffness_product_into` relies on.
+    """
 
     lambda0: float
     mu0: float
     stiffness: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "stiffness",
-                           np.asarray(self.stiffness, dtype=np.float64))
+        c = np.asarray(self.stiffness, dtype=np.float64)
+        if c.shape != (3, 3) or np.any(c[:2, 2] != 0.0) or np.any(c[2, :2] != 0.0):
+            raise ValueError("stiffness must be a 3x3 Mandel matrix without "
+                             "normal-shear coupling")
+        object.__setattr__(self, "stiffness", c)
 
 
 def isotropic_material(lambda0: float, mu0: float) -> MaterialModel:
@@ -46,6 +54,27 @@ def isotropic_material(lambda0: float, mu0: float) -> MaterialModel:
     return MaterialModel(lam, mu, c)
 
 
+def stiffness_product_into(material: MaterialModel, eps: np.ndarray,
+                           planes: np.ndarray) -> None:
+    """Overwrite Mandel planes ``eps`` (3, 2, n, n) with ``C0 eps``.
+
+    Written out for the isotropic pattern: ``c00 e0 + c01 e1``,
+    ``c10 e0 + c11 e1`` and ``c22 e2``, triangle by triangle, with
+    ``planes`` (2, n, n) as scratch.
+    """
+    c = material.stiffness
+    c0_of_e0, c1_of_e0 = planes
+    for t in range(2):
+        e0, e1 = eps[0, t], eps[1, t]
+        np.multiply(e0, c[1, 0], out=c1_of_e0)
+        np.multiply(e0, c[0, 0], out=c0_of_e0)
+        np.multiply(e1, c[0, 1], out=e0)
+        e0 += c0_of_e0
+        e1 *= c[1, 1]
+        e1 += c1_of_e0
+    eps[2] *= c[2, 2]
+
+
 def stress(rho: ScalarField, material: MaterialModel, eps: QuadField) -> QuadField:
     """Local stress ``sigma_Q = rho(pixel(Q)) * C0 * eps_Q``.
 
@@ -53,7 +82,7 @@ def stress(rho: ScalarField, material: MaterialModel, eps: QuadField) -> QuadFie
     """
     if rho.grid != eps.grid:
         raise ValueError("density and strain live on different grids")
-    sig = np.einsum("mk,ktij->mtij", material.stiffness, eps.values)
-    sig *= rho.values[None, None, :, :]
+    sig = eps.values.copy()
+    stiffness_product_into(material, sig, np.empty((2,) + sig.shape[2:]))
+    sig *= rho.values
     return QuadField(eps.grid, sig)
-

@@ -3,13 +3,13 @@ sides of the periodic cell problem."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fem
 from .grid import MANDEL_DIM, Grid, QuadField, ScalarField, VectorField
-from .material import MaterialModel, stress
+from .material import MaterialModel, stiffness_product_into, stress
 
 
 @dataclass(frozen=True)
@@ -18,19 +18,30 @@ class SystemOperator:
     problem: grid, pixel densities, base material, quadrature weights.
 
     The operator is symmetric positive semi-definite with the two rigid
-    translations as its null space; it is never assembled as a matrix.
+    translations as its null space; it is never assembled as a matrix.  It
+    owns the workspace of :func:`apply_system`: the per-pixel factor
+    ``w * rho``, one strain/stress buffer and two scratch planes, so an
+    application allocates only the field it returns.
     """
 
     grid: Grid
     density: ScalarField
     material: MaterialModel
     weights: fem.QuadratureWeights
+    _factor: np.ndarray = field(init=False, repr=False, compare=False)
+    _strain: np.ndarray = field(init=False, repr=False, compare=False)
+    _planes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.density.grid != self.grid or self.weights.grid != self.grid:
             raise ValueError("density/weights grid mismatch")
         if np.any(self.density.values < 0.0):
             raise ValueError("negative density")
+        n = self.grid.n
+        object.__setattr__(self, "_factor",
+                           self.weights.per_point * self.density.values)
+        object.__setattr__(self, "_strain", np.empty((MANDEL_DIM, 2, n, n)))
+        object.__setattr__(self, "_planes", np.empty((2, n, n)))
 
 
 def make_operator(density: ScalarField, material: MaterialModel) -> SystemOperator:
@@ -38,22 +49,25 @@ def make_operator(density: ScalarField, material: MaterialModel) -> SystemOperat
     return SystemOperator(grid, density, material, fem.quadrature_weights(grid))
 
 
-def _weighted_stress_values(op: SystemOperator, eps_values: np.ndarray) -> np.ndarray:
+def _weighted_stress_adjoint(op: SystemOperator) -> np.ndarray:
+    """``B^T W rho C0`` applied to the strain held in the operator's buffer,
+    into a new array."""
     # W * rho * C0 * eps, fused: the uniform weight and the pixel density are
     # a single scale factor per pixel.
-    sig = np.einsum("mk,ktij->mtij", op.material.stiffness, eps_values)
-    sig *= (op.weights.per_point * op.density.values)[None, None, :, :]
-    return sig
+    sig = op._strain
+    stiffness_product_into(op.material, sig, op._planes)
+    sig *= op._factor
+    out = np.empty((2, op.grid.n, op.grid.n))
+    fem.sym_gradient_adjoint_into(sig, op.grid.pixel_size, out, op._planes)
+    return out
 
 
 def apply_system(op: SystemOperator, u: VectorField) -> VectorField:
     """Apply ``K(rho) u`` element by element, cost O(n_nodes)."""
     if u.grid != op.grid:
         raise ValueError("displacement lives on a different grid")
-    dx1, dx2 = op.grid.pixel_size
-    eps = fem._sym_gradient_values(u.values, dx1, dx2)
-    sig = _weighted_stress_values(op, eps)
-    return VectorField(op.grid, fem._sym_gradient_adjoint_values(sig, dx1, dx2))
+    fem.sym_gradient_into(u.values, op.grid.pixel_size, op._strain, op._planes)
+    return VectorField(op.grid, _weighted_stress_adjoint(op))
 
 
 def assemble_rhs(op: SystemOperator, eps_bar) -> VectorField:
@@ -67,11 +81,10 @@ def assemble_rhs(op: SystemOperator, eps_bar) -> VectorField:
         raise ValueError(f"macroscopic strain must have shape ({MANDEL_DIM},)")
     if not np.all(np.isfinite(eps_bar)):
         raise ValueError("macroscopic strain must be finite")
-    n = op.grid.n
-    eps = np.broadcast_to(eps_bar[:, None, None, None], (MANDEL_DIM, 2, n, n))
-    sig = _weighted_stress_values(op, eps)
-    dx1, dx2 = op.grid.pixel_size
-    return VectorField(op.grid, -fem._sym_gradient_adjoint_values(sig, dx1, dx2))
+    op._strain[...] = eps_bar[:, None, None, None]
+    f = _weighted_stress_adjoint(op)
+    np.negative(f, out=f)
+    return VectorField(op.grid, f)
 
 
 def total_strain(op: SystemOperator, u: VectorField, eps_bar) -> QuadField:

@@ -11,11 +11,12 @@ frequency) map to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, ScalarField, VectorField, fft_forward, fft_inverse
+from .grid import (Grid, ScalarField, VectorField, fft_forward, fft_inverse,
+                   spectral_shape)
 from .material import MaterialModel
 from .operators import SystemOperator, apply_system, make_operator
 
@@ -28,11 +29,29 @@ _EIG_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class GreenOperator:
-    """Per-frequency pseudo-inverse blocks of the reference operator."""
+    """Per-frequency pseudo-inverse blocks of the reference operator.
+
+    The ``2x2`` block at each frequency of the half-spectrum is stored as
+    four planes of shape ``(n, n//2 + 1)``: the diagonal entries ``g11`` and
+    ``g22`` are real, ``g12`` and ``g21`` complex.  The blocks are Hermitian
+    PSD up to rounding; ``g21`` is kept as assembled, not as ``conj(g12)``.
+    The operator owns the workspace of :func:`apply_green` and
+    :func:`green_norm2`: one spectrum buffer and one scratch spectrum.
+    """
 
     grid: Grid
-    blocks: np.ndarray  # (n, n//2 + 1, 2, 2) complex, Hermitian PSD
+    g11: np.ndarray
+    g12: np.ndarray
+    g21: np.ndarray
+    g22: np.ndarray
     material_ref: MaterialModel
+    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        shape = spectral_shape(self.grid)
+        object.__setattr__(self, "_spectrum", np.empty(shape, dtype=np.complex128))
+        object.__setattr__(self, "_scratch", np.empty(shape, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -76,7 +95,22 @@ def assemble_green(grid: Grid, material_ref: MaterialModel) -> GreenOperator:
     blocks = np.einsum("...ab,...b,...cb->...ac", eigvecs, inv_vals,
                        np.conj(eigvecs))
     blocks[0, 0] = 0.0
-    return GreenOperator(grid, blocks, material_ref)
+    # the diagonal entries of the assembled blocks have zero imaginary part
+    return GreenOperator(grid, np.ascontiguousarray(blocks[..., 0, 0].real),
+                         np.ascontiguousarray(blocks[..., 0, 1]),
+                         np.ascontiguousarray(blocks[..., 1, 0]),
+                         np.ascontiguousarray(blocks[..., 1, 1].real),
+                         material_ref)
+
+
+def _block_row(g_a1: np.ndarray, g_a2: np.ndarray, spectrum: np.ndarray,
+               out: np.ndarray, scratch: np.ndarray) -> None:
+    """``out = g_a1 * spectrum[0] + g_a2 * spectrum[1]``, one row of the
+    block product.  ``scratch`` may alias ``spectrum[0]``, which is read
+    first."""
+    np.multiply(g_a1, spectrum[0], out=out)
+    np.multiply(g_a2, spectrum[1], out=scratch)
+    out += scratch
 
 
 def apply_green(green: GreenOperator, r: VectorField) -> VectorField:
@@ -87,8 +121,44 @@ def apply_green(green: GreenOperator, r: VectorField) -> VectorField:
     """
     if r.grid != green.grid:
         raise ValueError("residual lives on a different grid")
-    zhat = np.einsum("xyab,bxy->axy", green.blocks, fft_forward(r))
-    return fft_inverse(zhat, green.grid)
+    spectrum = fft_forward(r, out=green._spectrum)
+    z = green._scratch
+    _block_row(green.g11, green.g12, spectrum, z[0], z[1])
+    _block_row(green.g21, green.g22, spectrum, z[1], spectrum[0])
+    return fft_inverse(z, green.grid)
+
+
+def _half_spectrum_dot(a: np.ndarray, b: np.ndarray, n: int) -> float:
+    """``Re sum conj(a) b`` over the full spectrum of an ``n``-periodic real
+    field, from the half-spectrum planes ``a`` and ``b``: interior columns
+    stand for themselves and their mirror images, the k2 = 0 column and,
+    for even ``n``, the Nyquist column only for themselves."""
+    # Re(conj(a) b) is the real dot product of the (re, im) float views.
+    # einsum sums it without BLAS: on a 2-core virtual machine OpenBLAS
+    # 0.3.31 threads its dot above 10,000 entries, and such calls stalled
+    # for about 8 ms each, against 10-180 us for this sum at n = 128-512
+    total = (2.0 * np.einsum("ij,ij->", a.view(np.float64), b.view(np.float64))
+             - np.vdot(a[:, 0], b[:, 0]).real)
+    if n % 2 == 0:
+        total -= np.vdot(a[:, -1], b[:, -1]).real
+    return float(total)
+
+
+def green_norm2(green: GreenOperator, r: VectorField) -> float:
+    """``<r, G r>`` by Parseval's identity: one forward FFT of ``r`` and
+    the Hermitian form of the blocks over the half-spectrum, divided by
+    ``n^2``.  Agrees with ``vdot(r, apply_green(green, r))`` to rounding
+    without the inverse FFT."""
+    if r.grid != green.grid:
+        raise ValueError("residual lives on a different grid")
+    n = green.grid.n
+    spectrum = fft_forward(r, out=green._spectrum)
+    z = green._scratch
+    _block_row(green.g11, green.g12, spectrum, z[0], z[1])
+    total = _half_spectrum_dot(spectrum[0], z[0], n)
+    _block_row(green.g21, green.g22, spectrum, z[0], z[1])
+    total += _half_spectrum_dot(spectrum[1], z[0], n)
+    return total / n ** 2
 
 
 def assemble_jacobi(op: SystemOperator) -> JacobiDiagonal:
@@ -123,14 +193,17 @@ def apply_jacobi_half(jacobi: JacobiDiagonal, r: VectorField) -> VectorField:
 
 def apply_jacobi(jacobi: JacobiDiagonal, r: VectorField) -> VectorField:
     """Entrywise multiply by ``1/diag(K)``, i.e. the half split applied twice."""
-    return VectorField(jacobi.grid, jacobi.inv_sqrt * (jacobi.inv_sqrt * r.values))
+    z = apply_jacobi_half(jacobi, r)
+    z.values *= jacobi.inv_sqrt
+    return z
 
 
 def apply_green_jacobi(jacobi: JacobiDiagonal, green: GreenOperator,
                        r: VectorField) -> VectorField:
     """Symmetric composition ``J^(1/2) G J^(1/2) r``."""
     z = apply_green(green, apply_jacobi_half(jacobi, r))
-    return apply_jacobi_half(jacobi, z)
+    z.values *= jacobi.inv_sqrt
+    return z
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ cell solve at a macroscopic strain built on it.
 Iteration counts are comparable across preconditioners because every run
 terminates on the same functional, the squared Green norm of the residual
 ``<r, G r>``.  The Green-preconditioned run reuses its own preconditioned
-residual for this check; all other preconditioners pay one extra Green
-application per iteration.  Reported ``iterations`` is the number of search
-direction updates; the check at k = 0 runs before any update.
+residual for this check; all other preconditioners evaluate it by Parseval's
+identity (:func:`~jfft.preconditioners.green_norm2`), one forward FFT of the
+residual per iteration and no inverse FFT.  The functional feeds only the
+stopping test, not the recurrence.  Reported ``iterations`` is the number of
+search direction updates; the check at k = 0 runs before any update.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .grid import ScalarField, VectorField
 from .material import MaterialModel
 from .operators import (SystemOperator, apply_system, assemble_rhs,
                         make_operator)
-from .preconditioners import (GreenOperator, Preconditioner, apply_green,
-                              assemble_green, build_preconditioner)
+from .preconditioners import (GreenOperator, Preconditioner, assemble_green,
+                              build_preconditioner, green_norm2)
 
 #: Termination tolerance on the squared Green norm of the residual.
 DEFAULT_ETA_CG = 1e-6
@@ -92,12 +94,16 @@ def pcg(op: SystemOperator, rhs: VectorField, preconditioner: Preconditioner,
             raise SolverAbortError(f"{what} became non-finite in PCG")
         return value
 
+    def green_norm(r: VectorField, z: VectorField) -> float:
+        value = _dot(r, z) if reuse_green else green_norm2(green, r)
+        return checked(value, "residual Green norm")
+
     x = VectorField.zeros(op.grid)
     r = VectorField(op.grid, rhs.values.copy())
+    step = np.empty_like(r.values)
 
     z = preconditioner.apply(r)
-    gr = z if reuse_green else apply_green(green, r)
-    gnorm2 = checked(_dot(r, gr), "residual Green norm")
+    gnorm2 = green_norm(r, z)
     history = [gnorm2]
 
     if gnorm2 <= eta:
@@ -116,13 +122,12 @@ def pcg(op: SystemOperator, rhs: VectorField, preconditioner: Preconditioner,
             raise SolverAbortError(
                 f"non-positive curvature {curvature:.3e} in PCG")
         alpha = rz / curvature
-        x.values += alpha * p.values
-        r.values -= alpha * kp.values
+        x.values += np.multiply(p.values, alpha, out=step)
+        r.values -= np.multiply(kp.values, alpha, out=step)
         iterations += 1
 
         z = preconditioner.apply(r)
-        gr = z if reuse_green else apply_green(green, r)
-        gnorm2 = checked(_dot(r, gr), "residual Green norm")
+        gnorm2 = green_norm(r, z)
         history.append(gnorm2)
         if gnorm2 <= eta:
             terminated = CONVERGED

@@ -53,6 +53,8 @@ class TopOptConfig:
     lengths: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"grid needs n >= 2 nodes per direction, got {self.n}")
         if self.eta_pf <= 0.0:
             raise ValueError("interface parameter must be positive")
         if self.lbfgs_memory < 1:

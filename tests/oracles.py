@@ -147,3 +147,77 @@ def dft2_direct(a):
                     acc += a[x1, x2] * np.exp(-2j * np.pi * (q1 * x1 + q2 * x2) / n)
             out[q1, q2] = acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: the roll-and-einsum forms of K and of the Green
+# application.  The production kernels must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+def _roll_dx(a, h, axis, step):
+    return (np.roll(a, step, axis=axis) - a) / h
+
+
+def reference_sym_gradient(u, dx1, dx2):
+    """Strain planes (3, 2, n, n) of displacement planes (2, n, n)."""
+    dxu1 = _roll_dx(u[0], dx1, 0, -1)
+    dyu1 = _roll_dx(u[0], dx2, 1, -1)
+    dxu2 = _roll_dx(u[1], dx1, 0, -1)
+    dyu2 = _roll_dx(u[1], dx2, 1, -1)
+    s = np.empty((3, 2) + u.shape[1:])
+    s[0, 0] = dxu1
+    s[1, 0] = dyu2
+    s[2, 0] = (dyu1 + dxu2) / SQRT2
+    s[0, 1] = np.roll(dxu1, -1, axis=1)
+    s[1, 1] = np.roll(dyu2, -1, axis=0)
+    s[2, 1] = (np.roll(dyu1, -1, axis=0) + np.roll(dxu2, -1, axis=1)) / SQRT2
+    return s
+
+
+def reference_sym_gradient_adjoint(s, dx1, dx2):
+    """Transpose of :func:`reference_sym_gradient`."""
+    f = np.empty((2,) + s.shape[2:])
+    f[0] = (_roll_dx(s[0, 0] + np.roll(s[0, 1], 1, axis=1), dx1, 0, 1)
+            + _roll_dx(s[2, 0] + np.roll(s[2, 1], 1, axis=0), dx2, 1, 1) / SQRT2)
+    f[1] = (_roll_dx(s[1, 0] + np.roll(s[1, 1], 1, axis=0), dx2, 1, 1)
+            + _roll_dx(s[2, 0] + np.roll(s[2, 1], 1, axis=1), dx1, 0, 1) / SQRT2)
+    return f
+
+
+def _reference_weighted_stress(rho_values, c0, w, eps):
+    sig = np.einsum("mk,ktij->mtij", c0, eps)
+    sig *= (w * rho_values)[None, None, :, :]
+    return sig
+
+
+def reference_apply_k(u, rho_values, c0, lengths=(1.0, 1.0)):
+    """``K u`` with rolled differences and the general 3x3 material einsum."""
+    n = u.shape[1]
+    dx1, dx2 = lengths[0] / n, lengths[1] / n
+    eps = reference_sym_gradient(u, dx1, dx2)
+    sig = _reference_weighted_stress(rho_values, c0, dx1 * dx2 / 2.0, eps)
+    return reference_sym_gradient_adjoint(sig, dx1, dx2)
+
+
+def reference_rhs(rho_values, c0, eps_bar, lengths=(1.0, 1.0)):
+    """``-B^T W C(rho) E`` in the same reference form."""
+    n = rho_values.shape[0]
+    dx1, dx2 = lengths[0] / n, lengths[1] / n
+    eps = np.broadcast_to(np.asarray(eps_bar, dtype=float)[:, None, None, None],
+                          (3, 2, n, n))
+    sig = _reference_weighted_stress(rho_values, c0, dx1 * dx2 / 2.0, eps)
+    return -reference_sym_gradient_adjoint(sig, dx1, dx2)
+
+
+def green_blocks(green):
+    """The Green operator's planes as one (n, n//2 + 1, 2, 2) block array."""
+    return np.stack([np.stack([green.g11, green.g12], axis=-1),
+                     np.stack([green.g21, green.g22], axis=-1)], axis=-2)
+
+
+def reference_apply_green(green, r):
+    """Forward FFT, block einsum, inverse FFT."""
+    n = r.shape[1]
+    zhat = np.einsum("xyab,bxy->axy", green_blocks(green),
+                     np.fft.rfftn(r, axes=(1, 2)))
+    return np.fft.irfftn(zhat, s=(n, n), axes=(1, 2))

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,9 @@ from jfft.experiments import (ConfigError, build_geometry, load_config,
                               run_motivate, run_smooth_vs_sharp, run_solve,
                               run_topopt)
 from jfft.grid import ScalarField, load_field, make_grid, save_field
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(path, cfg):
@@ -373,3 +380,45 @@ def test_cli_rejects_malformed_density_header(tmp_path):
     del header["order"]
     (tmp_path / "rho.json").write_text(json.dumps(header))
     assert solve_from_file(tmp_path) == 2
+
+
+def _save_constant_rho(tmp_path):
+    save_field(tmp_path / "rho", ScalarField.full(make_grid(8), 0.5))
+
+
+def _save_rho_with_scalar_lengths(tmp_path):
+    save_field(tmp_path / "rho", ScalarField.full(make_grid(8), 1.0))
+    header = json.loads((tmp_path / "rho.json").read_text())
+    header["lengths"] = 5
+    (tmp_path / "rho.json").write_text(json.dumps(header))
+
+
+@pytest.mark.parametrize("command, cfg, prepare", [
+    ("solve", {"n": 8, "geometry": {"kind": "laminate", "p": 1, "chi_tot": 10.0}},
+     None),
+    ("solve", {"n": 8, "geometry": {"kind": "cosine", "p": 1, "chi_tot": 10.0}},
+     None),
+    ("solve", {"n": 8, "geometry": {"kind": "inclusion", "p": 8,
+                                    "radius_fraction": 0.7}}, None),
+    ("topopt", {"n": 1, "preconditioner": "green", "max_outer": 1}, None),
+    ("smooth-vs-sharp", {"rho_file": "rho", "contrasts": [10.0],
+                         "preconditioners": ["green"]}, _save_constant_rho),
+    ("solve", {"n": 8, "geometry": {"kind": "from-file", "path": "rho"}},
+     _save_rho_with_scalar_lengths),
+], ids=["laminate-p1", "cosine-p1", "inclusion-radius", "topopt-n1",
+        "smooth-vs-sharp-constant", "from-file-lengths"])
+def test_cli_rejects_out_of_range_config(tmp_path, command, cfg, prepare):
+    if prepare is not None:
+        prepare(tmp_path)
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    # importing scipy takes 0.25-0.30 s, more than importing this package
+    code = "import sys, jfft.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "False"

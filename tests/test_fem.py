@@ -5,7 +5,8 @@ from jfft.fem import (cell_average, quadrature_weights, sym_gradient,
                       sym_gradient_adjoint)
 from jfft.grid import QuadField, VectorField, make_grid
 
-from oracles import dense_b, quad_flat, vec_flat
+from oracles import (dense_b, quad_flat, reference_sym_gradient,
+                     reference_sym_gradient_adjoint, vec_flat)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -138,3 +139,16 @@ def test_linearity():
     direct = sym_gradient(combo).values
     linear = 2.0 * sym_gradient(u).values - 3.0 * sym_gradient(v).values
     assert np.abs(direct - linear).max() <= 1e-13 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_gradient_and_adjoint_bitwise_equal_roll_reference(n):
+    rng = np.random.default_rng(40 + n)
+    grid = make_grid(n, (1.0, 1.5))
+    dx1, dx2 = grid.pixel_size
+    u = rng.normal(size=(2, n, n))
+    s = rng.normal(size=(3, 2, n, n))
+    assert np.array_equal(sym_gradient(VectorField(grid, u)).values,
+                          reference_sym_gradient(u, dx1, dx2))
+    assert np.array_equal(sym_gradient_adjoint(QuadField(grid, s)).values,
+                          reference_sym_gradient_adjoint(s, dx1, dx2))

@@ -5,7 +5,7 @@ import pytest
 
 from jfft.grid import (QuadField, ScalarField, VectorField, fft_forward,
                        fft_inverse, from_mandel, load_field, make_grid,
-                       save_field, to_mandel)
+                       save_field, spectral_shape, to_mandel)
 
 from oracles import dft2_direct
 
@@ -65,6 +65,16 @@ def test_fft_round_trip():
     u = VectorField(grid, rng.normal(size=(2, 16, 16)))
     back = fft_inverse(fft_forward(u), grid)
     assert np.abs(back.values - u.values).max() <= 1e-13 * np.abs(u.values).max()
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_fft_forward_into_buffer_bitwise_equal_allocating_call(n):
+    rng = np.random.default_rng(n)
+    grid = make_grid(n)
+    u = VectorField(grid, rng.normal(size=(2, n, n)))
+    spec = np.empty(spectral_shape(grid), dtype=np.complex128)
+    assert fft_forward(u, out=spec) is spec
+    assert np.array_equal(spec, fft_forward(u))
 
 
 def test_fft_constant_field_dc():
@@ -137,3 +147,18 @@ def test_field_file_truncated_payload_rejected(tmp_path):
     (tmp_path / "v.raw").write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="doubles"):
         load_field(tmp_path / "v")
+
+
+@pytest.mark.parametrize("edit", [
+    {"lengths": 5}, {"lengths": [1.0]}, {"lengths": [1.0, "2"]},
+    {"lengths": [1.0, float("nan")]}, {"n": "8"}, {"n": True}, {"n": 8.0},
+    {"kind": ["scalar"]},
+], ids=["lengths-int", "lengths-short", "lengths-str", "lengths-nan", "n-str",
+        "n-bool", "n-float", "kind-list"])
+def test_field_file_header_types_checked(tmp_path, edit):
+    save_field(tmp_path / "rho", ScalarField.full(make_grid(8), 1.0))
+    header = json.loads((tmp_path / "rho.json").read_text())
+    header.update(edit)
+    (tmp_path / "rho.json").write_text(json.dumps(header))
+    with pytest.raises(ValueError):
+        load_field(tmp_path / "rho")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jfft.grid import QuadField, ScalarField, make_grid
-from jfft.material import isotropic_material, stress
+from jfft.material import MaterialModel, isotropic_material, stress
 
 
 def test_solid_phase_stiffness_matrix(solid_material):
@@ -46,6 +46,14 @@ def test_stress_void_is_zero(solid_material):
     eps = QuadField(grid, np.random.default_rng(0).normal(size=(3, 2, 4, 4)))
     sig = stress(ScalarField.zeros(grid), solid_material, eps)
     assert np.abs(sig.values).max() == 0.0
+
+
+def test_rejects_normal_shear_coupling():
+    # the stiffness product is written out for the isotropic Mandel pattern
+    coupled = np.eye(3)
+    coupled[0, 2] = coupled[2, 0] = 0.1
+    with pytest.raises(ValueError):
+        MaterialModel(0.0, 0.5, coupled)
 
 
 def test_stress_linearity_and_pixel_sharing(solid_material):

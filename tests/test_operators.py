@@ -5,7 +5,8 @@ from jfft.grid import ScalarField, VectorField, make_grid
 from jfft.operators import (apply_system, assemble_rhs, homogenized_stress,
                             make_operator)
 
-from oracles import dense_k, dense_rhs, vec_flat
+from oracles import (dense_k, dense_rhs, reference_apply_k, reference_rhs,
+                     vec_flat)
 
 
 def random_operator(n, rng, material, lengths=(1.0, 1.0)):
@@ -120,3 +121,29 @@ def test_homogenized_stress_uniform(solid_material):
     sigma = homogenized_stress(op, VectorField.zeros(grid),
                                np.array([1.0, 1.0, 1.0]))
     assert np.allclose(sigma, [7.0 / 3.0, 7.0 / 3.0, 1.0], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [8, 9, 32])
+def test_kernels_bitwise_equal_roll_einsum_reference(n, solid_material):
+    rng = np.random.default_rng(300 + n)
+    lengths = (1.0, 1.5)
+    op = random_operator(n, rng, solid_material, lengths)
+    u = rng.normal(size=(2, n, n))
+    eps_bar = rng.normal(size=3)
+    ku = apply_system(op, VectorField(op.grid, u))
+    assert np.array_equal(ku.values, reference_apply_k(
+        u, op.density.values, solid_material.stiffness, lengths))
+    assert np.array_equal(assemble_rhs(op, eps_bar).values, reference_rhs(
+        op.density.values, solid_material.stiffness, eps_bar, lengths))
+
+
+def test_results_do_not_share_the_workspace(solid_material):
+    rng = np.random.default_rng(15)
+    op = random_operator(8, rng, solid_material)
+    u, v = (VectorField(op.grid, rng.normal(size=(2, 8, 8))) for _ in range(2))
+    ku = apply_system(op, u)
+    kept = ku.values.copy()
+    f = assemble_rhs(op, np.array([1.0, 0.0, 0.0]))
+    apply_system(op, v)
+    assert ku.values is not f.values
+    assert np.array_equal(ku.values, kept)

@@ -8,10 +8,12 @@ from jfft.operators import apply_system, make_operator
 from jfft.preconditioners import (Preconditioner, apply_green,
                                   apply_green_jacobi, apply_jacobi,
                                   apply_jacobi_half, assemble_green,
-                                  assemble_jacobi, build_preconditioner)
+                                  assemble_jacobi, build_preconditioner,
+                                  green_norm2)
 from jfft.solver import pcg
 
-from oracles import impulse_diagonal, vec_flat, vec_unflat
+from oracles import (green_blocks, impulse_diagonal, reference_apply_green,
+                     vec_flat, vec_unflat)
 
 
 def zero_mean(values):
@@ -24,12 +26,12 @@ def zero_mean(values):
 
 def test_green_zero_frequency_block_is_exactly_zero(solid_material):
     green = assemble_green(make_grid(8), solid_material)
-    assert np.abs(green.blocks[0, 0]).max() == 0.0
+    assert np.abs(green_blocks(green)[0, 0]).max() == 0.0
 
 
 def test_green_blocks_hermitian_psd(solid_material):
     green = assemble_green(make_grid(8), solid_material)
-    blocks = green.blocks
+    blocks = green_blocks(green)
     herm_defect = np.abs(blocks - np.conj(np.swapaxes(blocks, -1, -2))).max()
     assert herm_defect <= 1e-13 * np.abs(blocks).max()
     eigvals = np.linalg.eigvalsh(blocks)
@@ -86,6 +88,40 @@ def test_green_output_zero_mean(solid_material):
     green = assemble_green(grid, solid_material)
     z = apply_green(green, VectorField(grid, rng.normal(size=(2, 8, 8))))
     assert np.abs(z.component_means()).max() <= 1e-14 * np.abs(z.values).max()
+
+
+@pytest.mark.parametrize("n", [8, 9, 32])
+def test_apply_green_bitwise_equal_einsum_reference(n, solid_material):
+    rng = np.random.default_rng(20 + n)
+    grid = make_grid(n)
+    green = assemble_green(grid, solid_material)
+    r = rng.normal(size=(2, n, n))
+    z = apply_green(green, VectorField(grid, r))
+    assert np.array_equal(z.values, reference_apply_green(green, r))
+    # the result is not a view of the operator's workspace
+    kept = z.values.copy()
+    apply_green(green, VectorField(grid, rng.normal(size=(2, n, n))))
+    assert np.array_equal(z.values, kept)
+
+
+@pytest.mark.parametrize("n", [8, 9, 16])
+def test_green_norm_by_parseval_matches_real_space(n, solid_material):
+    rng = np.random.default_rng(30 + n)
+    grid = make_grid(n)
+    green = assemble_green(grid, solid_material)
+    fields = {
+        "random": rng.normal(size=(2, n, n)),
+        # functions of x1 alone: every mode lies in the k2 = 0 column
+        "k2 = 0 column": np.repeat(rng.normal(size=(2, n, 1)), n, axis=2),
+    }
+    if n % 2 == 0:
+        # alternating in x2: every mode lies in the Nyquist column
+        fields["Nyquist column"] = (rng.normal(size=(2, n, 1))
+                                    * (-1.0) ** np.arange(n)[None, None, :])
+    for name, values in fields.items():
+        r = VectorField(grid, values)
+        expected = float(np.vdot(r.values, apply_green(green, r).values))
+        assert abs(green_norm2(green, r) - expected) <= 1e-12 * abs(expected), name
 
 
 def test_green_rejects_indefinite_reference():
