@@ -15,7 +15,7 @@ from .preconditioners import (GreenOperator, JacobiDiagonal, Preconditioner,
                               apply_jacobi_half, assemble_green,
                               assemble_jacobi, build_preconditioner)
 from .solver import (CONVERGED, ITERATION_CAP, SolveReport, SolverAbortError,
-                     pcg, solve_cell)
+                     pcg, pcg_stack, solve_cell)
 from .topopt import (OptHistory, TopOptConfig, lbfgs_minimize,
                      target_stiffness, target_stress)
 

@@ -39,8 +39,12 @@ def quadrature_weights(grid: Grid) -> QuadratureWeights:
 
 
 def _along(a: np.ndarray, axis: int) -> np.ndarray:
-    """View of an ``(n, n)`` plane whose first index runs along ``axis``."""
-    return a if axis == 0 else a.T
+    """View of planes ``a`` (..., n, n) whose first index runs along ``axis``
+    of each plane; leading load axes move behind it.  A single plane takes
+    the plain transpose, the cheaper call on the one-load path."""
+    if a.ndim == 2:
+        return a if axis == 0 else a.T
+    return a.swapaxes(0, axis - 2)
 
 
 def _forward_difference(a: np.ndarray, axis: int, h: float,
@@ -75,49 +79,55 @@ def _shift(a: np.ndarray, step: int, axis: int, out: np.ndarray) -> None:
 
 def sym_gradient_into(u: np.ndarray, pixel_size: tuple[float, float],
                       eps: np.ndarray, planes: np.ndarray) -> None:
-    """Strain planes ``eps`` (3, 2, n, n) from displacement planes ``u``
-    (2, n, n); ``planes`` (2, n, n) is scratch."""
+    """Strain planes ``eps`` (..., 3, 2, n, n) from displacement planes
+    ``u`` (..., 2, n, n); ``planes`` (2, ..., n, n) is scratch.  The leading
+    axes are load axes, and each load is computed as it would be alone."""
     dx1, dx2 = pixel_size
     dyu1, dxu2 = planes
+    u1, u2 = u[..., 0, :, :], u[..., 1, :, :]
+    e00, e10 = eps[..., 0, 0, :, :], eps[..., 1, 0, :, :]
+    e20, e21 = eps[..., 2, 0, :, :], eps[..., 2, 1, :, :]
     # lower triangle: gradients anchored at the pixel's lower-left node
-    _forward_difference(u[0], 0, dx1, eps[0, 0])
-    _forward_difference(u[1], 1, dx2, eps[1, 0])
-    _forward_difference(u[0], 1, dx2, dyu1)
-    _forward_difference(u[1], 0, dx1, dxu2)
-    np.add(dyu1, dxu2, out=eps[2, 0])
-    eps[2, 0] /= SQRT2
+    _forward_difference(u1, 0, dx1, e00)
+    _forward_difference(u2, 1, dx2, e10)
+    _forward_difference(u1, 1, dx2, dyu1)
+    _forward_difference(u2, 0, dx1, dxu2)
+    np.add(dyu1, dxu2, out=e20)
+    e20 /= SQRT2
     # upper triangle: the same differences taken along the far pixel edges
-    _shift(eps[0, 0], -1, 1, eps[0, 1])
-    _shift(eps[1, 0], -1, 0, eps[1, 1])
-    _shift(dyu1, -1, 0, eps[2, 1])
+    _shift(e00, -1, 1, eps[..., 0, 1, :, :])
+    _shift(e10, -1, 0, eps[..., 1, 1, :, :])
+    _shift(dyu1, -1, 0, e21)
     _shift(dxu2, -1, 1, dyu1)
-    eps[2, 1] += dyu1
-    eps[2, 1] /= SQRT2
+    e21 += dyu1
+    e21 /= SQRT2
 
 
 def sym_gradient_adjoint_into(s: np.ndarray, pixel_size: tuple[float, float],
                               f: np.ndarray, planes: np.ndarray) -> None:
     """Exact transpose of :func:`sym_gradient_into`: nodal planes ``f``
-    (2, n, n) from quadrature planes ``s`` (3, 2, n, n), which are left
-    unchanged; ``planes`` (2, n, n) is scratch."""
+    (..., 2, n, n) from quadrature planes ``s`` (..., 3, 2, n, n), which are
+    left unchanged; ``planes`` (2, ..., n, n) is scratch."""
     dx1, dx2 = pixel_size
     gathered, term = planes
-    _shift(s[0, 1], 1, 1, gathered)
-    gathered += s[0, 0]
-    _backward_difference(gathered, 0, dx1, f[0])
-    _shift(s[2, 1], 1, 0, gathered)
-    gathered += s[2, 0]
+    f1, f2 = f[..., 0, :, :], f[..., 1, :, :]
+    s20, s21 = s[..., 2, 0, :, :], s[..., 2, 1, :, :]
+    _shift(s[..., 0, 1, :, :], 1, 1, gathered)
+    gathered += s[..., 0, 0, :, :]
+    _backward_difference(gathered, 0, dx1, f1)
+    _shift(s21, 1, 0, gathered)
+    gathered += s20
     _backward_difference(gathered, 1, dx2, term)
     term /= SQRT2
-    f[0] += term
-    _shift(s[1, 1], 1, 0, gathered)
-    gathered += s[1, 0]
-    _backward_difference(gathered, 1, dx2, f[1])
-    _shift(s[2, 1], 1, 1, gathered)
-    gathered += s[2, 0]
+    f1 += term
+    _shift(s[..., 1, 1, :, :], 1, 0, gathered)
+    gathered += s[..., 1, 0, :, :]
+    _backward_difference(gathered, 1, dx2, f2)
+    _shift(s21, 1, 1, gathered)
+    gathered += s20
     _backward_difference(gathered, 0, dx1, term)
     term /= SQRT2
-    f[1] += term
+    f2 += term
 
 
 def sym_gradient(u: VectorField) -> QuadField:

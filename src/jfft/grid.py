@@ -111,21 +111,28 @@ class ScalarField:
 
 @dataclass
 class VectorField:
-    """Nodal displacement-like field, one ``(n, n)`` plane per component."""
+    """Nodal displacement-like field, one ``(n, n)`` plane per component,
+    shape ``(2, n, n)``.  A stack of ``B`` such fields, one per load case,
+    has shape ``(B, 2, n, n)``; the operators act on each load alike."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
         n = self.grid.n
-        self.values = _as_float_array(self.values, (Grid.d, n, n), "vector field")
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        if values.ndim not in (3, 4) or values.shape[-3:] != (Grid.d, n, n):
+            raise ValueError(f"vector field has shape {values.shape}, expected "
+                             f"{(Grid.d, n, n)} with at most one load axis "
+                             "in front")
+        self.values = values
 
     @classmethod
     def zeros(cls, grid: Grid) -> "VectorField":
         return cls(grid, np.zeros((Grid.d, grid.n, grid.n)))
 
     def component_means(self) -> np.ndarray:
-        return self.values.mean(axis=(1, 2))
+        return self.values.mean(axis=(-2, -1))
 
 
 @dataclass
@@ -176,7 +183,8 @@ def from_mandel(vec) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 def spectral_shape(grid: Grid) -> tuple[int, int, int]:
-    """Shape of the real-to-complex spectrum of a vector field."""
+    """Shape of the real-to-complex spectrum of a vector field; the spectrum
+    of a stack carries the stack's load axis in front."""
     return (Grid.d, grid.n, grid.n // 2 + 1)
 
 
@@ -186,9 +194,10 @@ def fft_forward(u: VectorField, out: np.ndarray | None = None) -> np.ndarray:
     Returns the half-spectrum of the real-to-complex layout; Hermitian
     symmetry of the full spectrum is implied.  A constant field ``c`` maps to
     ``c * n_nodes`` at the zero frequency.  ``out``, when given, is a complex
-    array of :func:`spectral_shape` that receives (and is) the result.
+    array of the spectrum's shape that receives (and is) the result.  Each
+    load of a stack transforms bitwise as it would alone.
     """
-    return np.fft.rfftn(u.values, axes=(1, 2), out=out)
+    return np.fft.rfftn(u.values, axes=(-2, -1), out=out)
 
 
 def fft_inverse(spectrum: np.ndarray, grid: Grid) -> VectorField:
@@ -196,10 +205,12 @@ def fft_inverse(spectrum: np.ndarray, grid: Grid) -> VectorField:
 
     ``spectrum`` is left unchanged.
     """
-    if spectrum.shape != spectral_shape(grid):
-        raise ValueError(
-            f"spectrum has shape {spectrum.shape}, expected {spectral_shape(grid)}")
-    return VectorField(grid, np.fft.irfftn(spectrum, s=(grid.n, grid.n), axes=(1, 2)))
+    if spectrum.shape[-3:] != spectral_shape(grid) or spectrum.ndim > 4:
+        raise ValueError(f"spectrum has shape {spectrum.shape}, expected "
+                         f"{spectral_shape(grid)} with at most one load axis "
+                         "in front")
+    return VectorField(grid, np.fft.irfftn(spectrum, s=(grid.n, grid.n),
+                                           axes=(-2, -1)))
 
 
 # ----------------------------------------------------------------------------

@@ -20,7 +20,8 @@ class SystemOperator:
     The operator is symmetric positive semi-definite with the two rigid
     translations as its null space; it is never assembled as a matrix.  It
     owns the workspace of :func:`apply_system`: the per-pixel factor
-    ``w * rho``, one strain/stress buffer and two scratch planes, so an
+    ``w * rho``, a strain/stress buffer and two scratch planes per load of
+    the largest stack applied so far (one load until a stack arrives), so an
     application allocates only the field it returns.
     """
 
@@ -35,13 +36,31 @@ class SystemOperator:
     def __post_init__(self):
         if self.density.grid != self.grid or self.weights.grid != self.grid:
             raise ValueError("density/weights grid mismatch")
+        if not np.all(np.isfinite(self.density.values)):
+            raise ValueError("non-finite density")
         if np.any(self.density.values < 0.0):
             raise ValueError("negative density")
-        n = self.grid.n
         object.__setattr__(self, "_factor",
                            self.weights.per_point * self.density.values)
-        object.__setattr__(self, "_strain", np.empty((MANDEL_DIM, 2, n, n)))
-        object.__setattr__(self, "_planes", np.empty((2, n, n)))
+        _grow_workspace(self, 1)
+
+
+def _grow_workspace(op: SystemOperator, loads: int) -> None:
+    n = op.grid.n
+    object.__setattr__(op, "_strain", np.empty((loads, MANDEL_DIM, 2, n, n)))
+    object.__setattr__(op, "_planes", np.empty((2, loads, n, n)))
+
+
+def _workspace(op: SystemOperator, lead: tuple[int, ...]):
+    """Strain buffer ``lead + (3, 2, n, n)`` and scratch planes
+    ``(2,) + lead + (n, n)`` for fields with load axes ``lead`` (``()`` or
+    ``(B,)``), as views of the operator's workspace."""
+    loads = lead[0] if lead else 1
+    if op._strain.shape[0] < loads:
+        _grow_workspace(op, loads)
+    if lead:
+        return op._strain[:loads], op._planes[:, :loads]
+    return op._strain[0], op._planes[:, 0]
 
 
 def make_operator(density: ScalarField, material: MaterialModel) -> SystemOperator:
@@ -49,40 +68,46 @@ def make_operator(density: ScalarField, material: MaterialModel) -> SystemOperat
     return SystemOperator(grid, density, material, fem.quadrature_weights(grid))
 
 
-def _weighted_stress_adjoint(op: SystemOperator) -> np.ndarray:
-    """``B^T W rho C0`` applied to the strain held in the operator's buffer,
-    into a new array."""
+def _weighted_stress_adjoint(op: SystemOperator, sig: np.ndarray,
+                             planes: np.ndarray) -> np.ndarray:
+    """``B^T W rho C0`` applied to the strain held in the workspace buffer
+    ``sig``, into a new array."""
     # W * rho * C0 * eps, fused: the uniform weight and the pixel density are
     # a single scale factor per pixel.
-    sig = op._strain
-    stiffness_product_into(op.material, sig, op._planes)
+    stiffness_product_into(op.material, sig, planes)
     sig *= op._factor
-    out = np.empty((2, op.grid.n, op.grid.n))
-    fem.sym_gradient_adjoint_into(sig, op.grid.pixel_size, out, op._planes)
+    out = np.empty(sig.shape[:-4] + (2, op.grid.n, op.grid.n))
+    fem.sym_gradient_adjoint_into(sig, op.grid.pixel_size, out, planes)
     return out
 
 
 def apply_system(op: SystemOperator, u: VectorField) -> VectorField:
-    """Apply ``K(rho) u`` element by element, cost O(n_nodes)."""
+    """Apply ``K(rho) u`` element by element, cost O(n_nodes).  A stack
+    ``u`` gives the stack of products, each bitwise equal to its load's
+    product alone."""
     if u.grid != op.grid:
         raise ValueError("displacement lives on a different grid")
-    fem.sym_gradient_into(u.values, op.grid.pixel_size, op._strain, op._planes)
-    return VectorField(op.grid, _weighted_stress_adjoint(op))
+    strain, planes = _workspace(op, u.values.shape[:-3])
+    fem.sym_gradient_into(u.values, op.grid.pixel_size, strain, planes)
+    return VectorField(op.grid, _weighted_stress_adjoint(op, strain, planes))
 
 
 def assemble_rhs(op: SystemOperator, eps_bar) -> VectorField:
     """Right-hand side ``f = -B^T W C(rho) E`` for a macroscopic strain.
 
-    ``eps_bar`` is a Mandel vector broadcast to every quadrature point.  The
-    result has zero mean per component.
+    ``eps_bar`` is a Mandel vector broadcast to every quadrature point, or a
+    ``(B, 3)`` array of them, which gives the stack of the ``B`` right-hand
+    sides.  The result has zero mean per component.
     """
     eps_bar = np.asarray(eps_bar, dtype=np.float64)
-    if eps_bar.shape != (MANDEL_DIM,):
-        raise ValueError(f"macroscopic strain must have shape ({MANDEL_DIM},)")
+    if eps_bar.shape[-1:] != (MANDEL_DIM,) or eps_bar.ndim > 2:
+        raise ValueError(f"macroscopic strain must have shape ({MANDEL_DIM},) "
+                         f"or (loads, {MANDEL_DIM})")
     if not np.all(np.isfinite(eps_bar)):
         raise ValueError("macroscopic strain must be finite")
-    op._strain[...] = eps_bar[:, None, None, None]
-    f = _weighted_stress_adjoint(op)
+    strain, planes = _workspace(op, eps_bar.shape[:-1])
+    strain[...] = eps_bar[..., None, None, None]
+    f = _weighted_stress_adjoint(op, strain, planes)
     np.negative(f, out=f)
     return VectorField(op.grid, f)
 

@@ -36,7 +36,9 @@ class GreenOperator:
     ``g22`` are real, ``g12`` and ``g21`` complex.  The blocks are Hermitian
     PSD up to rounding; ``g21`` is kept as assembled, not as ``conj(g12)``.
     The operator owns the workspace of :func:`apply_green` and
-    :func:`green_norm2`: one spectrum buffer and one scratch spectrum.
+    :func:`green_norm2`: a spectrum buffer and a scratch spectrum per load
+    of the largest stack transformed so far (one load until a stack
+    arrives).
     """
 
     grid: Grid
@@ -49,9 +51,24 @@ class GreenOperator:
     _scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        shape = spectral_shape(self.grid)
-        object.__setattr__(self, "_spectrum", np.empty(shape, dtype=np.complex128))
-        object.__setattr__(self, "_scratch", np.empty(shape, dtype=np.complex128))
+        _grow_spectra(self, 1)
+
+
+def _grow_spectra(green: GreenOperator, loads: int) -> None:
+    shape = (loads,) + spectral_shape(green.grid)
+    object.__setattr__(green, "_spectrum", np.empty(shape, dtype=np.complex128))
+    object.__setattr__(green, "_scratch", np.empty(shape, dtype=np.complex128))
+
+
+def _spectra(green: GreenOperator, lead: tuple[int, ...]):
+    """Spectrum buffer and scratch spectrum for fields with load axes
+    ``lead`` (``()`` or ``(B,)``), as views of the operator's workspace."""
+    loads = lead[0] if lead else 1
+    if green._spectrum.shape[0] < loads:
+        _grow_spectra(green, loads)
+    if lead:
+        return green._spectrum[:loads], green._scratch[:loads]
+    return green._spectrum[0], green._scratch[0]
 
 
 @dataclass(frozen=True)
@@ -105,11 +122,11 @@ def assemble_green(grid: Grid, material_ref: MaterialModel) -> GreenOperator:
 
 def _block_row(g_a1: np.ndarray, g_a2: np.ndarray, spectrum: np.ndarray,
                out: np.ndarray, scratch: np.ndarray) -> None:
-    """``out = g_a1 * spectrum[0] + g_a2 * spectrum[1]``, one row of the
-    block product.  ``scratch`` may alias ``spectrum[0]``, which is read
-    first."""
-    np.multiply(g_a1, spectrum[0], out=out)
-    np.multiply(g_a2, spectrum[1], out=scratch)
+    """``out = g_a1 * spectrum_1 + g_a2 * spectrum_2``, one row of the block
+    product on the component planes of ``spectrum`` (..., 2, n, m).
+    ``scratch`` may alias the first component, which is read first."""
+    np.multiply(g_a1, spectrum[..., 0, :, :], out=out)
+    np.multiply(g_a2, spectrum[..., 1, :, :], out=scratch)
     out += scratch
 
 
@@ -117,14 +134,16 @@ def apply_green(green: GreenOperator, r: VectorField) -> VectorField:
     """Apply the Green operator: inverse FFT of block times forward FFT.
 
     Symmetric positive semi-definite; the output has zero mean per
-    component.  Cost O(n_nodes log n_nodes).
+    component.  Cost O(n_nodes log n_nodes).  A stack ``r`` gives the stack
+    of results, each bitwise equal to its load's result alone.
     """
     if r.grid != green.grid:
         raise ValueError("residual lives on a different grid")
-    spectrum = fft_forward(r, out=green._spectrum)
-    z = green._scratch
-    _block_row(green.g11, green.g12, spectrum, z[0], z[1])
-    _block_row(green.g21, green.g22, spectrum, z[1], spectrum[0])
+    spectrum, z = _spectra(green, r.values.shape[:-3])
+    fft_forward(r, out=spectrum)
+    z1, z2 = z[..., 0, :, :], z[..., 1, :, :]
+    _block_row(green.g11, green.g12, spectrum, z1, z2)
+    _block_row(green.g21, green.g22, spectrum, z2, spectrum[..., 0, :, :])
     return fft_inverse(z, green.grid)
 
 
@@ -144,21 +163,32 @@ def _half_spectrum_dot(a: np.ndarray, b: np.ndarray, n: int) -> float:
     return float(total)
 
 
-def green_norm2(green: GreenOperator, r: VectorField) -> float:
+def green_norm2(green: GreenOperator, r: VectorField) -> float | list[float]:
     """``<r, G r>`` by Parseval's identity: one forward FFT of ``r`` and
     the Hermitian form of the blocks over the half-spectrum, divided by
     ``n^2``.  Agrees with ``vdot(r, apply_green(green, r))`` to rounding
-    without the inverse FFT."""
+    without the inverse FFT.
+
+    A float for one field; for a stack, a list with one value per load,
+    each summed over that load's own planes as it would be alone.
+    """
     if r.grid != green.grid:
         raise ValueError("residual lives on a different grid")
     n = green.grid.n
-    spectrum = fft_forward(r, out=green._spectrum)
-    z = green._scratch
-    _block_row(green.g11, green.g12, spectrum, z[0], z[1])
-    total = _half_spectrum_dot(spectrum[0], z[0], n)
-    _block_row(green.g21, green.g22, spectrum, z[0], z[1])
-    total += _half_spectrum_dot(spectrum[1], z[0], n)
-    return total / n ** 2
+    spectrum, z = _spectra(green, r.values.shape[:-3])
+    fft_forward(r, out=spectrum)
+    # one (2, n, m) spectrum per load, for the per-load sums
+    spectra = spectrum.reshape((-1,) + spectrum.shape[-3:])
+    products = z.reshape(spectra.shape)
+    z1, z2 = z[..., 0, :, :], z[..., 1, :, :]
+    _block_row(green.g11, green.g12, spectrum, z1, z2)
+    totals = [_half_spectrum_dot(s[0], g[0], n)
+              for s, g in zip(spectra, products)]
+    _block_row(green.g21, green.g22, spectrum, z1, z2)
+    totals = [total + _half_spectrum_dot(s[1], g[0], n)
+              for total, s, g in zip(totals, spectra, products)]
+    totals = [total / n ** 2 for total in totals]
+    return totals[0] if spectrum.ndim == 3 else totals
 
 
 def assemble_jacobi(op: SystemOperator) -> JacobiDiagonal:

@@ -9,16 +9,35 @@ identity (:func:`~jfft.preconditioners.green_norm2`), one forward FFT of the
 residual per iteration and no inverse FFT.  The functional feeds only the
 stopping test, not the recurrence.  Reported ``iterations`` is the number of
 search direction updates; the check at k = 0 runs before any update.
+
+One loop, :func:`pcg_stack`, solves a stack of right-hand sides that share
+the operator, the preconditioner and the Green operator: the Green-
+preconditioned CG of Zeman et al., J. Comput. Phys. 229 (2010) 8065, run on
+several loads at once (not block CG, which shares search spaces across
+loads and would change the counts).  Each load keeps its own step length
+alpha, its own beta, its own ``<r, z>`` and history, and stops on its own:
+a load that meets the tolerance, at k = 0 or after any update, or reaches
+the iteration cap is frozen, its solution stored, and it leaves the stack;
+the others go on.  Per iteration the active loads share one application of
+K and one of the preconditioner, which are elementwise and FFT layers and
+give each load bitwise the values it would get alone.  Reductions are not:
+a stacked sum (``einsum`` over the load axis, for one) adds in another
+order and differs in the last bits from the one-load sum at n >= 128, which
+can move a count.  So every dot product is taken per load with the
+one-load call, ``np.vdot`` on the load's own contiguous planes, and each
+load's count, history and solution equal its solo solve bit for bit.
+:func:`pcg` is a stack of one.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, VectorField
+from .grid import Grid, ScalarField, VectorField
 from .material import MaterialModel
 from .operators import (SystemOperator, apply_system, assemble_rhs,
                         make_operator)
@@ -58,90 +77,161 @@ class SolveReport:
     solution: VectorField
 
 
-def _dot(a: VectorField, b: VectorField) -> float:
-    return float(np.vdot(a.values, b.values))
+def _checked(values: list[float], what: str) -> list[float]:
+    if not all(map(math.isfinite, values)):
+        raise SolverAbortError(f"{what} became non-finite in PCG")
+    return values
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """``np.vdot`` of each load's ``(2, n, n)`` planes, as in a one-load
+    solve."""
+    return [float(np.vdot(x, y)) for x, y in zip(a, b)]
+
+
+def _as_field(grid: Grid, rows: np.ndarray) -> VectorField:
+    """The active rows as the layers' input: one load as a plain field,
+    whose ``(n, n)`` planes cost the fewest NumPy calls, more as a stack."""
+    return VectorField(grid, rows[0] if len(rows) == 1 else rows)
+
+
+def _column(values: list[float]) -> float | np.ndarray:
+    """Per-load scalars shaped to scale a stack of fields; one load's scalar
+    is used as it is."""
+    if len(values) == 1:
+        return values[0]
+    return np.array(values).reshape(-1, 1, 1, 1)
+
+
+def _compact(arrays, keep: list[bool]) -> None:
+    """Move the rows flagged in ``keep`` to the front of every array, in
+    order, without allocating."""
+    for new, old in enumerate(np.flatnonzero(keep)):
+        if new != old:
+            for a in arrays:
+                a[new] = a[old]
 
 
 def pcg(op: SystemOperator, rhs: VectorField, preconditioner: Preconditioner,
         green: GreenOperator, eta: float = DEFAULT_ETA_CG,
         max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:
-    """Solve ``K u = rhs`` from the zero initial guess.
+    """Solve ``K u = rhs`` from the zero initial guess: :func:`pcg_stack`
+    on a stack of one load, with the same parameters."""
+    stack = VectorField(rhs.grid, rhs.values[None])
+    return pcg_stack(op, stack, preconditioner, green, eta, max_iter)[0]
+
+
+def pcg_stack(op: SystemOperator, rhs: VectorField,
+              preconditioner: Preconditioner, green: GreenOperator,
+              eta: float = DEFAULT_ETA_CG,
+              max_iter: int = DEFAULT_MAX_ITER) -> list[SolveReport]:
+    """Solve ``K u_b = rhs_b`` for every load ``b`` of a stack, each from the
+    zero initial guess.
 
     Parameters
     ----------
     op : SystemOperator
         Symmetric PSD system operator.
     rhs : VectorField
-        Right-hand side with zero mean per component.
+        Stack ``(B, 2, n, n)`` of right-hand sides with zero mean per
+        component.
     preconditioner : Preconditioner
         Any of the four tagged variants.
     green : GreenOperator
         Used for the termination functional ``<r, G r>`` regardless of the
         preconditioner in use.
     eta, max_iter : float, int
-        Stop when the squared Green norm drops to ``eta``, or at the cap.
+        A load stops when its squared Green norm drops to ``eta``, or at the
+        cap.
+
+    Returns one report per load, in stack order; a load's ``wall_time``
+    runs from the start of the stack to the moment it stopped.
 
     Raises
     ------
     SolverAbortError
-        On NaN/Inf in the recurrence or loss of positive definiteness.
+        On NaN/Inf in any load's recurrence or its loss of positive
+        definiteness.
     """
     start = time.perf_counter()
+    if rhs.values.ndim != 4:
+        raise ValueError("pcg_stack takes a stack (B, 2, n, n) of "
+                         "right-hand sides")
+    grid = op.grid
     reuse_green = preconditioner.kind == "green" and preconditioner.green is green
 
-    def checked(value: float, what: str) -> float:
-        if not np.isfinite(value):
-            raise SolverAbortError(f"{what} became non-finite in PCG")
-        return value
+    # rows [:b] of the work arrays hold the active loads, in stack order;
+    # xs, rs, ps, steps and the two fields are views of those rows
+    x = np.zeros_like(rhs.values)
+    r = rhs.values.copy()
+    p = np.empty_like(r)
+    step = np.empty_like(r)
+    active = list(range(len(r)))
+    histories: list[list[float]] = [[] for _ in active]
+    reports: list[SolveReport | None] = [None] * len(r)
 
-    def green_norm(r: VectorField, z: VectorField) -> float:
-        value = _dot(r, z) if reuse_green else green_norm2(green, r)
-        return checked(value, "residual Green norm")
-
-    x = VectorField.zeros(op.grid)
-    r = VectorField(op.grid, rhs.values.copy())
-    step = np.empty_like(r.values)
-
-    z = preconditioner.apply(r)
-    gnorm2 = green_norm(r, z)
-    history = [gnorm2]
-
-    if gnorm2 <= eta:
-        return SolveReport(0, history, CONVERGED,
-                           time.perf_counter() - start, x)
-
-    rz = checked(_dot(r, z), "preconditioned residual product")
-    p = VectorField(op.grid, z.values.copy())
+    def freeze(stop: list[bool], terminated: str) -> None:
+        for row in np.flatnonzero(stop):
+            # a stack of one hands out its own buffer; stacked rows are
+            # overwritten when the stack shrinks
+            solution = VectorField(grid, x[0] if len(x) == 1 else x[row].copy())
+            solution.values -= solution.component_means()[:, None, None]
+            load = active[row]
+            reports[load] = SolveReport(iterations, histories[load], terminated,
+                                        time.perf_counter() - start, solution)
 
     iterations = 0
-    terminated = ITERATION_CAP
-    while iterations < max_iter:
-        kp = apply_system(op, p)
-        curvature = checked(_dot(p, kp), "search-direction curvature")
-        if curvature <= 0.0:
-            raise SolverAbortError(
-                f"non-positive curvature {curvature:.3e} in PCG")
-        alpha = rz / curvature
-        x.values += np.multiply(p.values, alpha, out=step)
-        r.values -= np.multiply(kp.values, alpha, out=step)
-        iterations += 1
+    b = len(active)
+    xs, rs, ps, steps = x, r, p, step
+    residual, direction = _as_field(grid, rs), _as_field(grid, ps)
+    z = preconditioner.apply(residual).values.reshape(rs.shape)
+    while True:
+        if reuse_green:
+            gnorm2 = _dots(rs, z)
+        else:
+            gnorm2 = green_norm2(green, residual)
+            gnorm2 = gnorm2 if b > 1 else [gnorm2]
+        _checked(gnorm2, "residual Green norm")
+        for load, value in zip(active, gnorm2):
+            histories[load].append(value)
+        done = [value <= eta for value in gnorm2]
+        if any(done):
+            freeze(done, CONVERGED)
+            keep = [not d for d in done]
+            _compact((x, r, p, z), keep)
+            active = [load for load, k in zip(active, keep) if k]
+            if iterations:
+                rz = [value for value, k in zip(rz, keep) if k]
+            b = len(active)
+            if not b:
+                break
+            xs, rs, ps, steps, z = x[:b], r[:b], p[:b], step[:b], z[:b]
+            residual, direction = _as_field(grid, rs), _as_field(grid, ps)
 
-        z = preconditioner.apply(r)
-        gnorm2 = green_norm(r, z)
-        history.append(gnorm2)
-        if gnorm2 <= eta:
-            terminated = CONVERGED
+        rz_new = _checked(_dots(rs, z), "preconditioned residual product")
+        if iterations >= max_iter:
+            freeze([True] * b, ITERATION_CAP)
             break
-
-        rz_new = checked(_dot(r, z), "preconditioned residual product")
-        beta = rz_new / rz
-        p.values *= beta
-        p.values += z.values
+        if iterations:
+            ps *= _column([new / old for new, old in zip(rz_new, rz)])
+            ps += z
+        else:
+            ps[...] = z
         rz = rz_new
 
-    x.values -= x.component_means()[:, None, None]
-    return SolveReport(iterations, history, terminated,
-                       time.perf_counter() - start, x)
+        kp = apply_system(op, direction).values.reshape(ps.shape)
+        curvature = _checked(_dots(ps, kp), "search-direction curvature")
+        for value in curvature:
+            if value <= 0.0:
+                raise SolverAbortError(
+                    f"non-positive curvature {value:.3e} in PCG")
+        alpha = _column([a / c for a, c in zip(rz, curvature)])
+        xs += np.multiply(ps, alpha, out=steps)
+        rs -= np.multiply(kp, alpha, out=steps)
+        iterations += 1
+        z = preconditioner.apply(residual).values.reshape(rs.shape)
+
+    return reports
 
 
 def solve_cell(rho: ScalarField, eps_bar, kind: str, material: MaterialModel,

@@ -7,8 +7,8 @@ default weights the phase-field term can outweigh the misfit, so a run may
 settle on a sharp or uniform layout far from the target (see the README on
 criterion 9).  The driver is
 a plain limited-memory BFGS with backtracking line search; every objective
-evaluation solves the three cell problems from the zero initial guess and
-records the inner PCG iteration counts.
+evaluation solves the three cell problems from the zero initial guess, in
+one stacked PCG, and records the inner PCG iteration counts.
 """
 
 from __future__ import annotations
@@ -20,16 +20,21 @@ import numpy as np
 
 from .grid import MANDEL_DIM, Grid, ScalarField, make_grid
 from .material import MaterialModel, isotropic_material
-from .operators import make_operator, assemble_rhs, total_strain
+from .operators import (SystemOperator, assemble_rhs, make_operator,
+                        total_strain)
 from .preconditioners import GreenOperator, assemble_green, build_preconditioner
 from .solver import (CONVERGED, DEFAULT_ETA_CG, DEFAULT_LAMBDA0,
-                     DEFAULT_MAX_ITER, DEFAULT_MU0, SolverAbortError, pcg)
+                     DEFAULT_MAX_ITER, DEFAULT_MU0, SolveReport,
+                     SolverAbortError, pcg_stack)
 
 log = logging.getLogger(__name__)
 
 #: Densities below this are lifted before solving so the operator stays
 #: positive semi-definite with a usable right-hand side.
 DENSITY_FLOOR = 1e-12
+
+#: The three canonical macroscopic loads, the Mandel basis.
+_LOADS = np.eye(MANDEL_DIM)
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,24 @@ def make_problem(cfg: TopOptConfig) -> TopOptProblem:
     return TopOptProblem(cfg, grid, material, green, targets)
 
 
+def _solve_loads(problem: TopOptProblem, op: SystemOperator,
+                 kind: str) -> list[SolveReport]:
+    """Equilibrate the three canonical loads from the zero initial guess in
+    one stacked PCG; a load that stops at the iteration cap far above the
+    tolerance aborts the evaluation."""
+    cfg = problem.cfg
+    precond = build_preconditioner(kind, op, problem.green)
+    reports = pcg_stack(op, assemble_rhs(op, _LOADS), precond, problem.green,
+                        eta=cfg.eta_cg, max_iter=cfg.max_iter)
+    for gamma, report in enumerate(reports):
+        if (report.terminated != CONVERGED
+                and report.residual_history[-1] > 1e3 * cfg.eta_cg):
+            raise SolverAbortError(
+                f"load case {gamma}: iteration cap {cfg.max_iter} reached with "
+                f"squared Green norm {report.residual_history[-1]:.3e}")
+    return reports
+
+
 def _solve_load_cases(problem: TopOptProblem, rho: ScalarField,
                       preconditioner: str):
     """Equilibrate the three canonical loads from the zero initial guess.
@@ -111,25 +134,12 @@ def _solve_load_cases(problem: TopOptProblem, rho: ScalarField,
     of linearly) accurate in the iterative solution error, so the line
     search of the optimizer is not poisoned by solver noise.
     """
-    cfg = problem.cfg
     op = make_operator(rho, problem.material)
-    precond = build_preconditioner(preconditioner, op, problem.green)
-    n = problem.grid.n
-    strains = np.empty((MANDEL_DIM, MANDEL_DIM, 2, n, n))
-    counts = []
-    for gamma, load in enumerate(np.eye(MANDEL_DIM)):
-        rhs = assemble_rhs(op, load)
-        report = pcg(op, rhs, precond, problem.green,
-                     eta=cfg.eta_cg, max_iter=cfg.max_iter)
-        if (report.terminated != CONVERGED
-                and report.residual_history[-1] > 1e3 * cfg.eta_cg):
-            raise SolverAbortError(
-                f"load case {gamma}: iteration cap {cfg.max_iter} reached with "
-                f"squared Green norm {report.residual_history[-1]:.3e}")
-        strains[gamma] = total_strain(op, report.solution, load).values
-        counts.append(report.iterations)
+    reports = _solve_loads(problem, op, preconditioner)
+    strains = np.stack([total_strain(op, report.solution, load).values
+                        for report, load in zip(reports, _LOADS)])
     sigma_bar = _stress_matrix(problem, strains, rho.values)
-    return strains, sigma_bar, counts
+    return strains, sigma_bar, [report.iterations for report in reports]
 
 
 def _strain_pairings(problem: TopOptProblem, strains: np.ndarray) -> np.ndarray:
@@ -225,11 +235,11 @@ def evaluate(problem: TopOptProblem, rho: np.ndarray,
 
 def _measured_counts(problem: TopOptProblem, rho: np.ndarray,
                      kinds) -> dict[str, list[int]]:
-    rho_solve = _clamped_density(problem, rho)
-    out = {}
-    for kind in kinds:
-        out[kind] = _solve_load_cases(problem, rho_solve, kind)[2]
-    return out
+    """Per-load PCG counts of each preconditioner kind at one iterate."""
+    op = make_operator(_clamped_density(problem, rho), problem.material)
+    return {kind: [report.iterations
+                   for report in _solve_loads(problem, op, kind)]
+            for kind in kinds}
 
 
 def _two_loop_direction(grad: np.ndarray, s_hist, y_hist) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Everything here is derived from first principles (explicit element
 stencils, dense matrices, direct DFT summation) without touching the
-matrix-free production kernels, so agreement is meaningful.
+matrix-free production kernels, so agreement is meaningful.  The reference
+solve paths at the end are the exception: they drive the production layers
+one load at a time, to pin the stacked solver's control flow and sums.
 """
 
 import numpy as np
@@ -221,3 +223,87 @@ def reference_apply_green(green, r):
     zhat = np.einsum("xyab,bxy->axy", green_blocks(green),
                      np.fft.rfftn(r, axes=(1, 2)))
     return np.fft.irfftn(zhat, s=(n, n), axes=(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# Reference solve paths: the one-load PCG loop and the sequential three-load
+# solve of topology optimization.  The stacked PCG must reproduce each load
+# of them bit for bit.
+# ---------------------------------------------------------------------------
+
+def reference_pcg(op, rhs, preconditioner, green, eta=1e-6, max_iter=999):
+    """One-load Green-norm PCG from the zero guess, as a plain loop over the
+    production layers; returns (iterations, history, terminated, solution
+    values)."""
+    from jfft.grid import VectorField
+    from jfft.operators import apply_system
+    from jfft.preconditioners import green_norm2
+    from jfft.solver import SolverAbortError
+
+    reuse_green = preconditioner.kind == "green" and preconditioner.green is green
+
+    def checked(value):
+        if not np.isfinite(value):
+            raise SolverAbortError("non-finite value in the reference PCG")
+        return value
+
+    def green_norm(r, z):
+        return checked(float(np.vdot(r.values, z.values)) if reuse_green
+                       else green_norm2(green, r))
+
+    x = np.zeros_like(rhs.values)
+    r = VectorField(rhs.grid, rhs.values.copy())
+    z = preconditioner.apply(r)
+    history = [green_norm(r, z)]
+    if history[-1] <= eta:
+        return 0, history, "converged", x
+    rz = checked(float(np.vdot(r.values, z.values)))
+    p = z.values.copy()
+    iterations, terminated = 0, "iteration-cap"
+    while iterations < max_iter:
+        kp = apply_system(op, VectorField(rhs.grid, p)).values
+        curvature = checked(float(np.vdot(p, kp)))
+        if curvature <= 0.0:
+            raise SolverAbortError("non-positive curvature in reference PCG")
+        alpha = rz / curvature
+        x += p * alpha
+        r.values -= kp * alpha
+        iterations += 1
+        z = preconditioner.apply(r)
+        history.append(green_norm(r, z))
+        if history[-1] <= eta:
+            terminated = "converged"
+            break
+        rz_new = checked(float(np.vdot(r.values, z.values)))
+        p *= rz_new / rz
+        p += z.values
+        rz = rz_new
+    x -= x.mean(axis=(1, 2))[:, None, None]
+    return iterations, history, terminated, x
+
+
+def reference_solve_load_cases(problem, rho, preconditioner):
+    """The three canonical loads solved one after another with
+    :func:`reference_pcg`; the same returns as
+    ``jfft.topopt._solve_load_cases``."""
+    from jfft.grid import VectorField
+    from jfft.operators import assemble_rhs, make_operator, total_strain
+    from jfft.preconditioners import build_preconditioner
+    from jfft.solver import SolverAbortError
+    from jfft.topopt import _stress_matrix
+
+    cfg = problem.cfg
+    op = make_operator(rho, problem.material)
+    precond = build_preconditioner(preconditioner, op, problem.green)
+    n = problem.grid.n
+    strains = np.empty((3, 3, 2, n, n))
+    counts = []
+    for gamma, load in enumerate(np.eye(3)):
+        iterations, history, terminated, x = reference_pcg(
+            op, assemble_rhs(op, load), precond, problem.green,
+            eta=cfg.eta_cg, max_iter=cfg.max_iter)
+        if terminated != "converged" and history[-1] > 1e3 * cfg.eta_cg:
+            raise SolverAbortError(f"load case {gamma}: iteration cap reached")
+        strains[gamma] = total_strain(op, VectorField(op.grid, x), load).values
+        counts.append(iterations)
+    return strains, _stress_matrix(problem, strains, rho.values), counts

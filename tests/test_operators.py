@@ -105,6 +105,8 @@ def test_rhs_rejects_bad_strain(solid_material):
         assemble_rhs(op, np.array([1.0, np.inf, 0.0]))
     with pytest.raises(ValueError):
         assemble_rhs(op, np.array([1.0, 2.0]))
+    with pytest.raises(ValueError):
+        assemble_rhs(op, np.zeros((2, 2, 3)))
 
 
 def test_operator_rejects_negative_density(solid_material):
@@ -113,6 +115,31 @@ def test_operator_rejects_negative_density(solid_material):
     rho.values[1, 2] = -0.5
     with pytest.raises(ValueError, match="negative"):
         make_operator(rho, solid_material)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_operator_rejects_non_finite_density(bad, solid_material):
+    rho = ScalarField.full(make_grid(4), 1.0)
+    rho.values[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        make_operator(rho, solid_material)
+
+
+@pytest.mark.parametrize("n", [8, 9, 32])
+def test_stacked_kernels_bitwise_equal_per_load(n, solid_material):
+    rng = np.random.default_rng(500 + n)
+    op = random_operator(n, rng, solid_material, (1.0, 1.5))
+    u = rng.normal(size=(3, 2, n, n))
+    eps_bars = rng.normal(size=(3, 3))
+    ku = apply_system(op, VectorField(op.grid, u)).values
+    rhs = assemble_rhs(op, eps_bars).values
+    for j in range(3):
+        one = VectorField(op.grid, u[j])
+        assert np.array_equal(ku[j], apply_system(op, one).values)
+        assert np.array_equal(rhs[j], assemble_rhs(op, eps_bars[j]).values)
+    # a shorter stack after a longer one works in the grown workspace
+    assert np.array_equal(apply_system(op, VectorField(op.grid, u[1:])).values,
+                          ku[1:])
 
 
 def test_homogenized_stress_uniform(solid_material):

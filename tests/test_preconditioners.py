@@ -104,6 +104,28 @@ def test_apply_green_bitwise_equal_einsum_reference(n, solid_material):
     assert np.array_equal(z.values, kept)
 
 
+@pytest.mark.parametrize("n", [8, 9, 32, 128])
+def test_stacked_preconditioners_bitwise_equal_per_load(n, solid_material):
+    rng = np.random.default_rng(60 + n)
+    grid = make_grid(n)
+    green = assemble_green(grid, solid_material)
+    op = make_operator(ScalarField(grid, rng.uniform(0.01, 1.0, (n, n))),
+                       solid_material)
+    r = rng.normal(size=(3, 2, n, n))
+    stack = VectorField(grid, r)
+    norms = green_norm2(green, stack)
+    kinds = ("none", "green") if n % 2 else ("none", "green", "jacobi",
+                                              "green-jacobi")
+    applied = {kind: build_preconditioner(kind, op, green).apply(stack).values
+               for kind in kinds}
+    for j in range(3):
+        one = VectorField(grid, r[j])
+        assert norms[j] == green_norm2(green, one)
+        for kind in kinds:
+            pre = build_preconditioner(kind, op, green)
+            assert np.array_equal(applied[kind][j], pre.apply(one).values), kind
+
+
 @pytest.mark.parametrize("n", [8, 9, 16])
 def test_green_norm_by_parseval_matches_real_space(n, solid_material):
     rng = np.random.default_rng(30 + n)

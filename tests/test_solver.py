@@ -8,7 +8,9 @@ from jfft.operators import (apply_system, assemble_rhs, homogenized_stress,
 from jfft.preconditioners import assemble_green, build_preconditioner
 from jfft.preconditioners import apply_green
 from jfft.solver import (CONVERGED, ITERATION_CAP, SolverAbortError, pcg,
-                         solve_cell)
+                         pcg_stack, solve_cell)
+
+from oracles import reference_pcg
 
 
 def laminate_problem(n, chi, material):
@@ -145,3 +147,61 @@ def test_solve_cell_solution_satisfies_tolerance(solid_material):
     gnorm2 = float(np.vdot(residual.values,
                            apply_green(green, residual).values))
     assert gnorm2 <= 1e-6 * 1.0001
+
+
+def stack_problem(n, kind, material):
+    """Random-density cell with a stack of five loads: the three canonical
+    ones, a zero load that stops at k = 0 and a random one."""
+    rng = np.random.default_rng(40 + n)
+    rho = ScalarField(make_grid(n), rng.uniform(0.01, 1.0, (n, n)))
+    op = make_operator(rho, material)
+    green = assemble_green(op.grid, material)
+    loads = np.vstack([np.eye(3), np.zeros((1, 3)), rng.normal(size=(1, 3))])
+    return op, green, build_preconditioner(kind, op, green), loads
+
+
+@pytest.mark.parametrize("n,kind", [
+    (8, "none"), (8, "green"), (8, "jacobi"), (8, "green-jacobi"),
+    (9, "none"), (9, "green"),
+    (32, "none"), (32, "green"), (32, "jacobi"), (32, "green-jacobi"),
+    # a stacked sum would already differ from the one-load sum here
+    (128, "green-jacobi")])
+def test_stacked_loads_bitwise_equal_solo_solves(n, kind, solid_material):
+    op, green, pre, loads = stack_problem(n, kind, solid_material)
+    reports = pcg_stack(op, assemble_rhs(op, loads), pre, green)
+    assert len(reports) == len(loads)
+    assert reports[3].iterations == 0
+    assert len({r.iterations for r in reports}) > 2
+    for report, load in zip(reports, loads):
+        rhs = assemble_rhs(op, load)
+        solo = pcg(op, rhs, pre, green)
+        iterations, history, terminated, x = reference_pcg(op, rhs, pre, green)
+        assert report.terminated == solo.terminated == terminated == CONVERGED
+        assert report.iterations == solo.iterations == iterations
+        assert report.residual_history == solo.residual_history == history
+        assert np.array_equal(report.solution.values, solo.solution.values)
+        assert np.array_equal(report.solution.values, x)
+
+
+def test_stack_at_iteration_cap_matches_solo_solves(solid_material):
+    op, green, pre, loads = stack_problem(8, "jacobi", solid_material)
+    solos = [pcg(op, assemble_rhs(op, load), pre, green, max_iter=11)
+             for load in loads]
+    reports = pcg_stack(op, assemble_rhs(op, loads), pre, green, max_iter=11)
+    terminated = [r.terminated for r in reports]
+    assert CONVERGED in terminated and ITERATION_CAP in terminated
+    for report, solo in zip(reports, solos):
+        assert report.terminated == solo.terminated
+        assert report.iterations == solo.iterations <= 11
+        assert report.residual_history == solo.residual_history
+        assert np.array_equal(report.solution.values, solo.solution.values)
+
+
+def test_stack_nan_in_one_load_aborts(solid_material):
+    op, green, pre, loads = stack_problem(8, "green", solid_material)
+    rhs = assemble_rhs(op, loads)
+    rhs.values[1, 0, 0, 0] = np.nan
+    with pytest.raises(SolverAbortError):
+        pcg_stack(op, rhs, pre, green)
+    with pytest.raises(ValueError, match="stack"):
+        pcg_stack(op, assemble_rhs(op, loads[0]), pre, green)

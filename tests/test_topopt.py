@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import jfft.topopt
 from jfft.grid import ScalarField, make_grid
-from jfft.topopt import (TopOptConfig, evaluate, lbfgs_minimize, make_problem,
-                         target_stiffness, target_stress, _phase_field_parts)
+from jfft.topopt import (DENSITY_FLOOR, TopOptConfig, evaluate, lbfgs_minimize,
+                         make_problem, target_stiffness, target_stress,
+                         _measured_counts, _phase_field_parts)
 
-from oracles import dense_average_stress, dense_equilibrium
+from oracles import (dense_average_stress, dense_equilibrium,
+                     reference_solve_load_cases)
 
 
 def tight_problem(n=8, kind="green"):
@@ -104,6 +107,25 @@ def test_gradient_matches_central_differences():
         dn[i, j] -= h
         fd = (evaluate(problem, up).value - evaluate(problem, dn).value) / (2 * h)
         assert abs(fd - ev.gradient[i, j]) <= 1e-5 * abs(fd)
+
+
+@pytest.mark.parametrize("n,kind", [(8, "green-jacobi"), (16, "green"),
+                                    (16, "jacobi"), (9, "none")])
+def test_evaluate_bitwise_equal_sequential_solves(n, kind, monkeypatch):
+    problem = make_problem(TopOptConfig(n=n, preconditioner=kind))
+    rho = np.random.default_rng(11).uniform(0.0, 1.0, size=(n, n))
+    stacked = evaluate(problem, rho)
+    counts = _measured_counts(problem, rho, ("green", kind))
+    monkeypatch.setattr(jfft.topopt, "_solve_load_cases",
+                        reference_solve_load_cases)
+    sequential = evaluate(problem, rho)
+    assert stacked.value == sequential.value
+    assert np.array_equal(stacked.gradient, sequential.gradient)
+    assert stacked.inner_counts == sequential.inner_counts
+    assert counts[kind] == sequential.inner_counts
+    assert counts["green"] == reference_solve_load_cases(
+        problem, ScalarField(problem.grid, np.maximum(rho, DENSITY_FLOOR)),
+        "green")[2]
 
 
 def test_phase_field_parts_scale_with_eta():
