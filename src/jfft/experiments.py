@@ -120,16 +120,6 @@ def _preconditioner_name(name, key: str) -> str:
     return name
 
 
-def _check_jacobi_grid(n: int, kinds, key: str):
-    """The Jacobi kinds probe the stiffness diagonal with a period-two comb,
-    which needs an even node count."""
-    jacobi = [k for k in kinds if k in ("jacobi", "green-jacobi")]
-    if n % 2 != 0 and jacobi:
-        raise ConfigError(
-            f"key {key!r}: preconditioner {jacobi[0]!r} needs an even n, "
-            f"got n = {n}")
-
-
 def _solver_opts(cfg: dict) -> tuple[float, int]:
     eta = _get(cfg, "eta_cg", float, default=DEFAULT_ETA_CG)
     cap = _get(cfg, "max_iter", int, default=DEFAULT_MAX_ITER)
@@ -264,7 +254,6 @@ def run_solve(cfg: dict, out_dir: Path) -> tuple[SolveReport, np.ndarray]:
     material = _material(cfg)
     kind = _preconditioner_name(
         _get(cfg, "preconditioner", str, default="green"), "preconditioner")
-    _check_jacobi_grid(n, [kind], "n")
     eta, cap = _solver_opts(cfg)
     eps_bar = _eps_bar(cfg)
 
@@ -342,8 +331,6 @@ def _run_sweep(family: str, cfg: dict, out_dir: Path, workers: int) -> list[dict
     kinds = [_preconditioner_name(k, "preconditioners") for k in
              _get(cfg, "preconditioners", list,
                   default=["green", "jacobi", "green-jacobi"])]
-    for n in n_values:
-        _check_jacobi_grid(n, kinds, "n_values")
     material = _material(cfg)
     eta, cap = _solver_opts(cfg)
     eps_bar = tuple(_eps_bar(cfg))
@@ -398,7 +385,6 @@ def run_motivate(cfg: dict, out_dir: Path) -> list[dict]:
     kinds = [_preconditioner_name(k, "preconditioners") for k in
              _get(cfg, "preconditioners", list,
                   default=["green", "green-jacobi"])]
-    _check_jacobi_grid(n, kinds, "n")
     material = _material(cfg)
     eta, cap = _solver_opts(cfg)
     eps_bar = _eps_bar(cfg)
@@ -462,8 +448,6 @@ def _topopt_config(cfg: dict) -> tuple[TopOptConfig, int]:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_jacobi_grid(topt.n, (topt.preconditioner, *topt.measure),
-                       "preconditioner/measure")
     return topt, _get(cfg, "snapshot_stride", int, default=0)
 
 
@@ -538,7 +522,6 @@ def run_smooth_vs_sharp(cfg: dict, out_dir: Path) -> dict:
     kinds = [_preconditioner_name(k, "preconditioners") for k in
              _get(cfg, "preconditioners", list,
                   default=["green", "green-jacobi"])]
-    _check_jacobi_grid(rho_smooth.grid.n, kinds, "preconditioners")
     material = _material(cfg)
     eta, cap = _solver_opts(cfg)
     eps_bar = _eps_bar(cfg)

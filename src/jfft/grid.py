@@ -1,5 +1,5 @@
-"""Periodic regular-grid bookkeeping: field containers, Mandel algebra, the
-FFT pair every spectral operator goes through, and the field file format.
+"""Periodic regular-grid bookkeeping: field containers, the FFT pair every
+spectral operator goes through, and the field file format.
 
 Conventions used throughout the package:
 
@@ -153,29 +153,6 @@ class QuadField:
     @classmethod
     def zeros(cls, grid: Grid) -> "QuadField":
         return cls(grid, np.zeros((MANDEL_DIM, 2, grid.n, grid.n)))
-
-
-# ----------------------------------------------------------------------------
-# Mandel algebra
-# ----------------------------------------------------------------------------
-
-def to_mandel(tensor) -> np.ndarray:
-    """Map a symmetric 2x2 tensor to its Mandel vector (11, 22, sqrt2*12)."""
-    t = np.asarray(tensor, dtype=np.float64)
-    if t.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 tensor, got shape {t.shape}")
-    if not np.allclose(t[0, 1], t[1, 0], rtol=0.0, atol=1e-14 * max(1.0, abs(t).max())):
-        raise ValueError("tensor is not symmetric")
-    return np.array([t[0, 0], t[1, 1], SQRT2 * t[0, 1]])
-
-
-def from_mandel(vec) -> np.ndarray:
-    """Inverse of :func:`to_mandel`."""
-    v = np.asarray(vec, dtype=np.float64)
-    if v.shape != (MANDEL_DIM,):
-        raise ValueError(f"expected a length-{MANDEL_DIM} Mandel vector, got {v.shape}")
-    off = v[2] / SQRT2
-    return np.array([[v[0], off], [off, v[1]]])
 
 
 # ----------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The three PCG preconditioners: Green (FFT-diagonalized pseudo-inverse of
-the uniform-data reference operator), Jacobi (probed diagonal scaling), and
-their symmetric composition Green-Jacobi.
+the uniform-data reference operator), Jacobi (scaling by the stiffness
+diagonal, in closed form), and their symmetric composition Green-Jacobi.
 
 The reference operator ``K_ref = B^T W C_ref B`` is block-circulant on the
 periodic grid, so its Fourier transform is block-diagonal with one Hermitian
@@ -73,7 +73,8 @@ def _spectra(green: GreenOperator, lead: tuple[int, ...]):
 
 @dataclass(frozen=True)
 class JacobiDiagonal:
-    """Reciprocal square roots of ``diag(K)``, one per displacement DOF.
+    """Reciprocal square roots of ``diag(K)``, one per displacement DOF, from
+    the closed form of :func:`assemble_jacobi`.
 
     Zero diagonal entries (voids covering a node's whole stencil) are
     replaced by one before inversion.
@@ -192,46 +193,51 @@ def green_norm2(green: GreenOperator, r: VectorField) -> float | list[float]:
 
 
 def assemble_jacobi(op: SystemOperator) -> JacobiDiagonal:
-    """Probe ``diag(K)`` with d * 2^d = 8 operator applications.
+    """``diag(K)`` in closed form, without applying ``K``.
 
-    For each displacement component and each parity offset, a comb vector
-    carries ones on every other node in both directions.  The P1 stencil
-    radius is one, below the comb spacing of two, so the operator response
-    at a comb node is exactly the wanted diagonal entry.
+    A unit displacement of one component at a node strains the six
+    triangles around it: one in each of the pixels ``(i, j)`` and
+    ``(i-1, j-1)``, two in each of ``(i-1, j)`` and ``(i, j-1)``.  Per unit
+    density, the strained triangles of each of these four pixels store the
+    same energy, so
+
+    * ``diag_1 = w (c00 / h1^2 + c22 / (2 h2^2)) S`` and
+    * ``diag_2 = w (c11 / h2^2 + c22 / (2 h1^2)) S``,
+
+    with ``w`` the quadrature weight, ``(h1, h2)`` the pixel size and ``S``
+    the sum of the densities of those four pixels.  Any grid size works.
     """
     grid = op.grid
-    if grid.n % 2 != 0:
-        raise ValueError("diagonal probing requires an even node count")
-    diag = np.empty((Grid.d, grid.n, grid.n))
-    for alpha in range(Grid.d):
-        for o1 in (0, 1):
-            for o2 in (0, 1):
-                comb = VectorField.zeros(grid)
-                comb.values[alpha, o1::2, o2::2] = 1.0
-                response = apply_system(op, comb)
-                diag[alpha, o1::2, o2::2] = response.values[alpha, o1::2, o2::2]
+    h1, h2 = grid.pixel_size
+    c = op.material.stiffness
+    w = op.weights.per_point
+    rho = op.density.values
+    # S into diag[0], with diag[1] as scratch; one temporary plane at a time
+    diag = np.empty((Grid.d,) + rho.shape)
+    np.add(rho, np.roll(rho, 1, axis=0), out=diag[1])
+    np.add(diag[1], np.roll(diag[1], 1, axis=1), out=diag[0])
+    np.multiply(diag[0], w * (c[1, 1] / h2 ** 2 + c[2, 2] / (2.0 * h1 ** 2)),
+                out=diag[1])
+    diag[0] *= w * (c[0, 0] / h1 ** 2 + c[2, 2] / (2.0 * h2 ** 2))
     if np.any(diag < 0.0) or not np.all(np.isfinite(diag)):
-        raise ValueError("probed diagonal has negative or non-finite entries")
+        raise ValueError("Jacobi diagonal has negative or non-finite entries")
     diag[diag == 0.0] = 1.0
-    return JacobiDiagonal(grid, 1.0 / np.sqrt(diag))
-
-
-def apply_jacobi_half(jacobi: JacobiDiagonal, r: VectorField) -> VectorField:
-    """Entrywise multiply by ``1/sqrt(diag(K))``."""
-    return VectorField(jacobi.grid, jacobi.inv_sqrt * r.values)
+    np.sqrt(diag, out=diag)
+    np.divide(1.0, diag, out=diag)
+    return JacobiDiagonal(grid, diag)
 
 
 def apply_jacobi(jacobi: JacobiDiagonal, r: VectorField) -> VectorField:
-    """Entrywise multiply by ``1/diag(K)``, i.e. the half split applied twice."""
-    z = apply_jacobi_half(jacobi, r)
-    z.values *= jacobi.inv_sqrt
-    return z
+    """Entrywise multiply by ``1/diag(K)``: by ``1/sqrt(diag(K))`` twice."""
+    z = jacobi.inv_sqrt * r.values
+    z *= jacobi.inv_sqrt
+    return VectorField(jacobi.grid, z)
 
 
 def apply_green_jacobi(jacobi: JacobiDiagonal, green: GreenOperator,
                        r: VectorField) -> VectorField:
     """Symmetric composition ``J^(1/2) G J^(1/2) r``."""
-    z = apply_green(green, apply_jacobi_half(jacobi, r))
+    z = apply_green(green, VectorField(jacobi.grid, jacobi.inv_sqrt * r.values))
     z.values *= jacobi.inv_sqrt
     return z
 

@@ -2,9 +2,11 @@
 
 Everything here is derived from first principles (explicit element
 stencils, dense matrices, direct DFT summation) without touching the
-matrix-free production kernels, so agreement is meaningful.  The reference
-solve paths at the end are the exception: they drive the production layers
-one load at a time, to pin the stacked solver's control flow and sums.
+matrix-free production kernels, so agreement is meaningful.  The comb
+probing of the Jacobi diagonal and the reference solve paths at the end are
+the exceptions: they drive the production operator, the first to pin the
+closed-form diagonal to what ``K`` itself does, the others one load at a
+time, to pin the stacked solver's control flow and sums.
 """
 
 import numpy as np
@@ -134,6 +136,32 @@ def impulse_diagonal(apply_flat, size):
         e = np.zeros(size)
         e[i] = 1.0
         diag[i] = apply_flat(e)[i]
+    return diag
+
+
+def probed_diagonal(op):
+    """``diag(K)`` probed with d * 2^d = 8 applications of the production
+    operator, for an even node count.
+
+    For each displacement component and each parity offset, a comb vector
+    carries ones on every other node in both directions.  The P1 stencil
+    radius is one, below the comb spacing of two, so the operator response
+    at a comb node is exactly the wanted diagonal entry.
+    """
+    from jfft.grid import VectorField
+    from jfft.operators import apply_system
+
+    n = op.grid.n
+    if n % 2 != 0:
+        raise ValueError("comb probing needs an even node count")
+    diag = np.empty((2, n, n))
+    for alpha in range(2):
+        for o1 in (0, 1):
+            for o2 in (0, 1):
+                comb = VectorField.zeros(op.grid)
+                comb.values[alpha, o1::2, o2::2] = 1.0
+                response = apply_system(op, comb)
+                diag[alpha, o1::2, o2::2] = response.values[alpha, o1::2, o2::2]
     return diag
 
 

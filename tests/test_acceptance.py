@@ -151,7 +151,7 @@ def test_criterion_1_oracle_equivalence():
     elapsed = time.perf_counter() - start
     passed = worst_k <= 1e-12 and worst_diag <= 1e-14 and elapsed < 5.0
     report(1, passed,
-           f"apply_K vs dense {worst_k:.2e} (<=1e-12), probed diagonal "
+           f"apply_K vs dense {worst_k:.2e} (<=1e-12), Jacobi diagonal "
            f"{worst_diag:.2e} (<=1e-14), {elapsed:.1f}s (<5s)")
 
 

@@ -335,10 +335,10 @@ def test_cli_rejects_bad_threads(tmp_path):
     ("laminate-sweep", {"p_values": [3], "n_values": [3], "contrasts": [10.0],
                         "preconditioners": ["jacobi"]}),
 ], ids=["solve", "topopt", "topopt-measure", "laminate-sweep"])
-def test_cli_rejects_odd_n_with_jacobi(tmp_path, command, cfg):
+def test_cli_solves_odd_n_with_jacobi(tmp_path, command, cfg):
     path = write_config(tmp_path / "cfg.json", cfg)
     assert main([command, "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == 2
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("key, value", [
@@ -413,6 +413,18 @@ def test_cli_rejects_out_of_range_config(tmp_path, command, cfg, prepare):
     path = write_config(tmp_path / "cfg.json", cfg)
     assert main([command, "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
+
+
+def test_quickstart_demo_runs():
+    demo = SRC.parent / "demos" / "quickstart.py"
+    out = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.splitlines()]
+    kinds = [row[0] for row in rows
+             if len(row) == 3 and row[1].isdigit()]
+    assert kinds == ["none", "green", "jacobi", "green-jacobi"]
 
 
 def test_import_leaves_scipy_unloaded():

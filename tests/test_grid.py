@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from jfft.grid import (QuadField, ScalarField, VectorField, fft_forward,
-                       fft_inverse, from_mandel, load_field, make_grid,
-                       save_field, spectral_shape, to_mandel)
+                       fft_inverse, load_field, make_grid, save_field,
+                       spectral_shape)
 
 from oracles import dft2_direct
 
@@ -38,25 +38,6 @@ def test_field_shape_validation():
         ScalarField(grid, np.zeros((5, 4)))
     with pytest.raises(ValueError):
         QuadField(grid, np.zeros((3, 2, 4, 5)))
-
-
-def test_mandel_contract():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = rng.normal(size=(2, 2))
-        a = a + a.T
-        b = rng.normal(size=(2, 2))
-        b = b + b.T
-        dot = to_mandel(a) @ to_mandel(b)
-        contraction = np.tensordot(a, b)
-        assert abs(dot - contraction) <= 1e-15 * max(1.0, abs(contraction))
-
-
-def test_mandel_round_trip():
-    v = np.array([1.0, -2.0, 0.7])
-    assert np.allclose(to_mandel(from_mandel(v)), v, rtol=0, atol=1e-16)
-    with pytest.raises(ValueError):
-        to_mandel(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
 def test_fft_round_trip():

@@ -4,16 +4,17 @@ import pytest
 import jfft.preconditioners as precond_mod
 from jfft.grid import ScalarField, VectorField, make_grid
 from jfft.material import isotropic_material
+from jfft.microstructures import (cosine_density, laminate_density,
+                                  refine_to_grid)
 from jfft.operators import apply_system, make_operator
 from jfft.preconditioners import (Preconditioner, apply_green,
                                   apply_green_jacobi, apply_jacobi,
-                                  apply_jacobi_half, assemble_green,
-                                  assemble_jacobi, build_preconditioner,
-                                  green_norm2)
+                                  assemble_green, assemble_jacobi,
+                                  build_preconditioner, green_norm2)
 from jfft.solver import pcg
 
-from oracles import (green_blocks, impulse_diagonal, reference_apply_green,
-                     vec_flat, vec_unflat)
+from oracles import (green_blocks, impulse_diagonal, probed_diagonal,
+                     reference_apply_green, vec_flat, vec_unflat)
 
 
 def zero_mean(values):
@@ -114,8 +115,7 @@ def test_stacked_preconditioners_bitwise_equal_per_load(n, solid_material):
     r = rng.normal(size=(3, 2, n, n))
     stack = VectorField(grid, r)
     norms = green_norm2(green, stack)
-    kinds = ("none", "green") if n % 2 else ("none", "green", "jacobi",
-                                              "green-jacobi")
+    kinds = ("none", "green", "jacobi", "green-jacobi")
     applied = {kind: build_preconditioner(kind, op, green).apply(stack).values
                for kind in kinds}
     for j in range(3):
@@ -155,7 +155,7 @@ def test_green_rejects_indefinite_reference():
 # Jacobi diagonal
 # ---------------------------------------------------------------------------
 
-def test_jacobi_uses_exactly_eight_probes(solid_material, monkeypatch):
+def test_jacobi_makes_no_operator_application(solid_material, monkeypatch):
     grid = make_grid(8)
     op = make_operator(ScalarField.full(grid, 1.0), solid_material)
     calls = []
@@ -167,30 +167,61 @@ def test_jacobi_uses_exactly_eight_probes(solid_material, monkeypatch):
 
     monkeypatch.setattr(precond_mod, "apply_system", counting)
     assemble_jacobi(op)
-    assert len(calls) == 8
+    assert calls == []
 
 
-@pytest.mark.parametrize("density", ["random", "laminate", "void"])
+def _jacobi_oracle_cases():
+    rng = np.random.default_rng(22)
+    voids = rng.uniform(0.5, 1.0, (16, 16))
+    voids[4:8, 4:8] = 0.0
+    return {
+        "cosine": refine_to_grid(cosine_density(16, 1e4), 64),
+        "laminate": refine_to_grid(laminate_density(64, 1e4), 128),
+        "noise": ScalarField(make_grid(32), rng.uniform(0.0, 1.0, (32, 32))),
+        "voids": ScalarField(make_grid(16), voids),
+        "non-square": ScalarField(make_grid(16, (2.0, 0.5)),
+                                  rng.uniform(0.01, 1.0, (16, 16))),
+    }
+
+
+@pytest.mark.parametrize("case", ["cosine", "laminate", "noise", "voids",
+                                  "non-square"])
+def test_jacobi_closed_form_matches_comb_probing(case, solid_material):
+    op = make_operator(_jacobi_oracle_cases()[case], solid_material)
+    diag = probed_diagonal(op)
+    diag[diag == 0.0] = 1.0
+    expected = 1.0 / np.sqrt(diag)
+    inv_sqrt = assemble_jacobi(op).inv_sqrt
+    assert (np.abs(inv_sqrt - expected) / expected).max() <= 1e-15
+
+
+@pytest.mark.parametrize("density", ["random", "laminate", "void", "odd",
+                                     "rectangular"])
 def test_jacobi_probing_matches_impulse_diagonal(density, solid_material):
     rng = np.random.default_rng(14)
-    grid = make_grid(4)
-    if density == "random":
-        rho = ScalarField(grid, rng.uniform(0.1, 2.0, (4, 4)))
-    elif density == "laminate":
+    n, lengths = 4, (1.0, 1.0)
+    if density == "odd":
+        n = 5
+    elif density == "rectangular":
+        n, lengths = 7, (2.0, 0.5)
+    grid = make_grid(n, lengths)
+    if density == "laminate":
         rho = ScalarField(grid, np.tile(np.array([10.0, 7.0, 4.0, 1.0])[:, None],
                                         (1, 4)))
-    else:
+    elif density == "void":
         values = rng.uniform(0.5, 1.0, (4, 4))
         values[1:3, 1:3] = 0.0
         rho = ScalarField(grid, values)
+    else:
+        rho = ScalarField(grid, rng.uniform(0.1, 2.0, (n, n)))
     op = make_operator(rho, solid_material)
     jac = assemble_jacobi(op)
 
     def apply_flat(flat):
-        u = VectorField(grid, vec_unflat(flat, 4))
+        u = VectorField(grid, vec_unflat(flat, n))
         return vec_flat(apply_system(op, u).values)
 
-    diag = impulse_diagonal(apply_flat, 2 * 16)
+    diag = impulse_diagonal(apply_flat, 2 * n * n)
     diag[diag == 0.0] = 1.0
     assert np.abs(vec_flat(jac.inv_sqrt) - 1.0 / np.sqrt(diag)).max() <= 1e-14
 
@@ -203,22 +234,22 @@ def test_jacobi_void_entries_replaced_by_one(solid_material):
     assert np.all(np.isfinite(jac.inv_sqrt))
 
 
-def test_jacobi_rejects_odd_grid(solid_material):
-    op = make_operator(ScalarField.full(make_grid(5), 1.0), solid_material)
-    with pytest.raises(ValueError, match="even"):
-        assemble_jacobi(op)
-
-
 def test_jacobi_full_equals_half_twice(solid_material):
     rng = np.random.default_rng(15)
     grid = make_grid(8)
     op = make_operator(ScalarField(grid, rng.uniform(0.1, 2.0, (8, 8))),
                        solid_material)
     jac = assemble_jacobi(op)
+    green = assemble_green(grid, solid_material)
     r = VectorField(grid, rng.normal(size=(2, 8, 8)))
     full = apply_jacobi(jac, r).values
-    halves = apply_jacobi_half(jac, apply_jacobi_half(jac, r)).values
-    assert np.abs(full - halves).max() <= 1e-15 * np.abs(full).max()
+    # bitwise the split form: 1/sqrt(diag) applied twice, on each side of G
+    assert np.array_equal(full, jac.inv_sqrt * (jac.inv_sqrt * r.values))
+    half = VectorField(grid, jac.inv_sqrt * r.values)
+    assert np.array_equal(apply_green_jacobi(jac, green, r).values,
+                          jac.inv_sqrt * apply_green(green, half).values)
+    expected = r.values / probed_diagonal(op)
+    assert np.abs(full - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
 def test_jacobi_scales_inversely_with_density(solid_material):

@@ -162,7 +162,7 @@ def stack_problem(n, kind, material):
 
 @pytest.mark.parametrize("n,kind", [
     (8, "none"), (8, "green"), (8, "jacobi"), (8, "green-jacobi"),
-    (9, "none"), (9, "green"),
+    (9, "none"), (9, "green"), (9, "jacobi"),
     (32, "none"), (32, "green"), (32, "jacobi"), (32, "green-jacobi"),
     # a stacked sum would already differ from the one-load sum here
     (128, "green-jacobi")])
