@@ -38,67 +38,88 @@ def quadrature_weights(grid: Grid) -> QuadratureWeights:
     return QuadratureWeights(grid, dx1 * dx2 / 2.0)
 
 
-def _along(a: np.ndarray, axis: int) -> np.ndarray:
-    """View of planes ``a`` (..., n, n) whose first index runs along ``axis``
-    of each plane; leading load axes move behind it.  A single plane takes
-    the plain transpose, the cheaper call on the one-load path."""
-    if a.ndim == 2:
-        return a if axis == 0 else a.T
-    return a.swapaxes(0, axis - 2)
+def _rows(a: np.ndarray) -> np.ndarray:
+    """Planes ``a`` (..., n, n) as flat rows (..., n*n), a view.  Raises on
+    a plane that is not C-contiguous: reshaping it would copy, and what the
+    kernels write into the copy would be lost."""
+    n = a.shape[-1]
+    if a.strides[-2:] != (n * a.itemsize, a.itemsize):
+        raise ValueError("plane is not C-contiguous")
+    return a.reshape(a.shape[:-2] + (n * n,))
 
 
-def _forward_difference(a: np.ndarray, axis: int, h: float,
+def _lines(n: int, axis: int) -> tuple[int, slice, slice]:
+    """How the kernels below walk a flat row of an ``n x n`` plane along
+    ``axis``: the distance to the next entry along it (``n`` for axis 0,
+    one for axis 1) and the slices of the first and last line across it (a
+    row of the plane for axis 0, a column for axis 1)."""
+    if axis == 0:
+        return n, slice(0, n), slice(n * n - n, None)
+    return 1, slice(0, None, n), slice(n - 1, None, n)
+
+
+# Each kernel makes one call on the flat rows ``a`` and ``out`` (..., n*n),
+# offset by the distance of ``line`` = _lines(n, axis), then redoes the one
+# line whose neighbour wraps around the cell, which that call either skipped
+# or took from the next row of the plane.
+
+def _forward_difference(a: np.ndarray, line, h: float,
                         out: np.ndarray) -> None:
-    """``out = (roll(a, -1, axis) - a) / h``, the periodic forward difference."""
-    src, dst = _along(a, axis), _along(out, axis)
-    np.subtract(src[1:], src[:-1], out=dst[:-1])
-    np.subtract(src[:1], src[-1:], out=dst[-1:])
+    """``out = (roll(a, -1, axis) - a) / h``, the periodic forward difference
+    along the axis of ``line``."""
+    k, first, last = line
+    np.subtract(a[..., k:], a[..., :-k], out=out[..., :-k])
+    np.subtract(a[..., first], a[..., last], out=out[..., last])
     out /= h
 
 
-def _backward_difference(a: np.ndarray, axis: int, h: float,
+def _backward_difference(a: np.ndarray, line, h: float,
                          out: np.ndarray) -> None:
-    """``out = (roll(a, 1, axis) - a) / h``, the adjoint of
-    :func:`_forward_difference`."""
-    src, dst = _along(a, axis), _along(out, axis)
-    np.subtract(src[:-1], src[1:], out=dst[1:])
-    np.subtract(src[-1:], src[:1], out=dst[:1])
+    """``out = (roll(a, 1, axis) - a) / h`` along the axis of ``line``, the
+    adjoint of :func:`_forward_difference`."""
+    k, first, last = line
+    np.subtract(a[..., :-k], a[..., k:], out=out[..., k:])
+    np.subtract(a[..., last], a[..., first], out=out[..., first])
     out /= h
 
 
-def _shift(a: np.ndarray, step: int, axis: int, out: np.ndarray) -> None:
-    """``out = roll(a, step, axis)`` for ``step`` = +1 or -1."""
-    src, dst = _along(a, axis), _along(out, axis)
+def _shift(a: np.ndarray, step: int, line, out: np.ndarray) -> None:
+    """``out = roll(a, step, axis)`` for ``step`` = +1 or -1, along the axis
+    of ``line``."""
+    k, first, last = line
     if step == 1:
-        dst[1:] = src[:-1]
-        dst[:1] = src[-1:]
+        out[..., k:] = a[..., :-k]
+        out[..., first] = a[..., last]
     else:
-        dst[:-1] = src[1:]
-        dst[-1:] = src[:1]
+        out[..., :-k] = a[..., k:]
+        out[..., last] = a[..., first]
 
 
 def sym_gradient_into(u: np.ndarray, pixel_size: tuple[float, float],
                       eps: np.ndarray, planes: np.ndarray) -> None:
-    """Strain planes ``eps`` (..., 3, 2, n, n) from displacement planes
-    ``u`` (..., 2, n, n); ``planes`` (2, ..., n, n) is scratch.  The leading
-    axes are load axes, and each load is computed as it would be alone."""
+    """Strain planes ``eps`` (3, 2, ..., n, n) from displacement planes
+    ``u`` (..., 2, n, n); ``planes`` (2, ..., n, n) is scratch.  The axes
+    marked ``...`` are load axes, and each load is computed as it would be
+    alone.  Component-major ``eps`` and ``planes`` make each strain plane
+    of a stack one block.  Every plane must be C-contiguous."""
     dx1, dx2 = pixel_size
+    along1, along2 = _lines(u.shape[-1], 0), _lines(u.shape[-1], 1)
+    u, eps, planes = _rows(u), _rows(eps), _rows(planes)
     dyu1, dxu2 = planes
-    u1, u2 = u[..., 0, :, :], u[..., 1, :, :]
-    e00, e10 = eps[..., 0, 0, :, :], eps[..., 1, 0, :, :]
-    e20, e21 = eps[..., 2, 0, :, :], eps[..., 2, 1, :, :]
+    u1, u2 = u[..., 0, :], u[..., 1, :]
+    e00, e10, e20, e21 = eps[0, 0], eps[1, 0], eps[2, 0], eps[2, 1]
     # lower triangle: gradients anchored at the pixel's lower-left node
-    _forward_difference(u1, 0, dx1, e00)
-    _forward_difference(u2, 1, dx2, e10)
-    _forward_difference(u1, 1, dx2, dyu1)
-    _forward_difference(u2, 0, dx1, dxu2)
+    _forward_difference(u1, along1, dx1, e00)
+    _forward_difference(u2, along2, dx2, e10)
+    _forward_difference(u1, along2, dx2, dyu1)
+    _forward_difference(u2, along1, dx1, dxu2)
     np.add(dyu1, dxu2, out=e20)
     e20 /= SQRT2
     # upper triangle: the same differences taken along the far pixel edges
-    _shift(e00, -1, 1, eps[..., 0, 1, :, :])
-    _shift(e10, -1, 0, eps[..., 1, 1, :, :])
-    _shift(dyu1, -1, 0, e21)
-    _shift(dxu2, -1, 1, dyu1)
+    _shift(e00, -1, along2, eps[0, 1])
+    _shift(e10, -1, along1, eps[1, 1])
+    _shift(dyu1, -1, along1, e21)
+    _shift(dxu2, -1, along2, dyu1)
     e21 += dyu1
     e21 /= SQRT2
 
@@ -106,26 +127,29 @@ def sym_gradient_into(u: np.ndarray, pixel_size: tuple[float, float],
 def sym_gradient_adjoint_into(s: np.ndarray, pixel_size: tuple[float, float],
                               f: np.ndarray, planes: np.ndarray) -> None:
     """Exact transpose of :func:`sym_gradient_into`: nodal planes ``f``
-    (..., 2, n, n) from quadrature planes ``s`` (..., 3, 2, n, n), which are
-    left unchanged; ``planes`` (2, ..., n, n) is scratch."""
+    (..., 2, n, n) from quadrature planes ``s`` (3, 2, ..., n, n), which are
+    left unchanged; ``planes`` (2, ..., n, n) is scratch.  Every plane must
+    be C-contiguous."""
     dx1, dx2 = pixel_size
+    along1, along2 = _lines(f.shape[-1], 0), _lines(f.shape[-1], 1)
+    s, f, planes = _rows(s), _rows(f), _rows(planes)
     gathered, term = planes
-    f1, f2 = f[..., 0, :, :], f[..., 1, :, :]
-    s20, s21 = s[..., 2, 0, :, :], s[..., 2, 1, :, :]
-    _shift(s[..., 0, 1, :, :], 1, 1, gathered)
-    gathered += s[..., 0, 0, :, :]
-    _backward_difference(gathered, 0, dx1, f1)
-    _shift(s21, 1, 0, gathered)
+    f1, f2 = f[..., 0, :], f[..., 1, :]
+    s20, s21 = s[2, 0], s[2, 1]
+    _shift(s[0, 1], 1, along2, gathered)
+    gathered += s[0, 0]
+    _backward_difference(gathered, along1, dx1, f1)
+    _shift(s21, 1, along1, gathered)
     gathered += s20
-    _backward_difference(gathered, 1, dx2, term)
+    _backward_difference(gathered, along2, dx2, term)
     term /= SQRT2
     f1 += term
-    _shift(s[..., 1, 1, :, :], 1, 0, gathered)
-    gathered += s[..., 1, 0, :, :]
-    _backward_difference(gathered, 1, dx2, f2)
-    _shift(s21, 1, 1, gathered)
+    _shift(s[1, 1], 1, along1, gathered)
+    gathered += s[1, 0]
+    _backward_difference(gathered, along2, dx2, f2)
+    _shift(s21, 1, along2, gathered)
     gathered += s20
-    _backward_difference(gathered, 0, dx1, term)
+    _backward_difference(gathered, along1, dx1, term)
     term /= SQRT2
     f2 += term
 

@@ -16,11 +16,16 @@ Conventions used throughout the package:
   equals the tensor double contraction.
 * FFTs use the unnormalized forward transform and put the ``1/N`` factor on
   the inverse (numpy's default), in the real-to-complex layout.  Only
-  :func:`fft_forward` and :func:`fft_inverse` call ``np.fft``.  The forward
-  transform writes into a caller's spectrum buffer when given ``out=``
-  (numpy >= 2.0), bitwise equal to the allocating call.  The inverse always
-  allocates its result: ``irfftn`` makes a temporary of the spectrum's size
-  either way, and writing into a fresh ``out=`` was no faster.
+  :func:`fft_forward` and :func:`fft_inverse` call ``np.fft``.  They run
+  the 1D transforms of ``rfftn`` and ``irfftn`` in the same order, so their
+  output is bitwise equal, without the temporaries of the n-D calls.  The
+  forward transform is ``rfft`` along axis -1, into a caller's spectrum
+  buffer when given ``out=`` (numpy >= 2.0), then ``fft`` along axis -2 in
+  place.  The inverse is ``ifft`` along axis -2 in place, overwriting the
+  spectrum it is given, then ``irfft`` along axis -1 into the returned
+  field.  ``irfftn`` runs its first pass into a temporary of the
+  spectrum's size; on a 2-core virtual machine (numpy 2.4.6) it took about
+  1.6x (n = 128) to 2x (n = 512) as long.
 """
 
 from __future__ import annotations
@@ -174,20 +179,27 @@ def fft_forward(u: VectorField, out: np.ndarray | None = None) -> np.ndarray:
     array of the spectrum's shape that receives (and is) the result.  Each
     load of a stack transforms bitwise as it would alone.
     """
-    return np.fft.rfftn(u.values, axes=(-2, -1), out=out)
+    spectrum = np.fft.rfft(u.values, axis=-1, out=out)
+    return np.fft.fft(spectrum, axis=-2, out=spectrum)
 
 
 def fft_inverse(spectrum: np.ndarray, grid: Grid) -> VectorField:
     """Inverse of :func:`fft_forward` (carries the ``1/N`` normalization).
 
-    ``spectrum`` is left unchanged.
+    Overwrites ``spectrum``: the transform along axis -2 runs in place, and
+    the real transform along axis -1 writes the returned field.  Callers
+    that need the spectrum afterwards pass a copy.
     """
     if spectrum.shape[-3:] != spectral_shape(grid) or spectrum.ndim > 4:
         raise ValueError(f"spectrum has shape {spectrum.shape}, expected "
                          f"{spectral_shape(grid)} with at most one load axis "
                          "in front")
-    return VectorField(grid, np.fft.irfftn(spectrum, s=(grid.n, grid.n),
-                                           axes=(-2, -1)))
+    np.fft.ifft(spectrum, axis=-2, out=spectrum)
+    # an explicit C-ordered result: irfft would follow a transposed
+    # spectrum's memory order, and VectorField would copy it back
+    values = np.empty(spectrum.shape[:-1] + (grid.n,))
+    return VectorField(grid, np.fft.irfft(spectrum, n=grid.n, axis=-1,
+                                          out=values))
 
 
 # ----------------------------------------------------------------------------

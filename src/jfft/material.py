@@ -56,23 +56,24 @@ def isotropic_material(lambda0: float, mu0: float) -> MaterialModel:
 
 def stiffness_product_into(material: MaterialModel, eps: np.ndarray,
                            planes: np.ndarray) -> None:
-    """Overwrite Mandel planes ``eps`` (..., 3, 2, n, n) with ``C0 eps``.
+    """Overwrite Mandel planes ``eps`` (3, 2, ..., n, n) with ``C0 eps``.
 
     Written out for the isotropic pattern: ``c00 e0 + c01 e1``,
     ``c10 e0 + c11 e1`` and ``c22 e2``, triangle by triangle, with
-    ``planes`` (2, ..., n, n) as scratch.  Leading axes are load axes.
+    ``planes`` (2, ..., n, n) as scratch.  The axes marked ``...`` are load
+    axes.
     """
     c = material.stiffness
     c0_of_e0, c1_of_e0 = planes
     for t in range(2):
-        e0, e1 = eps[..., 0, t, :, :], eps[..., 1, t, :, :]
+        e0, e1 = eps[0, t], eps[1, t]
         np.multiply(e0, c[1, 0], out=c1_of_e0)
         np.multiply(e0, c[0, 0], out=c0_of_e0)
         np.multiply(e1, c[0, 1], out=e0)
         e0 += c0_of_e0
         e1 *= c[1, 1]
         e1 += c1_of_e0
-    eps[..., 2, :, :, :] *= c[2, 2]
+    eps[2] *= c[2, 2]
 
 
 def stress(rho: ScalarField, material: MaterialModel, eps: QuadField) -> QuadField:

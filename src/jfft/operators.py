@@ -22,7 +22,9 @@ class SystemOperator:
     owns the workspace of :func:`apply_system`: the per-pixel factor
     ``w * rho``, a strain/stress buffer and two scratch planes per load of
     the largest stack applied so far (one load until a stack arrives), so an
-    application allocates only the field it returns.
+    application allocates only the field it returns.  The workspace is
+    component-major, ``(3, 2, loads, n, n)`` and ``(2, loads, n, n)``, so
+    that each plane of a stack is one contiguous block.
     """
 
     grid: Grid
@@ -47,20 +49,20 @@ class SystemOperator:
 
 def _grow_workspace(op: SystemOperator, loads: int) -> None:
     n = op.grid.n
-    object.__setattr__(op, "_strain", np.empty((loads, MANDEL_DIM, 2, n, n)))
+    object.__setattr__(op, "_strain", np.empty((MANDEL_DIM, 2, loads, n, n)))
     object.__setattr__(op, "_planes", np.empty((2, loads, n, n)))
 
 
 def _workspace(op: SystemOperator, lead: tuple[int, ...]):
-    """Strain buffer ``lead + (3, 2, n, n)`` and scratch planes
+    """Strain buffer ``(3, 2) + lead + (n, n)`` and scratch planes
     ``(2,) + lead + (n, n)`` for fields with load axes ``lead`` (``()`` or
     ``(B,)``), as views of the operator's workspace."""
     loads = lead[0] if lead else 1
-    if op._strain.shape[0] < loads:
+    if op._planes.shape[1] < loads:
         _grow_workspace(op, loads)
     if lead:
-        return op._strain[:loads], op._planes[:, :loads]
-    return op._strain[0], op._planes[:, 0]
+        return op._strain[:, :, :loads], op._planes[:, :loads]
+    return op._strain[:, :, 0], op._planes[:, 0]
 
 
 def make_operator(density: ScalarField, material: MaterialModel) -> SystemOperator:
@@ -76,7 +78,7 @@ def _weighted_stress_adjoint(op: SystemOperator, sig: np.ndarray,
     # a single scale factor per pixel.
     stiffness_product_into(op.material, sig, planes)
     sig *= op._factor
-    out = np.empty(sig.shape[:-4] + (2, op.grid.n, op.grid.n))
+    out = np.empty(sig.shape[2:-2] + (2, op.grid.n, op.grid.n))
     fem.sym_gradient_adjoint_into(sig, op.grid.pixel_size, out, planes)
     return out
 
@@ -106,7 +108,7 @@ def assemble_rhs(op: SystemOperator, eps_bar) -> VectorField:
     if not np.all(np.isfinite(eps_bar)):
         raise ValueError("macroscopic strain must be finite")
     strain, planes = _workspace(op, eps_bar.shape[:-1])
-    strain[...] = eps_bar[..., None, None, None]
+    strain[...] = np.moveaxis(eps_bar, -1, 0)[:, None, ..., None, None]
     f = _weighted_stress_adjoint(op, strain, planes)
     np.negative(f, out=f)
     return VectorField(op.grid, f)

@@ -38,7 +38,8 @@ class GreenOperator:
     The operator owns the workspace of :func:`apply_green` and
     :func:`green_norm2`: a spectrum buffer and a scratch spectrum per load
     of the largest stack transformed so far (one load until a stack
-    arrives).
+    arrives).  Both are component-major, ``(2, loads, n, n//2 + 1)``, so
+    that the block rows run on one contiguous block per component.
     """
 
     grid: Grid
@@ -55,20 +56,28 @@ class GreenOperator:
 
 
 def _grow_spectra(green: GreenOperator, loads: int) -> None:
-    shape = (loads,) + spectral_shape(green.grid)
+    d, n, m = spectral_shape(green.grid)
+    shape = (d, loads, n, m)
     object.__setattr__(green, "_spectrum", np.empty(shape, dtype=np.complex128))
     object.__setattr__(green, "_scratch", np.empty(shape, dtype=np.complex128))
 
 
 def _spectra(green: GreenOperator, lead: tuple[int, ...]):
-    """Spectrum buffer and scratch spectrum for fields with load axes
-    ``lead`` (``()`` or ``(B,)``), as views of the operator's workspace."""
+    """Spectrum buffer and scratch spectrum ``(2,) + lead + (n, n//2 + 1)``
+    for fields with load axes ``lead`` (``()`` or ``(B,)``), as views of the
+    operator's workspace."""
     loads = lead[0] if lead else 1
-    if green._spectrum.shape[0] < loads:
+    if green._spectrum.shape[1] < loads:
         _grow_spectra(green, loads)
     if lead:
-        return green._spectrum[:loads], green._scratch[:loads]
-    return green._spectrum[0], green._scratch[0]
+        return green._spectrum[:, :loads], green._scratch[:, :loads]
+    return green._spectrum[:, 0], green._scratch[:, 0]
+
+
+def _load_major(spectrum: np.ndarray) -> np.ndarray:
+    """The ``(..., 2, n, m)`` view of a component-major spectrum, the
+    layout of :func:`fft_forward` and :func:`fft_inverse`."""
+    return spectrum.swapaxes(0, -3)
 
 
 @dataclass(frozen=True)
@@ -124,10 +133,10 @@ def assemble_green(grid: Grid, material_ref: MaterialModel) -> GreenOperator:
 def _block_row(g_a1: np.ndarray, g_a2: np.ndarray, spectrum: np.ndarray,
                out: np.ndarray, scratch: np.ndarray) -> None:
     """``out = g_a1 * spectrum_1 + g_a2 * spectrum_2``, one row of the block
-    product on the component planes of ``spectrum`` (..., 2, n, m).
+    product on the component planes of ``spectrum`` (2, ..., n, m).
     ``scratch`` may alias the first component, which is read first."""
-    np.multiply(g_a1, spectrum[..., 0, :, :], out=out)
-    np.multiply(g_a2, spectrum[..., 1, :, :], out=scratch)
+    np.multiply(g_a1, spectrum[0], out=out)
+    np.multiply(g_a2, spectrum[1], out=scratch)
     out += scratch
 
 
@@ -141,11 +150,10 @@ def apply_green(green: GreenOperator, r: VectorField) -> VectorField:
     if r.grid != green.grid:
         raise ValueError("residual lives on a different grid")
     spectrum, z = _spectra(green, r.values.shape[:-3])
-    fft_forward(r, out=spectrum)
-    z1, z2 = z[..., 0, :, :], z[..., 1, :, :]
-    _block_row(green.g11, green.g12, spectrum, z1, z2)
-    _block_row(green.g21, green.g22, spectrum, z2, spectrum[..., 0, :, :])
-    return fft_inverse(z, green.grid)
+    fft_forward(r, out=_load_major(spectrum))
+    _block_row(green.g11, green.g12, spectrum, z[0], z[1])
+    _block_row(green.g21, green.g22, spectrum, z[1], spectrum[0])
+    return fft_inverse(_load_major(z), green.grid)
 
 
 def _half_spectrum_dot(a: np.ndarray, b: np.ndarray, n: int) -> float:
@@ -177,17 +185,15 @@ def green_norm2(green: GreenOperator, r: VectorField) -> float | list[float]:
         raise ValueError("residual lives on a different grid")
     n = green.grid.n
     spectrum, z = _spectra(green, r.values.shape[:-3])
-    fft_forward(r, out=spectrum)
-    # one (2, n, m) spectrum per load, for the per-load sums
-    spectra = spectrum.reshape((-1,) + spectrum.shape[-3:])
-    products = z.reshape(spectra.shape)
-    z1, z2 = z[..., 0, :, :], z[..., 1, :, :]
-    _block_row(green.g11, green.g12, spectrum, z1, z2)
-    totals = [_half_spectrum_dot(s[0], g[0], n)
-              for s, g in zip(spectra, products)]
-    _block_row(green.g21, green.g22, spectrum, z1, z2)
-    totals = [total + _half_spectrum_dot(s[1], g[0], n)
-              for total, s, g in zip(totals, spectra, products)]
+    fft_forward(r, out=_load_major(spectrum))
+    # the (n, m) planes of each load, for the per-load sums
+    s1, s2, row = (a if a.ndim == 3 else a[None]
+                   for a in (spectrum[0], spectrum[1], z[0]))
+    _block_row(green.g11, green.g12, spectrum, z[0], z[1])
+    totals = [_half_spectrum_dot(s, g, n) for s, g in zip(s1, row)]
+    _block_row(green.g21, green.g22, spectrum, z[0], z[1])
+    totals = [total + _half_spectrum_dot(s, g, n)
+              for total, s, g in zip(totals, s2, row)]
     totals = [total / n ** 2 for total in totals]
     return totals[0] if spectrum.ndim == 3 else totals
 

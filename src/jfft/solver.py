@@ -200,6 +200,7 @@ def pcg_stack(op: SystemOperator, rhs: VectorField,
             keep = [not d for d in done]
             _compact((x, r, p, z), keep)
             active = [load for load, k in zip(active, keep) if k]
+            gnorm2 = [value for value, k in zip(gnorm2, keep) if k]
             if iterations:
                 rz = [value for value, k in zip(rz, keep) if k]
             b = len(active)
@@ -208,7 +209,9 @@ def pcg_stack(op: SystemOperator, rhs: VectorField,
             xs, rs, ps, steps, z = x[:b], r[:b], p[:b], step[:b], z[:b]
             residual, direction = _as_field(grid, rs), _as_field(grid, ps)
 
-        rz_new = _checked(_dots(rs, z), "preconditioned residual product")
+        # for Green, <r, z> is the Green norm just taken
+        rz_new = gnorm2 if reuse_green else _checked(
+            _dots(rs, z), "preconditioned residual product")
         if iterations >= max_iter:
             freeze([True] * b, ITERATION_CAP)
             break

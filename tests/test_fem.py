@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jfft import fem
 from jfft.fem import (cell_average, quadrature_weights, sym_gradient,
                       sym_gradient_adjoint)
 from jfft.grid import QuadField, VectorField, make_grid
@@ -152,3 +153,18 @@ def test_gradient_and_adjoint_bitwise_equal_roll_reference(n):
                           reference_sym_gradient(u, dx1, dx2))
     assert np.array_equal(sym_gradient_adjoint(QuadField(grid, s)).values,
                           reference_sym_gradient_adjoint(s, dx1, dx2))
+
+
+def test_flat_rows_refuse_planes_that_are_not_c_contiguous():
+    a = np.arange(16.0).reshape(4, 4)
+    assert np.shares_memory(fem._rows(a), a)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        fem._rows(a.T)
+    # a transposed output plane would take the writes into a lost copy
+    grid = make_grid(4)
+    u = np.arange(32.0).reshape(2, 4, 4)
+    eps = np.zeros((3, 2, 4, 4))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        fem.sym_gradient_into(u, grid.pixel_size, eps.transpose(0, 1, 3, 2),
+                              np.empty((2, 4, 4)))
+    assert not eps.any()

@@ -6,6 +6,7 @@ import pytest
 from jfft.grid import (QuadField, ScalarField, VectorField, fft_forward,
                        fft_inverse, load_field, make_grid, save_field,
                        spectral_shape)
+from jfft.preconditioners import apply_green, assemble_green
 
 from oracles import dft2_direct
 
@@ -56,6 +57,35 @@ def test_fft_forward_into_buffer_bitwise_equal_allocating_call(n):
     spec = np.empty(spectral_shape(grid), dtype=np.complex128)
     assert fft_forward(u, out=spec) is spec
     assert np.array_equal(spec, fft_forward(u))
+
+
+@pytest.mark.parametrize("n", [8, 9, 32, 128])
+@pytest.mark.parametrize("loads", [(), (3,)], ids=["one-load", "three-loads"])
+def test_fft_seam_bitwise_equal_numpy_nd_transforms(n, loads):
+    # the forward transform is rfft then an in-place fft along axis -2, the
+    # inverse an in-place ifft along axis -2 then irfft: rfftn's and
+    # irfftn's own sequence of 1D transforms, without their temporaries
+    rng = np.random.default_rng(70 + n)
+    grid = make_grid(n)
+    u = VectorField(grid, rng.normal(size=loads + (2, n, n)))
+    spec = fft_forward(u)
+    assert np.array_equal(spec, np.fft.rfftn(u.values, axes=(-2, -1)))
+    expected = np.fft.irfftn(spec, s=(n, n), axes=(-2, -1))
+    assert np.array_equal(fft_inverse(spec, grid).values, expected)
+
+
+def test_repeated_green_applications_equal_and_unshared(solid_material):
+    # fft_inverse overwrites the spectrum it is given; apply_green hands it
+    # the operator's scratch, so a second call sees no trace of the first
+    rng = np.random.default_rng(11)
+    grid = make_grid(16)
+    green = assemble_green(grid, solid_material)
+    for shape in ((2, 16, 16), (3, 2, 16, 16)):
+        r = VectorField(grid, rng.normal(size=shape))
+        first, second = apply_green(green, r), apply_green(green, r)
+        assert np.array_equal(first.values, second.values)
+        assert not np.shares_memory(first.values, second.values)
+        assert not np.shares_memory(first.values, r.values)
 
 
 def test_fft_constant_field_dc():
