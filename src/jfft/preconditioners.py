@@ -4,9 +4,9 @@ diagonal, in closed form), and their symmetric composition Green-Jacobi.
 
 The reference operator ``K_ref = B^T W C_ref B`` is block-circulant on the
 periodic grid, so its Fourier transform is block-diagonal with one Hermitian
-``2x2`` block per frequency.  The Green operator stores the per-frequency
-Moore-Penrose pseudo-inverse of those blocks; rigid translations (the zero
-frequency) map to zero.
+``2x2`` block per frequency.  The Green operator stores the closed-form
+pseudo-inverse of each block; rigid translations (the zero frequency) map
+to zero.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .operators import SystemOperator, apply_system, make_operator
 
 PRECONDITIONER_KINDS = ("none", "green", "jacobi", "green-jacobi")
 
-#: Eigenvalues below this fraction of a block's largest eigenvalue are
-#: treated as zero when pseudo-inverting.
+#: Eigenvalues at or below this fraction of a block's largest eigenvalue
+#: are treated as zero when pseudo-inverting.
 _EIG_CUTOFF = 1e-12
 
 
@@ -34,7 +34,8 @@ class GreenOperator:
     The ``2x2`` block at each frequency of the half-spectrum is stored as
     four planes of shape ``(n, n//2 + 1)``: the diagonal entries ``g11`` and
     ``g22`` are real, ``g12`` and ``g21`` complex.  The blocks are Hermitian
-    PSD up to rounding; ``g21`` is kept as assembled, not as ``conj(g12)``.
+    by construction, ``g21`` is ``conj(g12)`` bitwise, and positive
+    semi-definite.
     The operator owns the workspace of :func:`apply_green` and
     :func:`green_norm2`: a spectrum buffer and a scratch spectrum per load
     of the largest stack transformed so far (one load until a stack
@@ -99,35 +100,59 @@ def assemble_green(grid: Grid, material_ref: MaterialModel) -> GreenOperator:
     One unit impulse per displacement component is placed at node (0, 0)
     and pushed through the matrix-free reference operator (uniform density
     one).  The FFT of each response column yields the Fourier blocks of
-    ``K_ref``, which are Hermitized and pseudo-inverted frequency by
-    frequency.  This stays consistent with the chosen triangulation by
-    construction.
+    ``K_ref``, which stay consistent with the chosen triangulation by
+    construction.  Each block is Hermitized, ``b = (k12 + conj(k21)) / 2``,
+    and pseudo-inverted in closed form by :func:`_invert_blocks`, on whole
+    ``(n, n//2 + 1)`` planes; ``g21`` is stored as ``conj(g12)``.
     """
     ref_op = make_operator(ScalarField.full(grid, 1.0), material_ref)
-    n = grid.n
-    khat = np.empty((n, n // 2 + 1, Grid.d, Grid.d), dtype=np.complex128)
+    columns = []
     for beta in range(Grid.d):
         impulse = VectorField.zeros(grid)
         impulse.values[beta, 0, 0] = 1.0
-        response = apply_system(ref_op, impulse)
-        khat[:, :, :, beta] = np.moveaxis(fft_forward(response), 0, -1)
+        columns.append(fft_forward(apply_system(ref_op, impulse)))
+    (k11, k21), (k12, k22) = columns
+    a, d = k11.real.copy(), k22.real.copy()
+    b = 0.5 * (k12 + np.conj(k21))
     # rigid translations: the zero-frequency block is zero by construction,
-    # up to the rounding of the column sums
-    khat[0, 0] = 0.0
-    khat = 0.5 * (khat + np.conj(np.swapaxes(khat, -1, -2)))
-    eigvals, eigvecs = np.linalg.eigh(khat)
-    cutoff = _EIG_CUTOFF * np.clip(eigvals[..., -1:], 0.0, None)
-    inv_vals = np.where(eigvals > cutoff, 1.0, 0.0) / np.where(
-        eigvals > cutoff, eigvals, 1.0)
-    blocks = np.einsum("...ab,...b,...cb->...ac", eigvecs, inv_vals,
-                       np.conj(eigvecs))
-    blocks[0, 0] = 0.0
-    # the diagonal entries of the assembled blocks have zero imaginary part
-    return GreenOperator(grid, np.ascontiguousarray(blocks[..., 0, 0].real),
-                         np.ascontiguousarray(blocks[..., 0, 1]),
-                         np.ascontiguousarray(blocks[..., 1, 0]),
-                         np.ascontiguousarray(blocks[..., 1, 1].real),
-                         material_ref)
+    # up to the rounding of the column sums, and maps to zero
+    a[0, 0] = d[0, 0] = b[0, 0] = 0.0
+    g11, g22, g12 = _invert_blocks(a, d, b)
+    return GreenOperator(grid, g11, g12, np.conj(g12), g22, material_ref)
+
+
+def _invert_blocks(a: np.ndarray, d: np.ndarray, b: np.ndarray):
+    """``g11``, ``g22`` and ``g12`` of the pseudo-inverse of each Hermitian
+    block ``[[a, b], [conj(b), d]]``, elementwise on planes (``a``, ``d``
+    real, ``b`` complex).
+
+    With ``lam`` and ``mu`` the larger and smaller eigenvalue of a block and
+    ``det = a d - |b|^2``:
+
+    * ``mu > _EIG_CUTOFF * lam > 0``: the inverse, ``g11 = d / det``,
+      ``g22 = a / det`` and ``g12 = -b / det``;
+    * ``lam > 0`` and ``mu`` at or below the cutoff: the inverse on the
+      range of ``lam``, ``(K - mu I) / (lam (lam - mu))``, which is
+      ``K / lam^2`` for a rank-one block;
+    * no positive eigenvalue: zero.
+    """
+    half_gap = 0.5 * (a - d)
+    radius = np.hypot(half_gap, np.abs(b))  # (lam - mu) / 2
+    lam = 0.5 * (a + d) + radius
+    det = a * d - (b.real ** 2 + b.imag ** 2)  # lam * mu
+    positive = lam > 0.0
+    full = positive & (det > _EIG_CUTOFF * lam ** 2)
+    g11, g22 = np.zeros(a.shape), np.zeros(a.shape)
+    g12 = np.zeros(b.shape, dtype=np.complex128)
+    np.divide(d, det, out=g11, where=full)
+    np.divide(a, det, out=g22, where=full)
+    np.divide(b, -det, out=g12, where=full)
+    on_range = np.nonzero(positive & ~full)
+    scale = 1.0 / (2.0 * radius[on_range] * lam[on_range])
+    g11[on_range] = (radius[on_range] + half_gap[on_range]) * scale
+    g22[on_range] = (radius[on_range] - half_gap[on_range]) * scale
+    g12[on_range] = b[on_range] * scale
+    return g11, g22, g12
 
 
 def _block_row(g_a1: np.ndarray, g_a2: np.ndarray, spectrum: np.ndarray,

@@ -64,6 +64,15 @@ class TopOptConfig:
             raise ValueError("interface parameter must be positive")
         if self.lbfgs_memory < 1:
             raise ValueError("L-BFGS memory must be at least 1")
+        if self.max_outer < 0:
+            raise ValueError(f"max_outer must be >= 0, got {self.max_outer}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        try:
+            target_stiffness(self.k_target, self.mu_target)
+        except ValueError as exc:
+            raise ValueError(f"target moduli k_target={self.k_target}, "
+                             f"mu_target={self.mu_target}: {exc}") from None
 
 
 @dataclass

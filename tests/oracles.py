@@ -3,10 +3,11 @@
 Everything here is derived from first principles (explicit element
 stencils, dense matrices, direct DFT summation) without touching the
 matrix-free production kernels, so agreement is meaningful.  The comb
-probing of the Jacobi diagonal and the reference solve paths at the end are
-the exceptions: they drive the production operator, the first to pin the
-closed-form diagonal to what ``K`` itself does, the others one load at a
-time, to pin the stacked solver's control flow and sums.
+probing of the Jacobi diagonal, the ``eigh`` assembly of the Green blocks
+and the reference solve paths at the end are the exceptions: they drive
+the production operator, the first two to pin the closed forms of the
+Jacobi diagonal and the Green blocks to what ``K`` itself does, the others
+one load at a time, to pin the stacked solver's control flow and sums.
 """
 
 import numpy as np
@@ -237,6 +238,36 @@ def reference_rhs(rho_values, c0, eps_bar, lengths=(1.0, 1.0)):
                           (3, 2, n, n))
     sig = _reference_weighted_stress(rho_values, c0, dx1 * dx2 / 2.0, eps)
     return -reference_sym_gradient_adjoint(sig, dx1, dx2)
+
+
+def eigh_green_blocks(grid, material, cutoff=1e-12):
+    """The Green operator's (n, n//2 + 1, 2, 2) blocks by LAPACK ``eigh``.
+
+    The Fourier blocks of ``K_ref`` come from the FFTs of its responses to
+    a unit impulse per displacement component, are Hermitized and
+    pseudo-inverted: eigenvalues at or below ``cutoff`` times a block's
+    largest one count as zero, and the zero-frequency block is zero.
+    """
+    from jfft.grid import ScalarField, VectorField, fft_forward
+    from jfft.operators import apply_system, make_operator
+
+    ref_op = make_operator(ScalarField.full(grid, 1.0), material)
+    n = grid.n
+    khat = np.empty((n, n // 2 + 1, 2, 2), dtype=np.complex128)
+    for beta in range(2):
+        impulse = VectorField.zeros(grid)
+        impulse.values[beta, 0, 0] = 1.0
+        response = apply_system(ref_op, impulse)
+        khat[:, :, :, beta] = np.moveaxis(fft_forward(response), 0, -1)
+    khat[0, 0] = 0.0
+    khat = 0.5 * (khat + np.conj(np.swapaxes(khat, -1, -2)))
+    eigvals, eigvecs = np.linalg.eigh(khat)
+    kept = eigvals > cutoff * np.clip(eigvals[..., -1:], 0.0, None)
+    inv_vals = np.where(kept, 1.0, 0.0) / np.where(kept, eigvals, 1.0)
+    blocks = np.einsum("...ab,...b,...cb->...ac", eigvecs, inv_vals,
+                       np.conj(eigvecs))
+    blocks[0, 0] = 0.0
+    return blocks
 
 
 def green_blocks(green):

@@ -401,12 +401,20 @@ def _save_rho_with_scalar_lengths(tmp_path):
     ("solve", {"n": 8, "geometry": {"kind": "inclusion", "p": 8,
                                     "radius_fraction": 0.7}}, None),
     ("topopt", {"n": 1, "preconditioner": "green", "max_outer": 1}, None),
+    ("topopt", {"n": 8, "preconditioner": "green", "max_outer": 1,
+                "mu_target": -0.1}, None),
+    ("topopt", {"n": 8, "preconditioner": "green", "max_outer": 1,
+                "k_target": -1}, None),
+    ("topopt", {"n": 8, "preconditioner": "green", "max_outer": 1,
+                "seed": -3}, None),
+    ("topopt", {"n": 8, "preconditioner": "green", "max_outer": -1}, None),
     ("smooth-vs-sharp", {"rho_file": "rho", "contrasts": [10.0],
                          "preconditioners": ["green"]}, _save_constant_rho),
     ("solve", {"n": 8, "geometry": {"kind": "from-file", "path": "rho"}},
      _save_rho_with_scalar_lengths),
 ], ids=["laminate-p1", "cosine-p1", "inclusion-radius", "topopt-n1",
-        "smooth-vs-sharp-constant", "from-file-lengths"])
+        "topopt-mu-target", "topopt-k-target", "topopt-seed",
+        "topopt-max-outer", "smooth-vs-sharp-constant", "from-file-lengths"])
 def test_cli_rejects_out_of_range_config(tmp_path, command, cfg, prepare):
     if prepare is not None:
         prepare(tmp_path)

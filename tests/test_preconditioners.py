@@ -13,8 +13,9 @@ from jfft.preconditioners import (Preconditioner, apply_green,
                                   build_preconditioner, green_norm2)
 from jfft.solver import pcg
 
-from oracles import (green_blocks, impulse_diagonal, probed_diagonal,
-                     reference_apply_green, vec_flat, vec_unflat)
+from oracles import (eigh_green_blocks, green_blocks, impulse_diagonal,
+                     probed_diagonal, reference_apply_green, vec_flat,
+                     vec_unflat)
 
 
 def zero_mean(values):
@@ -37,6 +38,84 @@ def test_green_blocks_hermitian_psd(solid_material):
     assert herm_defect <= 1e-13 * np.abs(blocks).max()
     eigvals = np.linalg.eigvalsh(blocks)
     assert eigvals.min() >= 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 32, 128])
+def test_green_closed_form_matches_eigh_pseudo_inverse(n, solid_material):
+    # measured at most 1.4e-16 (default material) and 2.5e-15 (lambda = 100,
+    # condition number 202) of the largest block entry
+    for material, bound in ((solid_material, 1e-15),
+                            (isotropic_material(100.0, 0.5), 1e-14)):
+        for lengths in ((1.0, 1.0), (2.0, 0.5)):
+            grid = make_grid(n, lengths)
+            expected = eigh_green_blocks(grid, material)
+            blocks = green_blocks(assemble_green(grid, material))
+            assert np.abs(blocks - expected).max() \
+                <= bound * np.abs(expected).max(), (material, lengths)
+
+
+@pytest.mark.parametrize("n, lengths", [(8, (1.0, 1.0)), (9, (1.0, 1.0)),
+                                        (32, (1.0, 1.0)), (32, (2.0, 0.5))])
+def test_green_conjugate_planes_and_positive_diagonal(n, lengths,
+                                                      solid_material):
+    green = assemble_green(make_grid(n, lengths), solid_material)
+    assert green.g21.tobytes() == np.conj(green.g12).tobytes()
+    for plane in (green.g11, green.g22):
+        assert plane[0, 0] == 0.0
+        away = np.ones(plane.shape, dtype=bool)
+        away[0, 0] = False
+        assert plane[away].min() > 0.0
+
+
+def _hermitian_blocks(lam_max, lam_min, off_diagonal_phase):
+    """Blocks ``lam_max v v^H + lam_min w w^H`` with orthonormal ``v, w``;
+    ``v`` has components of moduli 0.6 and 0.8 and the given phase."""
+    v = np.array([0.6, 0.8 * np.exp(1j * off_diagonal_phase)])
+    w = np.array([-np.conj(v[1]), np.conj(v[0])])
+    return (lam_max * np.outer(v, np.conj(v))
+            + lam_min * np.outer(w, np.conj(w)))
+
+
+def _inverted(blocks):
+    """:func:`_invert_blocks` on the planes of a stack of ``2x2`` blocks,
+    returned as a stack of blocks."""
+    g11, g22, g12 = precond_mod._invert_blocks(
+        blocks[:, 0, 0].real, blocks[:, 1, 1].real, blocks[:, 0, 1])
+    return np.stack([np.stack([g11, g12], axis=-1),
+                     np.stack([np.conj(g12), g22], axis=-1)], axis=-2)
+
+
+@pytest.mark.parametrize("case, lam_min, phase, rtol", [
+    ("full rank", 0.3, 0.7, 1e-15),
+    ("rank one, real off-diagonal", 0.0, 0.0, 1e-15),
+    ("rank one, complex off-diagonal", 0.0, 2.1, 1e-15),
+    ("smaller eigenvalue at 1e-13", 1e-13, 0.7, 1e-15),
+    # kept: an inverse of condition 1e11, accurate to about eps * 1e11
+    ("smaller eigenvalue at 1e-11", 1e-11, 0.7, 1e-4),
+    ("zero", None, 0.0, 0.0),
+])
+def test_invert_blocks_matches_pinv(case, lam_min, phase, rtol):
+    scales = np.array([1.0, 3.5e-4, 2.0e6])
+    blocks = (np.zeros((3, 2, 2), dtype=np.complex128) if lam_min is None
+              else np.stack([s * _hermitian_blocks(1.0, lam_min, phase)
+                             for s in scales]))
+    got = _inverted(blocks)
+    expected = np.linalg.pinv(blocks, rcond=precond_mod._EIG_CUTOFF,
+                              hermitian=True)
+    for j in range(3):
+        assert np.abs(got[j] - expected[j]).max() \
+            <= rtol * np.abs(expected[j]).max(), (case, scales[j])
+
+
+def test_invert_blocks_keeps_positive_eigenvalues_only():
+    # eigh semantics, which pinv does not share: an eigenvalue at or below
+    # zero is dropped whatever its modulus, so an indefinite block is
+    # inverted on the range of its positive eigenvalue and a negative
+    # definite block maps to zero
+    got = _inverted(np.stack([_hermitian_blocks(2.0, -0.5, 0.7),
+                              _hermitian_blocks(-1.0, -2.0, 0.7)]))
+    assert np.abs(got[0] - _hermitian_blocks(0.5, 0.0, 0.7)).max() <= 1e-15
+    assert not got[1].any()
 
 
 @pytest.mark.parametrize("n", [8, 16])
