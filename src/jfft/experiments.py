@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -341,6 +342,8 @@ def _run_sweep(family: str, cfg: dict, out_dir: Path, workers: int) -> list[dict
              for p in p_values
              for n in n_values
              if n % p == 0]
+    # the pool forks all its workers at the first submit
+    workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))

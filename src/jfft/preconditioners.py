@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (Grid, ScalarField, VectorField, fft_forward, fft_inverse,
-                   spectral_shape)
+from .grid import (Grid, ScalarField, VectorField, dot, fft_forward,
+                   fft_inverse, spectral_shape)
 from .material import MaterialModel
 from .operators import SystemOperator, apply_system, make_operator
 
@@ -186,21 +186,17 @@ def _half_spectrum_dot(a: np.ndarray, b: np.ndarray, n: int) -> float:
     field, from the half-spectrum planes ``a`` and ``b``: interior columns
     stand for themselves and their mirror images, the k2 = 0 column and,
     for even ``n``, the Nyquist column only for themselves."""
-    # Re(conj(a) b) is the real dot product of the (re, im) float views.
-    # einsum sums it without BLAS: on a 2-core virtual machine OpenBLAS
-    # 0.3.31 threads its dot above 10,000 entries, and such calls stalled
-    # for about 8 ms each, against 10-180 us for this sum at n = 128-512
-    total = (2.0 * np.einsum("ij,ij->", a.view(np.float64), b.view(np.float64))
-             - np.vdot(a[:, 0], b[:, 0]).real)
-    if n % 2 == 0:
-        total -= np.vdot(a[:, -1], b[:, -1]).real
-    return float(total)
+    # Re(conj(a) b) summed as the real product of the (re, im) float views,
+    # whose first and last two columns are the k2 = 0 and Nyquist columns
+    a, b = a.view(np.float64), b.view(np.float64)
+    total = 2.0 * dot(a, b) - dot(a[:, :2], b[:, :2])
+    return total - dot(a[:, -2:], b[:, -2:]) if n % 2 == 0 else total
 
 
 def green_norm2(green: GreenOperator, r: VectorField) -> float | list[float]:
     """``<r, G r>`` by Parseval's identity: one forward FFT of ``r`` and
     the Hermitian form of the blocks over the half-spectrum, divided by
-    ``n^2``.  Agrees with ``vdot(r, apply_green(green, r))`` to rounding
+    ``n^2``.  Agrees with ``dot(r, apply_green(green, r))`` to rounding
     without the inverse FFT.
 
     A float for one field; for a stack, a list with one value per load,
@@ -217,9 +213,8 @@ def green_norm2(green: GreenOperator, r: VectorField) -> float | list[float]:
     _block_row(green.g11, green.g12, spectrum, z[0], z[1])
     totals = [_half_spectrum_dot(s, g, n) for s, g in zip(s1, row)]
     _block_row(green.g21, green.g22, spectrum, z[0], z[1])
-    totals = [total + _half_spectrum_dot(s, g, n)
+    totals = [(total + _half_spectrum_dot(s, g, n)) / n ** 2
               for total, s, g in zip(totals, s2, row)]
-    totals = [total / n ** 2 for total in totals]
     return totals[0] if spectrum.ndim == 3 else totals
 
 

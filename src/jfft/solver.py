@@ -20,11 +20,8 @@ a load that meets the tolerance, at k = 0 or after any update, or reaches
 the iteration cap is frozen, its solution stored, and it leaves the stack;
 the others go on.  Per iteration the active loads share one application of
 K and one of the preconditioner, which are elementwise and FFT layers and
-give each load bitwise the values it would get alone.  Reductions are not:
-a stacked sum (``einsum`` over the load axis, for one) adds in another
-order and differs in the last bits from the one-load sum at n >= 128, which
-can move a count.  So every dot product is taken per load with the
-one-load call, ``np.vdot`` on the load's own contiguous planes, and each
+give each load bitwise the values it would get alone.  Every dot product
+is :func:`~jfft.grid.dot` on one load's own contiguous planes, so each
 load's count, history and solution equal its solo solve bit for bit.
 :func:`pcg` is a stack of one.
 """
@@ -37,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, ScalarField, VectorField
+from .grid import Grid, ScalarField, VectorField, dot
 from .material import MaterialModel
 from .operators import (SystemOperator, apply_system, assemble_rhs,
                         make_operator)
@@ -84,9 +81,8 @@ def _checked(values: list[float], what: str) -> list[float]:
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> list[float]:
-    """``np.vdot`` of each load's ``(2, n, n)`` planes, as in a one-load
-    solve."""
-    return [float(np.vdot(x, y)) for x, y in zip(a, b)]
+    """:func:`~jfft.grid.dot` of each load's ``(2, n, n)`` planes."""
+    return [dot(x, y) for x, y in zip(a, b)]
 
 
 def _as_field(grid: Grid, rows: np.ndarray) -> VectorField:

@@ -14,11 +14,13 @@ one stacked PCG, and records the inner PCG iteration counts.
 from __future__ import annotations
 
 import logging
+import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import MANDEL_DIM, Grid, ScalarField, make_grid
+from .grid import MANDEL_DIM, Grid, ScalarField, dot, make_grid
 from .material import MaterialModel, isotropic_material
 from .operators import (SystemOperator, assemble_rhs, make_operator,
                         total_strain)
@@ -251,26 +253,20 @@ def _measured_counts(problem: TopOptProblem, rho: np.ndarray,
             for kind in kinds}
 
 
-def _two_loop_direction(grad: np.ndarray, s_hist, y_hist) -> np.ndarray:
-    """Standard L-BFGS two-loop recursion for the descent direction."""
+def _two_loop_direction(grad: np.ndarray, memory) -> np.ndarray:
+    """Standard L-BFGS two-loop recursion for the descent direction, from
+    the stored ``(s, y, 1 / <s, y>)`` curvature pairs, oldest first."""
     q = grad.copy()
     alphas = []
-    for s, y, rho_sy in reversed(list(zip(s_hist, y_hist, _rhos(s_hist, y_hist)))):
-        a = rho_sy * np.vdot(s, q)
-        alphas.append(a)
-        q -= a * y
-    if s_hist:
-        s, y = s_hist[-1], y_hist[-1]
-        q *= np.vdot(s, y) / np.vdot(y, y)
-    for (s, y, rho_sy), a in zip(zip(s_hist, y_hist, _rhos(s_hist, y_hist)),
-                                 reversed(alphas)):
-        b = rho_sy * np.vdot(y, q)
-        q += (a - b) * s
+    for s, y, rho_sy in reversed(memory):
+        alphas.append(rho_sy * dot(s, q))
+        q -= alphas[-1] * y
+    if memory:
+        s, y, _ = memory[-1]
+        q *= dot(s, y) / dot(y, y)
+    for (s, y, rho_sy), a in zip(memory, reversed(alphas)):
+        q += (a - rho_sy * dot(y, q)) * s
     return -q
-
-
-def _rhos(s_hist, y_hist):
-    return [1.0 / np.vdot(s, y) for s, y in zip(s_hist, y_hist)]
 
 
 _ARMIJO_C1 = 1e-4
@@ -281,7 +277,8 @@ def _backtrack(problem: TopOptProblem, x: np.ndarray, ev: Evaluation,
                direction: np.ndarray, slope: float, first: bool):
     """Halving Armijo line search; returns (trial point, evaluation) or
     (None, None) when no acceptable step remains."""
-    step = 1.0 / max(1.0, float(np.linalg.norm(ev.gradient))) if first else 1.0
+    step = (1.0 / max(1.0, math.sqrt(dot(ev.gradient, ev.gradient)))
+            if first else 1.0)
     while step >= _MIN_STEP:
         trial = x + step * direction
         candidate = evaluate(problem, trial)
@@ -327,28 +324,26 @@ def lbfgs_minimize(cfg: TopOptConfig, callback=None,
     if callback is not None:
         callback(0, ScalarField(problem.grid, x.copy()))
 
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
+    memory: deque = deque(maxlen=cfg.lbfgs_memory)
     history.status = "max-outer"
     for outer in range(1, cfg.max_outer + 1):
-        direction = _two_loop_direction(ev.gradient, s_hist, y_hist)
-        slope = float(np.vdot(direction, ev.gradient))
+        direction = _two_loop_direction(ev.gradient, memory)
+        slope = dot(direction, ev.gradient)
         if slope >= 0.0:
             direction = -ev.gradient
-            slope = -float(np.vdot(ev.gradient, ev.gradient))
+            slope = -dot(ev.gradient, ev.gradient)
         if slope == 0.0:
             history.status = "stationary"
             break
 
         trial, ev_new = _backtrack(problem, x, ev, direction, slope,
-                                   first=not s_hist)
-        if ev_new is None and s_hist:
+                                   first=not memory)
+        if ev_new is None and memory:
             # quasi-Newton direction unusable; drop the memory and retry
             # along steepest descent before giving up
-            s_hist.clear()
-            y_hist.clear()
+            memory.clear()
             direction = -ev.gradient
-            slope = float(np.vdot(direction, ev.gradient))
+            slope = dot(direction, ev.gradient)
             trial, ev_new = _backtrack(problem, x, ev, direction, slope,
                                        first=True)
         if ev_new is None:
@@ -357,13 +352,9 @@ def lbfgs_minimize(cfg: TopOptConfig, callback=None,
 
         s = trial - x
         y = ev_new.gradient - ev.gradient
-        sy = float(np.vdot(s, y))
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            s_hist.append(s)
-            y_hist.append(y)
-            if len(s_hist) > cfg.lbfgs_memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
+        sy = dot(s, y)
+        if sy > 1e-12 * math.sqrt(dot(s, s)) * math.sqrt(dot(y, y)):
+            memory.append((s, y, 1.0 / sy))
 
         decrease = ev.value - ev_new.value
         x = trial

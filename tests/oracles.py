@@ -10,6 +10,8 @@ Jacobi diagonal and the Green blocks to what ``K`` itself does, the others
 one load at a time, to pin the stacked solver's control flow and sums.
 """
 
+import math
+
 import numpy as np
 
 SQRT2 = np.sqrt(2.0)
@@ -166,6 +168,14 @@ def probed_diagonal(op):
     return diag
 
 
+def fsum_dot(a, b):
+    """Correctly rounded sum of the products of two real arrays: each
+    product is a double, and ``math.fsum`` adds them without rounding
+    error, so only the products themselves are rounded."""
+    return math.fsum((np.asarray(a, dtype=float).ravel()
+                      * np.asarray(b, dtype=float).ravel()).tolist())
+
+
 def dft2_direct(a):
     """O(n^4) direct DFT of an (n, n) array, numpy forward convention."""
     n = a.shape[0]
@@ -294,7 +304,7 @@ def reference_pcg(op, rhs, preconditioner, green, eta=1e-6, max_iter=999):
     """One-load Green-norm PCG from the zero guess, as a plain loop over the
     production layers; returns (iterations, history, terminated, solution
     values)."""
-    from jfft.grid import VectorField
+    from jfft.grid import VectorField, dot
     from jfft.operators import apply_system
     from jfft.preconditioners import green_norm2
     from jfft.solver import SolverAbortError
@@ -307,7 +317,7 @@ def reference_pcg(op, rhs, preconditioner, green, eta=1e-6, max_iter=999):
         return value
 
     def green_norm(r, z):
-        return checked(float(np.vdot(r.values, z.values)) if reuse_green
+        return checked(dot(r.values, z.values) if reuse_green
                        else green_norm2(green, r))
 
     x = np.zeros_like(rhs.values)
@@ -316,12 +326,12 @@ def reference_pcg(op, rhs, preconditioner, green, eta=1e-6, max_iter=999):
     history = [green_norm(r, z)]
     if history[-1] <= eta:
         return 0, history, "converged", x
-    rz = checked(float(np.vdot(r.values, z.values)))
+    rz = checked(dot(r.values, z.values))
     p = z.values.copy()
     iterations, terminated = 0, "iteration-cap"
     while iterations < max_iter:
         kp = apply_system(op, VectorField(rhs.grid, p)).values
-        curvature = checked(float(np.vdot(p, kp)))
+        curvature = checked(dot(p, kp))
         if curvature <= 0.0:
             raise SolverAbortError("non-positive curvature in reference PCG")
         alpha = rz / curvature
@@ -333,7 +343,7 @@ def reference_pcg(op, rhs, preconditioner, green, eta=1e-6, max_iter=999):
         if history[-1] <= eta:
             terminated = "converged"
             break
-        rz_new = checked(float(np.vdot(r.values, z.values)))
+        rz_new = checked(dot(r.values, z.values))
         p *= rz_new / rz
         p += z.values
         rz = rz_new

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import jfft.experiments
 from jfft import microstructures as micro
 from jfft.cli import main
 from jfft.experiments import (ConfigError, build_geometry, load_config,
@@ -315,6 +316,41 @@ def test_cli_laminate_sweep_with_threads(tmp_path):
                  "--out", str(tmp_path / "out"), "--threads", "2"])
     assert code == 0
     assert (tmp_path / "out" / "iterations.csv").exists()
+
+
+class RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: records the requested worker
+    count and maps in this process, so no process is started."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, cells):
+        return map(fn, cells)
+
+
+@pytest.mark.parametrize("threads, cores, workers", [
+    (100_000, 64, [2]), (100_000, 1, []), (2, 64, [2]), (1, 64, [])])
+def test_sweep_workers_bounded_by_cells_and_cores(tmp_path, monkeypatch,
+                                                  threads, cores, workers):
+    monkeypatch.setattr(jfft.experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(jfft.experiments.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(RecordingPool, "requested", [])
+    cfg = {"p_values": [4], "n_values": [4, 8], "contrasts": [10.0],
+           "preconditioners": ["green"]}
+    rows = run_laminate_sweep(cfg, tmp_path / "out", workers=threads)
+    assert RecordingPool.requested == workers
+    serial = run_laminate_sweep(cfg, tmp_path / "serial", workers=1)
+    assert ([row["iterations"] for row in rows]
+            == [row["iterations"] for row in serial])
 
 
 def test_cli_rejects_bad_threads(tmp_path):

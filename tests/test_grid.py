@@ -3,12 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from jfft.grid import (QuadField, ScalarField, VectorField, fft_forward,
+from jfft import microstructures as micro
+from jfft.grid import (QuadField, ScalarField, VectorField, dot, fft_forward,
                        fft_inverse, load_field, make_grid, save_field,
                        spectral_shape)
-from jfft.preconditioners import apply_green, assemble_green
+from jfft.operators import apply_system, assemble_rhs, make_operator
+from jfft.preconditioners import (apply_green, assemble_green,
+                                  build_preconditioner)
 
-from oracles import dft2_direct
+from oracles import dft2_direct, fsum_dot
 
 
 def test_grid_counts():
@@ -113,6 +116,31 @@ def test_fft_single_cosine_mode_matches_direct_dft():
     # stored half-spectrum agrees with the direct summation
     assert np.abs(spec[0] - full[:, :5]).max() <= 1e-9
     assert abs(spec[0][2, 0] - 32.0) <= 1e-9
+
+
+#: Largest error of ``dot`` against the fsum oracle, relative to the sum of
+#: the absolute products, on the fields below: measured at most 4.3e-14
+#: (n = 128, ``<r, r>``); the worst case for a recursive sum of N = 2 n^2
+#: terms is about N * 1.1e-16, 2e-13 at n = 32.
+DOT_BOUND = 1e-13
+
+
+@pytest.mark.parametrize("n", [32, 128, 512])
+def test_dot_matches_fsum_oracle_on_sweep_fields(n, solid_material):
+    # the first residual of a sweep cell and its three preconditioned forms
+    rho = micro.refine_to_grid(micro.laminate_density(16, 1e4), n)
+    op = make_operator(rho, solid_material)
+    green = assemble_green(op.grid, solid_material)
+    r = assemble_rhs(op, np.ones(3)).values
+    pairs = [(r, r)]
+    for kind in ("green", "jacobi", "green-jacobi"):
+        z = build_preconditioner(kind, op, green).apply(VectorField(op.grid, r))
+        pairs += [(r, z.values), (z.values, apply_system(op, z).values)]
+    for a, b in pairs:
+        exact, scale = fsum_dot(a, b), fsum_dot(np.abs(a), np.abs(b))
+        # contiguous planes, and a strided view as in the column corrections
+        for x, y in ((a, b), (a[:, ::-1], b[:, ::-1])):
+            assert abs(dot(x, y) - exact) <= DOT_BOUND * scale
 
 
 @pytest.mark.parametrize("make", [

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -205,3 +211,50 @@ def test_stack_nan_in_one_load_aborts(solid_material):
         pcg_stack(op, rhs, pre, green)
     with pytest.raises(ValueError, match="stack"):
         pcg_stack(op, assemble_rhs(op, loads[0]), pre, green)
+
+
+# one process per BLAS thread count: OpenBLAS reads the variable at load time
+_THREADS_CHILD = """
+import hashlib, json
+import numpy as np
+from jfft import microstructures as micro
+from jfft.grid import dot
+from jfft.material import isotropic_material
+from jfft.solver import solve_cell
+from jfft.topopt import _two_loop_direction
+
+rho = micro.refine_to_grid(micro.laminate_density(16, 1e4), 128)
+report = solve_cell(rho, np.ones(3), "jacobi", isotropic_material(2 / 3, 0.5))
+rng = np.random.default_rng(7)
+memory = []
+for _ in range(10):
+    s = rng.standard_normal((128, 128))
+    y = s + 0.5 * rng.standard_normal((128, 128))
+    memory.append((s, y, 1.0 / dot(s, y)))
+direction = _two_loop_direction(rng.standard_normal((128, 128)), memory)
+print(json.dumps({
+    "iterations": report.iterations,
+    "history": [value.hex() for value in report.residual_history],
+    "solution": hashlib.sha256(report.solution.values.tobytes()).hexdigest(),
+    "direction": hashlib.sha256(direction.tobytes()).hexdigest(),
+}))
+"""
+
+
+def test_counts_and_iterates_independent_of_blas_threads():
+    # fields of 2 * 128^2 entries, where OpenBLAS would thread a dot
+    src = Path(__file__).resolve().parents[1] / "src"
+    results = []
+    for threads in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", _THREADS_CHILD], capture_output=True,
+            text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "OPENBLAS_NUM_THREADS": threads})
+        assert out.returncode == 0, out.stderr
+        results.append(json.loads(out.stdout))
+    one, two = results
+    assert one["iterations"] == two["iterations"]
+    assert one["history"] == two["history"]
+    assert one["solution"] == two["solution"]
+    assert one["direction"] == two["direction"]

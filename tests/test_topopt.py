@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import jfft.topopt
-from jfft.grid import ScalarField, make_grid
+from jfft.grid import ScalarField, dot, make_grid
 from jfft.topopt import (DENSITY_FLOOR, TopOptConfig, evaluate, lbfgs_minimize,
                          make_problem, target_stiffness, target_stress,
-                         _measured_counts, _phase_field_parts)
+                         _measured_counts, _phase_field_parts,
+                         _two_loop_direction)
 
 from oracles import (dense_average_stress, dense_equilibrium,
                      reference_solve_load_cases)
@@ -160,6 +161,34 @@ def test_phase_field_nonnegative_and_zero_on_pure_phases():
     rng = np.random.default_rng(5)
     f, _ = _phase_field_parts(cfg, grid, rng.uniform(0, 1, (8, 8)))
     assert f > 0.0
+
+
+def reference_two_loop(grad, s_hist, y_hist):
+    """The two-loop recursion with each curvature ``1 / <s, y>`` taken
+    afresh in both loops."""
+    q = grad.copy()
+    alphas = []
+    for s, y in reversed(list(zip(s_hist, y_hist))):
+        alphas.append((1.0 / dot(s, y)) * dot(s, q))
+        q -= alphas[-1] * y
+    q *= dot(s_hist[-1], y_hist[-1]) / dot(y_hist[-1], y_hist[-1])
+    for s, y, a in zip(s_hist, y_hist, reversed(alphas)):
+        q += (a - (1.0 / dot(s, y)) * dot(y, q)) * s
+    return -q
+
+
+def test_two_loop_direction_bitwise_equal_reference():
+    rng = np.random.default_rng(11)
+    s_hist = [rng.standard_normal((16, 16)) for _ in range(4)]
+    y_hist = [s + 0.3 * rng.standard_normal((16, 16)) for s in s_hist]
+    memory = [(s, y, 1.0 / dot(s, y)) for s, y in zip(s_hist, y_hist)]
+    grad = rng.standard_normal((16, 16))
+    direction = _two_loop_direction(grad, memory)
+    assert np.array_equal(direction, reference_two_loop(grad, s_hist, y_hist))
+    # the newest pair satisfies the secant equation H y = s
+    assert np.allclose(-_two_loop_direction(y_hist[-1], memory), s_hist[-1],
+                       rtol=1e-10, atol=1e-10)
+    assert np.array_equal(_two_loop_direction(grad, []), -grad)
 
 
 def test_lbfgs_objective_non_increasing():
