@@ -2,8 +2,7 @@
 on regular 2D grids, with Green, Jacobi, and Green-Jacobi preconditioned
 conjugate gradients, plus the experiment harness built on them."""
 
-from .fem import QuadratureWeights, cell_average, quadrature_weights, \
-    sym_gradient, sym_gradient_adjoint
+from .fem import cell_average, sym_gradient, sym_gradient_adjoint
 from .grid import (Grid, QuadField, ScalarField, VectorField, fft_forward,
                    fft_inverse, load_field, make_grid, save_field)
 from .material import MaterialModel, isotropic_material, stress
@@ -16,6 +15,6 @@ from .preconditioners import (GreenOperator, JacobiDiagonal, Preconditioner,
 from .solver import (CONVERGED, ITERATION_CAP, SolveReport, SolverAbortError,
                      pcg, pcg_stack, solve_cell)
 from .topopt import (OptHistory, TopOptConfig, lbfgs_minimize,
-                     target_stiffness, target_stress)
+                     target_stiffness)
 
 __version__ = "0.1.0"

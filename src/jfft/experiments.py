@@ -455,11 +455,8 @@ def _topopt_config(cfg: dict) -> tuple[TopOptConfig, int]:
 
 
 def _history_rows(history: OptHistory) -> tuple[list[str], list[dict]]:
-    kinds: list[str] = []
-    for counts in history.inner_iterations:
-        for kind in counts:
-            if kind not in kinds:
-                kinds.append(kind)
+    # every record counts the same kinds: the driving one and the measured
+    kinds = list(history.inner_iterations[0])
     columns = ["outer", "objective", "stress_part", "phase_part"]
     for kind in kinds:
         columns += [f"iters_{kind}_load{g}" for g in range(3)]
@@ -472,9 +469,8 @@ def _history_rows(history: OptHistory) -> tuple[list[str], list[dict]]:
             "phase_part": repr(history.phase_part[outer]),
         }
         for kind in kinds:
-            per_load = counts.get(kind, ["", "", ""])
             for g in range(3):
-                row[f"iters_{kind}_load{g}"] = per_load[g]
+                row[f"iters_{kind}_load{g}"] = counts[kind][g]
         rows.append(row)
     return columns, rows
 

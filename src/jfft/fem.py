@@ -9,33 +9,14 @@ diagonal into
 (indices wrap periodically).  P1 shape functions have constant gradients,
 so a single centroid quadrature point per triangle integrates the
 symmetrized gradient exactly; all quadrature weights equal half the pixel
-area.
+area, :attr:`~jfft.grid.Grid.quad_weight`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import MANDEL_DIM, SQRT2, Grid, QuadField, VectorField
-
-
-@dataclass(frozen=True)
-class QuadratureWeights:
-    """Centroid-rule weights; every quadrature point carries the same one."""
-
-    grid: Grid
-    per_point: float
-
-    @property
-    def total(self) -> float:
-        return self.per_point * self.grid.n_quad
-
-
-def quadrature_weights(grid: Grid) -> QuadratureWeights:
-    dx1, dx2 = grid.pixel_size
-    return QuadratureWeights(grid, dx1 * dx2 / 2.0)
+from .grid import MANDEL_DIM, SQRT2, QuadField, VectorField
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -178,9 +159,7 @@ def sym_gradient_adjoint(s: QuadField) -> VectorField:
     return VectorField(s.grid, f)
 
 
-def cell_average(s: QuadField, weights: QuadratureWeights) -> np.ndarray:
+def cell_average(s: QuadField) -> np.ndarray:
     """Volume average ``(1/|Y|) * sum_Q w_Q s_Q`` per Mandel component."""
-    if weights.grid != s.grid:
-        raise ValueError("quadrature weights belong to a different grid")
-    scale = weights.per_point / s.grid.cell_volume
+    scale = s.grid.quad_weight / s.grid.cell_volume
     return scale * s.values.sum(axis=(1, 2, 3))

@@ -10,7 +10,8 @@ Conventions used throughout the package:
   ``(0, j)``; no boundary layer is duplicated.
 * Every pixel is split into two triangles along its lower-left to
   upper-right diagonal, giving two quadrature points per pixel
-  (``triangle`` index 0 = lower, 1 = upper).
+  (``triangle`` index 0 = lower, 1 = upper), each of weight
+  :attr:`Grid.quad_weight`, half the pixel area.
 * Symmetric 2x2 tensors are stored as Mandel vectors ``(a11, a22,
   sqrt(2)*a12)`` so that the Euclidean dot product of two Mandel vectors
   equals the tensor double contraction.
@@ -59,12 +60,9 @@ class Grid:
         return (self.lengths[0] / self.n, self.lengths[1] / self.n)
 
     @property
-    def n_nodes(self) -> int:
-        return self.n ** 2
-
-    @property
-    def n_quad(self) -> int:
-        return 2 * self.n ** 2
+    def quad_weight(self) -> float:
+        """Weight of every quadrature point: half the pixel area."""
+        return self.pixel_size[0] * self.pixel_size[1] / 2.0
 
     @property
     def cell_volume(self) -> float:
@@ -177,7 +175,7 @@ def fft_forward(u: VectorField, out: np.ndarray | None = None) -> np.ndarray:
 
     Returns the half-spectrum of the real-to-complex layout; Hermitian
     symmetry of the full spectrum is implied.  A constant field ``c`` maps to
-    ``c * n_nodes`` at the zero frequency.  ``out``, when given, is a complex
+    ``c * n^2`` at the zero frequency.  ``out``, when given, is a complex
     array of the spectrum's shape that receives (and is) the result.  Each
     load of a stack transforms bitwise as it would alone.
     """
@@ -221,27 +219,24 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 # Field file format: JSON header + sibling raw file of little-endian doubles
 # ----------------------------------------------------------------------------
 
-_KIND_OF_TYPE = {ScalarField: "scalar", VectorField: "vector", QuadField: "quad"}
-
-
-def _raw_planes(field) -> list[np.ndarray]:
+def _kind_and_planes(field) -> tuple[str, list[np.ndarray]]:
     # Declared raw order is x1-fastest within each (n, n) plane; planes are
-    # component-major (and triangle-major within a Mandel component for quad
-    # fields).
+    # component-major.
     if isinstance(field, ScalarField):
-        return [field.values]
+        return "scalar", [field.values]
     if isinstance(field, VectorField):
-        return [field.values[a] for a in range(Grid.d)]
-    if isinstance(field, QuadField):
-        return [field.values[m, t] for m in range(MANDEL_DIM) for t in range(2)]
-    raise TypeError(f"not a field: {type(field).__name__}")
+        return "vector", [field.values[a] for a in range(Grid.d)]
+    raise TypeError(f"field files hold scalar or vector fields, not "
+                    f"{type(field).__name__}")
 
 
 def save_field(basepath, field) -> None:
-    """Write ``<basepath>.json`` (header) and ``<basepath>.raw`` (payload)."""
+    """Write ``<basepath>.json`` (header) and ``<basepath>.raw`` (payload)
+    of a scalar or vector field."""
     base = str(basepath)
+    kind, planes = _kind_and_planes(field)
     header = {
-        "kind": _KIND_OF_TYPE[type(field)],
+        "kind": kind,
         "d": Grid.d,
         "n": field.grid.n,
         "lengths": list(field.grid.lengths),
@@ -251,7 +246,7 @@ def save_field(basepath, field) -> None:
     with open(base + ".json", "w") as fh:
         json.dump(header, fh, indent=2)
         fh.write("\n")
-    payload = np.concatenate([p.ravel(order="F") for p in _raw_planes(field)])
+    payload = np.concatenate([p.ravel(order="F") for p in planes])
     payload.astype("<f8").tofile(base + ".raw")
 
 
@@ -289,7 +284,7 @@ def load_field(basepath):
     grid = make_grid(n, tuple(lengths))
     raw = np.fromfile(base + ".raw", dtype="<f8")
     kind = header["kind"]
-    planes_of_kind = {"scalar": 1, "vector": Grid.d, "quad": MANDEL_DIM * 2}
+    planes_of_kind = {"scalar": 1, "vector": Grid.d}
     if not isinstance(kind, str) or kind not in planes_of_kind:
         raise ValueError(f"unknown field kind {kind!r}")
     shape_planes = planes_of_kind[kind]
@@ -301,7 +296,4 @@ def load_field(basepath):
               for k in range(shape_planes)]
     if kind == "scalar":
         return ScalarField(grid, planes[0])
-    if kind == "vector":
-        return VectorField(grid, np.stack(planes))
-    values = np.stack(planes).reshape(MANDEL_DIM, 2, n, n)
-    return QuadField(grid, values)
+    return VectorField(grid, np.stack(planes))

@@ -18,8 +18,7 @@ def _sample_coords(p: int) -> tuple[np.ndarray, np.ndarray]:
     return np.meshgrid(x, x, indexing="ij")
 
 
-def laminate_density(p: int, chi_tot: float,
-                     lengths: tuple[float, float] = (1.0, 1.0)) -> ScalarField:
+def laminate_density(p: int, chi_tot: float) -> ScalarField:
     """Linearly graded laminate, ``chi_tot`` at x1 = 0 down to 1 at the last
     sampling point ``x1 = 1 - 1/p``."""
     chi = float(chi_tot)
@@ -27,15 +26,14 @@ def laminate_density(p: int, chi_tot: float,
         raise ValueError("the laminate profile is undefined for infinite contrast")
     if chi < 1.0:
         raise ValueError(f"total phase contrast must be >= 1, got {chi}")
-    grid = make_grid(p, lengths)
+    grid = make_grid(p)
     x1, _ = _sample_coords(p)
     dx1 = 1.0 / p
     rho = chi + (1.0 - chi) / (1.0 - dx1) * x1
     return ScalarField(grid, rho)
 
 
-def cosine_density(p: int, chi_tot: float,
-                   lengths: tuple[float, float] = (1.0, 1.0)) -> ScalarField:
+def cosine_density(p: int, chi_tot: float) -> ScalarField:
     """Smooth periodic two-cosine pattern lifted by ``1/chi_tot``.
 
     Infinite contrast is allowed and produces exact voids (density zero).
@@ -44,7 +42,7 @@ def cosine_density(p: int, chi_tot: float,
     if chi < 1.0:
         raise ValueError(f"total phase contrast must be >= 1, got {chi}")
     offset = 0.0 if np.isinf(chi) else 1.0 / chi
-    grid = make_grid(p, lengths)
+    grid = make_grid(p)
     x1, x2 = _sample_coords(p)
     rho = (0.5 + 0.25 * (np.cos(2.0 * np.pi * (x1 - x2))
                          + np.cos(2.0 * np.pi * (x2 + x1))) + offset)
@@ -55,15 +53,14 @@ def cosine_density(p: int, chi_tot: float,
 
 
 def inclusion_density(p: int, rho_soft: float = 1e-4,
-                      radius_fraction: float = 0.25,
-                      lengths: tuple[float, float] = (1.0, 1.0)) -> ScalarField:
+                      radius_fraction: float = 0.25) -> ScalarField:
     """Compliant circular inclusion of density ``rho_soft`` centered in a
     stiff matrix of density one."""
     if not 0.0 < radius_fraction < 0.5:
         raise ValueError(f"radius fraction must be in (0, 0.5), got {radius_fraction}")
     if rho_soft < 0.0:
         raise ValueError("negative soft-phase density")
-    grid = make_grid(p, lengths)
+    grid = make_grid(p)
     x1, x2 = _sample_coords(p)
     inside = (x1 - 0.5) ** 2 + (x2 - 0.5) ** 2 < radius_fraction ** 2
     rho = np.where(inside, float(rho_soft), 1.0)

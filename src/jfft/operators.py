@@ -15,7 +15,7 @@ from .material import MaterialModel, stiffness_product_into, stress
 @dataclass(frozen=True)
 class SystemOperator:
     """Bundles everything needed to apply the stiffness action of one cell
-    problem: grid, pixel densities, base material, quadrature weights.
+    problem: grid, pixel densities and base material.
 
     The operator is symmetric positive semi-definite with the two rigid
     translations as its null space; it is never assembled as a matrix.  It
@@ -30,20 +30,19 @@ class SystemOperator:
     grid: Grid
     density: ScalarField
     material: MaterialModel
-    weights: fem.QuadratureWeights
     _factor: np.ndarray = field(init=False, repr=False, compare=False)
     _strain: np.ndarray = field(init=False, repr=False, compare=False)
     _planes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.density.grid != self.grid or self.weights.grid != self.grid:
-            raise ValueError("density/weights grid mismatch")
+        if self.density.grid != self.grid:
+            raise ValueError("density grid mismatch")
         if not np.all(np.isfinite(self.density.values)):
             raise ValueError("non-finite density")
         if np.any(self.density.values < 0.0):
             raise ValueError("negative density")
         object.__setattr__(self, "_factor",
-                           self.weights.per_point * self.density.values)
+                           self.grid.quad_weight * self.density.values)
         _grow_workspace(self, 1)
 
 
@@ -66,8 +65,7 @@ def _workspace(op: SystemOperator, lead: tuple[int, ...]):
 
 
 def make_operator(density: ScalarField, material: MaterialModel) -> SystemOperator:
-    grid = density.grid
-    return SystemOperator(grid, density, material, fem.quadrature_weights(grid))
+    return SystemOperator(density.grid, density, material)
 
 
 def _weighted_stress_adjoint(op: SystemOperator, sig: np.ndarray,
@@ -84,7 +82,7 @@ def _weighted_stress_adjoint(op: SystemOperator, sig: np.ndarray,
 
 
 def apply_system(op: SystemOperator, u: VectorField) -> VectorField:
-    """Apply ``K(rho) u`` element by element, cost O(n_nodes).  A stack
+    """Apply ``K(rho) u`` element by element, cost O(n^2).  A stack
     ``u`` gives the stack of products, each bitwise equal to its load's
     product alone."""
     if u.grid != op.grid:
@@ -114,7 +112,7 @@ def assemble_rhs(op: SystemOperator, eps_bar) -> VectorField:
     return VectorField(op.grid, f)
 
 
-def total_strain(op: SystemOperator, u: VectorField, eps_bar) -> QuadField:
+def total_strain(u: VectorField, eps_bar) -> QuadField:
     """Macroscopic strain plus the fluctuation gradient, at quadrature points."""
     eps = fem.sym_gradient(u)
     eps.values += np.asarray(eps_bar, dtype=np.float64)[:, None, None, None]
@@ -123,5 +121,5 @@ def total_strain(op: SystemOperator, u: VectorField, eps_bar) -> QuadField:
 
 def homogenized_stress(op: SystemOperator, u: VectorField, eps_bar) -> np.ndarray:
     """Volume-averaged stress of the equilibrated cell, a Mandel vector."""
-    sig = stress(op.density, op.material, total_strain(op, u, eps_bar))
-    return fem.cell_average(sig, op.weights)
+    sig = stress(op.density, op.material, total_strain(u, eps_bar))
+    return fem.cell_average(sig)

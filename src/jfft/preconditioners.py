@@ -48,7 +48,6 @@ class GreenOperator:
     g12: np.ndarray
     g21: np.ndarray
     g22: np.ndarray
-    material_ref: MaterialModel
     _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
     _scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -118,7 +117,7 @@ def assemble_green(grid: Grid, material_ref: MaterialModel) -> GreenOperator:
     # up to the rounding of the column sums, and maps to zero
     a[0, 0] = d[0, 0] = b[0, 0] = 0.0
     g11, g22, g12 = _invert_blocks(a, d, b)
-    return GreenOperator(grid, g11, g12, np.conj(g12), g22, material_ref)
+    return GreenOperator(grid, g11, g12, np.conj(g12), g22)
 
 
 def _invert_blocks(a: np.ndarray, d: np.ndarray, b: np.ndarray):
@@ -169,7 +168,7 @@ def apply_green(green: GreenOperator, r: VectorField) -> VectorField:
     """Apply the Green operator: inverse FFT of block times forward FFT.
 
     Symmetric positive semi-definite; the output has zero mean per
-    component.  Cost O(n_nodes log n_nodes).  A stack ``r`` gives the stack
+    component.  Cost O(n^2 log n).  A stack ``r`` gives the stack
     of results, each bitwise equal to its load's result alone.
     """
     if r.grid != green.grid:
@@ -236,7 +235,7 @@ def assemble_jacobi(op: SystemOperator) -> JacobiDiagonal:
     grid = op.grid
     h1, h2 = grid.pixel_size
     c = op.material.stiffness
-    w = op.weights.per_point
+    w = grid.quad_weight
     rho = op.density.values
     # S into diag[0], with diag[1] as scratch; one temporary plane at a time
     diag = np.empty((Grid.d,) + rho.shape)

@@ -87,7 +87,11 @@ def _dots(a: np.ndarray, b: np.ndarray) -> list[float]:
 
 def _as_field(grid: Grid, rows: np.ndarray) -> VectorField:
     """The active rows as the layers' input: one load as a plain field,
-    whose ``(n, n)`` planes cost the fewest NumPy calls, more as a stack."""
+    more as a stack.  The layers make the same NumPy calls on either form;
+    per Green and Green-Jacobi iteration on a cosine cell the plain field
+    measured about 4% faster at n = 32 and equal within noise at n = 128
+    and 512 (10 alternating pairs, 2-core virtual machine).  On a plain
+    field :func:`green_norm2` returns a float, which the loop wraps."""
     return VectorField(grid, rows[0] if len(rows) == 1 else rows)
 
 

@@ -22,8 +22,7 @@ import numpy as np
 
 from .grid import MANDEL_DIM, Grid, ScalarField, dot, make_grid
 from .material import MaterialModel, isotropic_material
-from .operators import (SystemOperator, assemble_rhs, make_operator,
-                        total_strain)
+from .operators import SystemOperator, assemble_rhs, make_operator, total_strain
 from .preconditioners import GreenOperator, assemble_green, build_preconditioner
 from .solver import (CONVERGED, DEFAULT_ETA_CG, DEFAULT_LAMBDA0,
                      DEFAULT_MAX_ITER, DEFAULT_MU0, SolveReport,
@@ -57,7 +56,6 @@ class TopOptConfig:
     measure: tuple[str, ...] = ()
     eta_cg: float = DEFAULT_ETA_CG
     max_iter: int = DEFAULT_MAX_ITER
-    lengths: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         if self.n < 2:
@@ -93,11 +91,6 @@ def target_stiffness(k_target: float, mu_target: float) -> MaterialModel:
     return isotropic_material(k_target - 2.0 * mu_target / 3.0, mu_target)
 
 
-def target_stress(k_target: float, mu_target: float, eps_bar) -> np.ndarray:
-    """Target homogenized stress for one macroscopic load."""
-    return target_stiffness(k_target, mu_target).stiffness @ np.asarray(eps_bar)
-
-
 @dataclass(frozen=True)
 class TopOptProblem:
     cfg: TopOptConfig
@@ -108,7 +101,7 @@ class TopOptProblem:
 
 
 def make_problem(cfg: TopOptConfig) -> TopOptProblem:
-    grid = make_grid(cfg.n, cfg.lengths)
+    grid = make_grid(cfg.n)
     material = isotropic_material(cfg.lambda0, cfg.mu0)
     green = assemble_green(grid, material)
     c_target = target_stiffness(cfg.k_target, cfg.mu_target).stiffness
@@ -138,19 +131,14 @@ def _solve_load_cases(problem: TopOptProblem, rho: ScalarField,
                       preconditioner: str):
     """Equilibrate the three canonical loads from the zero initial guess.
 
-    Returns the per-load total strains (3, 3, 2, n, n), the homogenized
-    stress matrix (3, 3), and PCG iteration counts.  The stresses come from
-    the energy bilinear form of the load strains, which agrees with the
-    plain stress average at exact solutions but is quadratically (instead
-    of linearly) accurate in the iterative solution error, so the line
-    search of the optimizer is not poisoned by solver noise.
+    Returns the per-load total strains (3, 3, 2, n, n) and the PCG
+    iteration counts.
     """
     op = make_operator(rho, problem.material)
     reports = _solve_loads(problem, op, preconditioner)
-    strains = np.stack([total_strain(op, report.solution, load).values
+    strains = np.stack([total_strain(report.solution, load).values
                         for report, load in zip(reports, _LOADS)])
-    sigma_bar = _stress_matrix(problem, strains, rho.values)
-    return strains, sigma_bar, [report.iterations for report in reports]
+    return strains, [report.iterations for report in reports]
 
 
 def _strain_pairings(problem: TopOptProblem, strains: np.ndarray) -> np.ndarray:
@@ -159,11 +147,14 @@ def _strain_pairings(problem: TopOptProblem, strains: np.ndarray) -> np.ndarray:
     return np.einsum("cmtij,gmtij->gcij", strains, c_eps)
 
 
-def _stress_matrix(problem: TopOptProblem, strains: np.ndarray,
+def _stress_matrix(problem: TopOptProblem, pairings: np.ndarray,
                    rho: np.ndarray) -> np.ndarray:
-    weight = problem.grid.pixel_size[0] * problem.grid.pixel_size[1] / 2.0
-    pairings = _strain_pairings(problem, strains)
-    return (weight / problem.grid.cell_volume) * np.einsum(
+    """Homogenized stress matrix (3, 3) from the pairings of the load
+    strains.  The energy bilinear form agrees with the plain stress average
+    at exact solutions but is quadratically (instead of linearly) accurate
+    in the iterative solution error, so the line search of the optimizer is
+    not poisoned by solver noise."""
+    return (problem.grid.quad_weight / problem.grid.cell_volume) * np.einsum(
         "gcij,ij->gc", pairings, rho)
 
 
@@ -203,7 +194,7 @@ def _clamped_density(problem: TopOptProblem, rho: np.ndarray) -> ScalarField:
     return ScalarField(problem.grid, np.maximum(rho, DENSITY_FLOOR))
 
 
-def _stress_gradient(problem: TopOptProblem, strains: np.ndarray,
+def _stress_gradient(problem: TopOptProblem, pairings: np.ndarray,
                      mismatch: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Exact derivative of the stress mismatch part at one density iterate.
 
@@ -213,16 +204,13 @@ def _stress_gradient(problem: TopOptProblem, strains: np.ndarray,
     the solve floor contribute nothing: the evaluated objective is constant
     in them.
     """
-    weight = problem.grid.pixel_size[0] * problem.grid.pixel_size[1] / 2.0
-    scale = 2.0 * weight / problem.grid.cell_volume
-    pairings = _strain_pairings(problem, strains)
+    scale = 2.0 * problem.grid.quad_weight / problem.grid.cell_volume
     grad = scale * np.einsum("gc,gcij->ij", mismatch, pairings)
     grad[rho < DENSITY_FLOOR] = 0.0
     return grad
 
 
-def evaluate(problem: TopOptProblem, rho: np.ndarray,
-             preconditioner: str | None = None) -> Evaluation:
+def evaluate(problem: TopOptProblem, rho: np.ndarray) -> Evaluation:
     """Objective value, parts, and gradient at one density iterate.
 
     The stress-mismatch gradient combines the explicit per-pixel term with
@@ -232,13 +220,14 @@ def evaluate(problem: TopOptProblem, rho: np.ndarray,
     are needed.
     """
     cfg = problem.cfg
-    kind = preconditioner or cfg.preconditioner
     rho_solve = _clamped_density(problem, rho)
-    strains, sigma_bar, counts = _solve_load_cases(problem, rho_solve, kind)
+    strains, counts = _solve_load_cases(problem, rho_solve, cfg.preconditioner)
+    pairings = _strain_pairings(problem, strains)
 
+    sigma_bar = _stress_matrix(problem, pairings, rho_solve.values)
     mismatch = sigma_bar - problem.targets
     f_stress = float((mismatch ** 2).sum())
-    g_stress = _stress_gradient(problem, strains, mismatch, rho)
+    g_stress = _stress_gradient(problem, pairings, mismatch, rho)
     f_phase, g_phase = _phase_field_parts(cfg, problem.grid, rho)
     return Evaluation(f_stress + f_phase, f_stress, f_phase,
                       g_stress + g_phase, counts)

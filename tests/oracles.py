@@ -359,7 +359,6 @@ def reference_solve_load_cases(problem, rho, preconditioner):
     from jfft.operators import assemble_rhs, make_operator, total_strain
     from jfft.preconditioners import build_preconditioner
     from jfft.solver import SolverAbortError
-    from jfft.topopt import _stress_matrix
 
     cfg = problem.cfg
     op = make_operator(rho, problem.material)
@@ -373,6 +372,6 @@ def reference_solve_load_cases(problem, rho, preconditioner):
             eta=cfg.eta_cg, max_iter=cfg.max_iter)
         if terminated != "converged" and history[-1] > 1e3 * cfg.eta_cg:
             raise SolverAbortError(f"load case {gamma}: iteration cap reached")
-        strains[gamma] = total_strain(op, VectorField(op.grid, x), load).values
+        strains[gamma] = total_strain(VectorField(op.grid, x), load).values
         counts.append(iterations)
-    return strains, _stress_matrix(problem, strains, rho.values), counts
+    return strains, counts

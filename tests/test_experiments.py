@@ -15,7 +15,7 @@ from jfft.experiments import (ConfigError, build_geometry, load_config,
                               run_cosine_sweep, run_laminate_sweep,
                               run_motivate, run_smooth_vs_sharp, run_solve,
                               run_topopt)
-from jfft.grid import ScalarField, load_field, make_grid, save_field
+from jfft.grid import QuadField, ScalarField, load_field, make_grid, save_field
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -415,6 +415,19 @@ def test_cli_rejects_malformed_density_header(tmp_path):
     header = json.loads((tmp_path / "rho.json").read_text())
     del header["order"]
     (tmp_path / "rho.json").write_text(json.dumps(header))
+    assert solve_from_file(tmp_path) == 2
+
+
+def test_cli_rejects_quad_density_file(tmp_path):
+    # field files hold scalar and vector fields only; a file of the former
+    # quadrature kind (six planes) is an unknown kind
+    with pytest.raises(TypeError):
+        save_field(tmp_path / "rho", QuadField.zeros(make_grid(8)))
+    save_field(tmp_path / "rho", ScalarField.full(make_grid(8), 1.0))
+    header = json.loads((tmp_path / "rho.json").read_text())
+    header["kind"] = "quad"
+    (tmp_path / "rho.json").write_text(json.dumps(header))
+    np.ones(6 * 8 * 8).astype("<f8").tofile(tmp_path / "rho.raw")
     assert solve_from_file(tmp_path) == 2
 
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from jfft import fem
-from jfft.fem import (cell_average, quadrature_weights, sym_gradient,
-                      sym_gradient_adjoint)
+from jfft.fem import cell_average, sym_gradient, sym_gradient_adjoint
 from jfft.grid import QuadField, VectorField, make_grid
 
 from oracles import (dense_b, quad_flat, reference_sym_gradient,
@@ -13,10 +12,10 @@ SQRT2 = np.sqrt(2.0)
 
 
 def test_quadrature_weights_partition_cell():
+    # two quadrature points per pixel, n^2 pixels
     grid = make_grid(6, (2.0, 0.5))
-    w = quadrature_weights(grid)
-    assert w.per_point == pytest.approx((2.0 / 6) * (0.5 / 6) / 2.0)
-    assert w.total == pytest.approx(grid.cell_volume)
+    assert grid.quad_weight == pytest.approx((2.0 / 6) * (0.5 / 6) / 2.0)
+    assert 2 * grid.n ** 2 * grid.quad_weight == pytest.approx(grid.cell_volume)
 
 
 def test_sym_gradient_of_translation_is_zero():
@@ -102,33 +101,24 @@ def test_adjoint_output_has_zero_mean():
 
 def test_cell_average_constant():
     grid = make_grid(4, (2.0, 1.0))
-    w = quadrature_weights(grid)
     s = QuadField(grid, np.broadcast_to(
         np.array([1.5, 0.0, -2.0])[:, None, None, None], (3, 2, 4, 4)).copy())
-    assert np.allclose(cell_average(s, w), [1.5, 0.0, -2.0], rtol=0, atol=1e-15)
+    assert np.allclose(cell_average(s), [1.5, 0.0, -2.0], rtol=0, atol=1e-15)
 
 
 def test_cell_average_of_gradient_vanishes():
     rng = np.random.default_rng(6)
     grid = make_grid(8)
-    w = quadrature_weights(grid)
     u = VectorField(grid, rng.normal(size=(2, 8, 8)))
-    avg = cell_average(sym_gradient(u), w)
+    avg = cell_average(sym_gradient(u))
     assert np.abs(avg).max() <= 1e-14
 
 
 def test_cell_average_checkerboard_cancels():
     grid = make_grid(4)
-    w = quadrature_weights(grid)
     sign = (-1.0) ** (np.add.outer(np.arange(4), np.arange(4)))
     s = QuadField(grid, np.stack([np.stack([sign, -sign])] * 3))
-    assert np.abs(cell_average(s, w)).max() == 0.0
-
-
-def test_cell_average_grid_mismatch():
-    s = QuadField.zeros(make_grid(4))
-    with pytest.raises(ValueError):
-        cell_average(s, quadrature_weights(make_grid(8)))
+    assert np.abs(cell_average(s)).max() == 0.0
 
 
 def test_linearity():

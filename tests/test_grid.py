@@ -16,13 +16,13 @@ from oracles import dft2_direct, fsum_dot
 
 def test_grid_counts():
     grid = make_grid(4, (1.0, 1.0))
-    assert grid.n_nodes == 16
-    assert grid.n_quad == 32
     assert grid.pixel_size == (0.25, 0.25)
+    assert grid.quad_weight == 1.0 / 32
 
 
 def test_grid_paper_scale_counts():
-    assert make_grid(256).n_nodes == 65536
+    # 2 * 256^2 quadrature points share the unit cell
+    assert make_grid(256).quad_weight == 1.0 / 131072
 
 
 def test_grid_rejects_degenerate():
@@ -95,7 +95,7 @@ def test_fft_constant_field_dc():
     grid = make_grid(8)
     u = VectorField(grid, np.full((2, 8, 8), 3.25))
     spec = fft_forward(u)
-    assert spec[0, 0, 0] == pytest.approx(3.25 * grid.n_nodes)
+    assert spec[0, 0, 0] == pytest.approx(3.25 * grid.n ** 2)
     spec[:, 0, 0] = 0.0
     assert np.abs(spec).max() <= 1e-12
 
@@ -146,7 +146,6 @@ def test_dot_matches_fsum_oracle_on_sweep_fields(n, solid_material):
 @pytest.mark.parametrize("make", [
     lambda grid, rng: ScalarField(grid, rng.uniform(0.0, 2.0, (grid.n, grid.n))),
     lambda grid, rng: VectorField(grid, rng.normal(size=(2, grid.n, grid.n))),
-    lambda grid, rng: QuadField(grid, rng.normal(size=(3, 2, grid.n, grid.n))),
 ])
 def test_field_file_round_trip(tmp_path, make):
     rng = np.random.default_rng(5)

@@ -170,6 +170,55 @@ def test_green_output_zero_mean(solid_material):
     assert np.abs(z.component_means()).max() <= 1e-14 * np.abs(z.values).max()
 
 
+def dense_columns(apply, grid):
+    """Matrix of a linear map on ``(2, n, n)`` fields, one unit vector per
+    column, in the flattening of ``values.ravel()``."""
+    size = 2 * grid.n ** 2
+    columns = []
+    for k in range(size):
+        e = np.zeros(size)
+        e[k] = 1.0
+        columns.append(apply(VectorField(grid, e.reshape(2, grid.n, grid.n)))
+                       .values.ravel())
+    return np.array(columns).T
+
+
+def patch_extremes(rho):
+    """Sorted minima and maxima of the density over the four pixels that
+    meet at each node, each node counted once per displacement component,
+    the two smallest entries of each list dropped."""
+    down = np.roll(rho, 1, axis=0)
+    patches = np.stack([rho, down, np.roll(rho, 1, axis=1),
+                        np.roll(down, 1, axis=1)])
+    return [np.sort(np.tile(f(patches, axis=0).ravel(), 2))[2:]
+            for f in (np.min, np.max)]
+
+
+@pytest.mark.parametrize("field", ["uniform", "cosine", "laminate"])
+def test_green_spectrum_within_nodal_patch_bounds(field, solid_material):
+    # Generalized eigenvalues of (K(rho), K_ref) for a scalar density times
+    # a fixed stiffness: sorted, the k-th lies between the k-th sorted patch
+    # minimum and maximum (Gergelits, Mardal, Nielsen & Strakos, SIAM J.
+    # Numer. Anal. 57 (2019); Ladecky, Pultarova & Zeman, Appl. Math. 66
+    # (2021) for elasticity).  The two translations are zero eigenvalues of
+    # G K.
+    n = 8
+    grid = make_grid(n)
+    rho = {
+        "uniform": np.random.default_rng(40).uniform(0.01, 1.0, (n, n)),
+        "cosine": cosine_density(8, 100.0).values,
+        "laminate": laminate_density(8, 100.0).values / 100.0,
+    }[field]
+    op = make_operator(ScalarField(grid, rho), solid_material)
+    green = assemble_green(grid, solid_material)
+    gk = (dense_columns(lambda v: apply_green(green, v), grid)
+          @ dense_columns(lambda v: apply_system(op, v), grid))
+    eigenvalues = np.sort(np.linalg.eigvals(gk).real)[2:]
+    lower, upper = patch_extremes(rho)
+    assert np.all(lower - 1e-12 <= eigenvalues)
+    assert np.all(eigenvalues <= upper + 1e-12)
+
+
 @pytest.mark.parametrize("n", [8, 9, 32])
 def test_apply_green_bitwise_equal_einsum_reference(n, solid_material):
     rng = np.random.default_rng(20 + n)
