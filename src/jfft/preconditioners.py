@@ -154,16 +154,6 @@ def _invert_blocks(a: np.ndarray, d: np.ndarray, b: np.ndarray):
     return g11, g22, g12
 
 
-def _block_row(g_a1: np.ndarray, g_a2: np.ndarray, spectrum: np.ndarray,
-               out: np.ndarray, scratch: np.ndarray) -> None:
-    """``out = g_a1 * spectrum_1 + g_a2 * spectrum_2``, one row of the block
-    product on the component planes of ``spectrum`` (2, ..., n, m).
-    ``scratch`` may alias the first component, which is read first."""
-    np.multiply(g_a1, spectrum[0], out=out)
-    np.multiply(g_a2, spectrum[1], out=scratch)
-    out += scratch
-
-
 def apply_green(green: GreenOperator, r: VectorField) -> VectorField:
     """Apply the Green operator: inverse FFT of block times forward FFT.
 
@@ -175,28 +165,25 @@ def apply_green(green: GreenOperator, r: VectorField) -> VectorField:
         raise ValueError("residual lives on a different grid")
     spectrum, z = _spectra(green, r.values.shape[:-3])
     fft_forward(r, out=_load_major(spectrum))
-    _block_row(green.g11, green.g12, spectrum, z[0], z[1])
-    _block_row(green.g21, green.g22, spectrum, z[1], spectrum[0])
+    np.multiply(green.g11, spectrum[0], out=z[0])
+    np.multiply(green.g12, spectrum[1], out=z[1])
+    z[0] += z[1]
+    # the first component is read for the last time: it becomes scratch
+    np.multiply(green.g21, spectrum[0], out=z[1])
+    np.multiply(green.g22, spectrum[1], out=spectrum[0])
+    z[1] += spectrum[0]
     return fft_inverse(_load_major(z), green.grid)
 
 
-def _half_spectrum_dot(a: np.ndarray, b: np.ndarray, n: int) -> float:
-    """``Re sum conj(a) b`` over the full spectrum of an ``n``-periodic real
-    field, from the half-spectrum planes ``a`` and ``b``: interior columns
-    stand for themselves and their mirror images, the k2 = 0 column and,
-    for even ``n``, the Nyquist column only for themselves."""
-    # Re(conj(a) b) summed as the real product of the (re, im) float views,
-    # whose first and last two columns are the k2 = 0 and Nyquist columns
-    a, b = a.view(np.float64), b.view(np.float64)
-    total = 2.0 * dot(a, b) - dot(a[:, :2], b[:, :2])
-    return total - dot(a[:, -2:], b[:, -2:]) if n % 2 == 0 else total
-
-
 def green_norm2(green: GreenOperator, r: VectorField) -> float | list[float]:
-    """``<r, G r>`` by Parseval's identity: one forward FFT of ``r`` and
-    the Hermitian form of the blocks over the half-spectrum, divided by
-    ``n^2``.  Agrees with ``dot(r, apply_green(green, r))`` to rounding
-    without the inverse FFT.
+    """``<r, G r>`` by Parseval's identity, without the inverse FFT: with
+    ``s`` the forward FFT of ``r`` and ``g21 = conj(g12)``, the Hermitian
+    form ``Re sum conj(s1) t1 + conj(s2) t2``, ``t1 = g11 s1 + 2 g12 s2`` and
+    ``t2 = g22 s2``, over the full spectrum, divided by ``n^2``.  On the
+    half-spectrum, interior columns stand for themselves and their mirror
+    images, the k2 = 0 column and, for even ``n``, the Nyquist column only
+    for themselves: those columns of ``t`` are halved and the sum doubled.
+    Two :func:`~jfft.grid.dot` calls per load, on the (re, im) float views.
 
     A float for one field; for a stack, a list with one value per load,
     each summed over that load's own planes as it would be alone.
@@ -204,17 +191,23 @@ def green_norm2(green: GreenOperator, r: VectorField) -> float | list[float]:
     if r.grid != green.grid:
         raise ValueError("residual lives on a different grid")
     n = green.grid.n
-    spectrum, z = _spectra(green, r.values.shape[:-3])
+    spectrum, t = _spectra(green, r.values.shape[:-3])
     fft_forward(r, out=_load_major(spectrum))
-    # the (n, m) planes of each load, for the per-load sums
-    s1, s2, row = (a if a.ndim == 3 else a[None]
-                   for a in (spectrum[0], spectrum[1], z[0]))
-    _block_row(green.g11, green.g12, spectrum, z[0], z[1])
-    totals = [_half_spectrum_dot(s, g, n) for s, g in zip(s1, row)]
-    _block_row(green.g21, green.g22, spectrum, z[0], z[1])
-    totals = [(total + _half_spectrum_dot(s, g, n)) / n ** 2
-              for total, s, g in zip(totals, s2, row)]
-    return totals[0] if spectrum.ndim == 3 else totals
+    np.multiply(green.g12, spectrum[1], out=t[1])
+    t[1] *= 2.0
+    np.multiply(green.g11, spectrum[0], out=t[0])
+    t[0] += t[1]
+    np.multiply(green.g22, spectrum[1], out=t[1])
+    t[..., 0] *= 0.5
+    if n % 2 == 0:
+        t[..., -1] *= 0.5
+    # the (n, 2m) float planes per component and load, summed apart: a
+    # load's two planes are adjacent only while the workspace holds one load
+    m2 = 2 * spectrum.shape[-1]
+    s, t = (a.view(np.float64).reshape(Grid.d, -1, n, m2) for a in (spectrum, t))
+    totals = [2.0 * (dot(s1, t1) + dot(s2, t2)) / n ** 2
+              for s1, s2, t1, t2 in zip(s[0], s[1], t[0], t[1])]
+    return totals if r.values.ndim == 4 else totals[0]
 
 
 def assemble_jacobi(op: SystemOperator) -> JacobiDiagonal:

@@ -157,6 +157,8 @@ def pcg_stack(op: SystemOperator, rhs: VectorField,
     if rhs.values.ndim != 4:
         raise ValueError("pcg_stack takes a stack (B, 2, n, n) of "
                          "right-hand sides")
+    if rhs.grid != op.grid:
+        raise ValueError("right-hand side lives on a different grid")
     grid = op.grid
     reuse_green = preconditioner.kind == "green" and preconditioner.green is green
 

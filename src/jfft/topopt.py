@@ -289,7 +289,7 @@ def lbfgs_minimize(cfg: TopOptConfig, callback=None,
     """
     problem = make_problem(cfg)
     if rho0 is not None:
-        if rho0.grid.n != cfg.n:
+        if rho0.grid != problem.grid:
             raise ValueError("initial density lives on the wrong grid")
         x = rho0.values.copy()
     else:

@@ -266,12 +266,38 @@ def test_green_norm_by_parseval_matches_real_space(n, solid_material):
     }
     if n % 2 == 0:
         # alternating in x2: every mode lies in the Nyquist column
-        fields["Nyquist column"] = (rng.normal(size=(2, n, 1))
-                                    * (-1.0) ** np.arange(n)[None, None, :])
-    for name, values in fields.items():
+        nyquist = (rng.normal(size=(2, n, 1))
+                   * (-1.0) ** np.arange(n)[None, None, :])
+        fields["Nyquist column"] = nyquist
+        fields["both edge columns"] = fields["k2 = 0 column"] + nyquist
+    # a stack, each load checked against its own real-space value
+    stack = rng.normal(size=(3, 2, n, n))
+    cases = [(name, values, green_norm2(green, VectorField(grid, values)))
+             for name, values in fields.items()]
+    cases += [(f"load {j} of a stack", values, value) for j, (values, value)
+              in enumerate(zip(stack, green_norm2(green, VectorField(grid, stack))))]
+    for name, values, value in cases:
         r = VectorField(grid, values)
         expected = float(np.vdot(r.values, apply_green(green, r).values))
-        assert abs(green_norm2(green, r) - expected) <= 1e-12 * abs(expected), name
+        assert abs(value - expected) <= 1e-12 * abs(expected), name
+
+
+@pytest.mark.parametrize("loads", [None, 3])
+def test_green_norm_takes_two_dots_per_load(loads, solid_material,
+                                            monkeypatch):
+    grid = make_grid(16)
+    green = assemble_green(grid, solid_material)
+    calls = []
+    original = precond_mod.dot
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(precond_mod, "dot", counting)
+    shape = (2, 16, 16) if loads is None else (loads, 2, 16, 16)
+    green_norm2(green, VectorField(grid, np.ones(shape)))
+    assert len(calls) == 2 * (loads or 1)
 
 
 def test_green_rejects_indefinite_reference():

@@ -211,6 +211,13 @@ def test_stack_nan_in_one_load_aborts(solid_material):
         pcg_stack(op, rhs, pre, green)
     with pytest.raises(ValueError, match="stack"):
         pcg_stack(op, assemble_rhs(op, loads[0]), pre, green)
+    # the same densities on a cell of other lengths: same n, other grid
+    stretched = ScalarField(make_grid(8, (2.0, 0.5)), op.density.values)
+    other = assemble_rhs(make_operator(stretched, solid_material), loads)
+    with pytest.raises(ValueError, match="grid"):
+        pcg_stack(op, other, pre, green)
+    with pytest.raises(ValueError, match="grid"):
+        pcg(op, VectorField(other.grid, other.values[0]), pre, green)
 
 
 # one process per BLAS thread count: OpenBLAS reads the variable at load time

@@ -212,6 +212,13 @@ def test_lbfgs_stationary_start():
     assert np.abs(rho.values - 1.0).max() <= 1e-9
 
 
+@pytest.mark.parametrize("grid", [make_grid(16), make_grid(8, (2.0, 0.5))])
+def test_lbfgs_rejects_start_on_other_grid(grid):
+    cfg = TopOptConfig(n=8, max_outer=1)
+    with pytest.raises(ValueError, match="grid"):
+        lbfgs_minimize(cfg, rho0=ScalarField.full(grid, 1.0))
+
+
 def test_lbfgs_deterministic():
     cfg = TopOptConfig(n=8, seed=7, max_outer=10, eta_cg=1e-8)
     _, first = lbfgs_minimize(cfg)
