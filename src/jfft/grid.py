@@ -183,12 +183,15 @@ def fft_forward(u: VectorField, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.fft(spectrum, axis=-2, out=spectrum)
 
 
-def fft_inverse(spectrum: np.ndarray, grid: Grid) -> VectorField:
+def fft_inverse(spectrum: np.ndarray, grid: Grid,
+                out: np.ndarray | None = None) -> VectorField:
     """Inverse of :func:`fft_forward` (carries the ``1/N`` normalization).
 
     Overwrites ``spectrum``: the transform along axis -2 runs in place, and
     the real transform along axis -1 writes the returned field.  Callers
-    that need the spectrum afterwards pass a copy.
+    that need the spectrum afterwards pass a copy.  ``out``, when given, is
+    a C-contiguous float array of the field's shape that receives (and
+    backs) the result; it may hold the field the spectrum came from.
     """
     if spectrum.shape[-3:] != spectral_shape(grid) or spectrum.ndim > 4:
         raise ValueError(f"spectrum has shape {spectrum.shape}, expected "
@@ -197,9 +200,10 @@ def fft_inverse(spectrum: np.ndarray, grid: Grid) -> VectorField:
     np.fft.ifft(spectrum, axis=-2, out=spectrum)
     # an explicit C-ordered result: irfft would follow a transposed
     # spectrum's memory order, and VectorField would copy it back
-    values = np.empty(spectrum.shape[:-1] + (grid.n,))
+    if out is None:
+        out = np.empty(spectrum.shape[:-1] + (grid.n,))
     return VectorField(grid, np.fft.irfft(spectrum, n=grid.n, axis=-1,
-                                          out=values))
+                                          out=out))
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:

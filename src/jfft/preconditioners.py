@@ -39,8 +39,10 @@ class GreenOperator:
     The operator owns the workspace of :func:`apply_green` and
     :func:`green_norm2`: a spectrum buffer and a scratch spectrum per load
     of the largest stack transformed so far (one load until a stack
-    arrives).  Both are component-major, ``(2, loads, n, n//2 + 1)``, so
-    that the block rows run on one contiguous block per component.
+    arrives), so an application allocates only the field it returns, and
+    nothing when the caller passes ``out=``.  Both are component-major,
+    ``(2, loads, n, n//2 + 1)``, so that the block rows run on one
+    contiguous block per component.
     """
 
     grid: Grid
@@ -154,12 +156,16 @@ def _invert_blocks(a: np.ndarray, d: np.ndarray, b: np.ndarray):
     return g11, g22, g12
 
 
-def apply_green(green: GreenOperator, r: VectorField) -> VectorField:
+def apply_green(green: GreenOperator, r: VectorField,
+                out: np.ndarray | None = None) -> VectorField:
     """Apply the Green operator: inverse FFT of block times forward FFT.
 
     Symmetric positive semi-definite; the output has zero mean per
     component.  Cost O(n^2 log n).  A stack ``r`` gives the stack
-    of results, each bitwise equal to its load's result alone.
+    of results, each bitwise equal to its load's result alone.  ``out``,
+    when given, is a C-contiguous float array of ``r``'s shape that
+    receives (and backs) the result; it may be ``r.values`` itself, since
+    the forward FFT reads all of ``r`` before the inverse FFT writes.
     """
     if r.grid != green.grid:
         raise ValueError("residual lives on a different grid")
@@ -172,7 +178,7 @@ def apply_green(green: GreenOperator, r: VectorField) -> VectorField:
     np.multiply(green.g21, spectrum[0], out=z[1])
     np.multiply(green.g22, spectrum[1], out=spectrum[0])
     z[1] += spectrum[0]
-    return fft_inverse(_load_major(z), green.grid)
+    return fft_inverse(_load_major(z), green.grid, out=out)
 
 
 def green_norm2(green: GreenOperator, r: VectorField) -> float | list[float]:
@@ -245,17 +251,32 @@ def assemble_jacobi(op: SystemOperator) -> JacobiDiagonal:
     return JacobiDiagonal(grid, diag)
 
 
-def apply_jacobi(jacobi: JacobiDiagonal, r: VectorField) -> VectorField:
-    """Entrywise multiply by ``1/diag(K)``: by ``1/sqrt(diag(K))`` twice."""
-    z = jacobi.inv_sqrt * r.values
+def _half_jacobi(jacobi: JacobiDiagonal, r: VectorField,
+                 out: np.ndarray | None) -> np.ndarray:
+    """``J^(1/2) r`` into ``out`` or a new array."""
+    if r.grid != jacobi.grid:
+        raise ValueError("residual lives on a different grid")
+    return np.multiply(jacobi.inv_sqrt, r.values, out=out)
+
+
+def apply_jacobi(jacobi: JacobiDiagonal, r: VectorField,
+                 out: np.ndarray | None = None) -> VectorField:
+    """Entrywise multiply by ``1/diag(K)``: by ``1/sqrt(diag(K))`` twice.
+    ``out`` as for :func:`apply_green`."""
+    z = _half_jacobi(jacobi, r, out)
     z *= jacobi.inv_sqrt
     return VectorField(jacobi.grid, z)
 
 
 def apply_green_jacobi(jacobi: JacobiDiagonal, green: GreenOperator,
-                       r: VectorField) -> VectorField:
-    """Symmetric composition ``J^(1/2) G J^(1/2) r``."""
-    z = apply_green(green, VectorField(jacobi.grid, jacobi.inv_sqrt * r.values))
+                       r: VectorField,
+                       out: np.ndarray | None = None) -> VectorField:
+    """Symmetric composition ``J^(1/2) G J^(1/2) r``.  ``out`` as for
+    :func:`apply_green`: ``J^(1/2) r`` is written into it and the Green
+    application runs from ``out`` into ``out``, so no temporary field is
+    made."""
+    half = VectorField(jacobi.grid, _half_jacobi(jacobi, r, out))
+    z = apply_green(green, half, out=half.values)
     z.values *= jacobi.inv_sqrt
     return z
 
@@ -277,14 +298,19 @@ class Preconditioner:
         if self.kind in ("jacobi", "green-jacobi") and self.jacobi is None:
             raise ValueError(f"{self.kind!r} needs an assembled Jacobi diagonal")
 
-    def apply(self, r: VectorField) -> VectorField:
+    def apply(self, r: VectorField,
+              out: np.ndarray | None = None) -> VectorField:
+        """``z = M r``; ``out`` as for :func:`apply_green`."""
         if self.kind == "none":
-            return VectorField(r.grid, r.values.copy())
+            if out is None:
+                return VectorField(r.grid, r.values.copy())
+            np.copyto(out, r.values)
+            return VectorField(r.grid, out)
         if self.kind == "green":
-            return apply_green(self.green, r)
+            return apply_green(self.green, r, out=out)
         if self.kind == "jacobi":
-            return apply_jacobi(self.jacobi, r)
-        return apply_green_jacobi(self.jacobi, self.green, r)
+            return apply_jacobi(self.jacobi, r, out=out)
+        return apply_green_jacobi(self.jacobi, self.green, r, out=out)
 
 
 def build_preconditioner(kind: str, op: SystemOperator,

@@ -24,6 +24,14 @@ give each load bitwise the values it would get alone.  Every dot product
 is :func:`~jfft.grid.dot` on one load's own contiguous planes, so each
 load's count, history and solution equal its solo solve bit for bit.
 :func:`pcg` is a stack of one.
+
+A solve holds four fields per load, allocated before the first iteration:
+the iterate, the residual, the search direction and one work buffer that
+the layers write into (``out=``).  The work buffer holds the
+preconditioned residual ``z`` until the direction update has read it,
+then ``K p``, then ``alpha K p`` for the residual update, then
+``alpha p`` for the iterate update, then the next ``z``.  No field-sized
+array is allocated per iteration.
 """
 
 from __future__ import annotations
@@ -86,12 +94,13 @@ def _dots(a: np.ndarray, b: np.ndarray) -> list[float]:
 
 
 def _as_field(grid: Grid, rows: np.ndarray) -> VectorField:
-    """The active rows as the layers' input: one load as a plain field,
-    more as a stack.  The layers make the same NumPy calls on either form;
-    per Green and Green-Jacobi iteration on a cosine cell the plain field
-    measured about 4% faster at n = 32 and equal within noise at n = 128
-    and 512 (10 alternating pairs, 2-core virtual machine).  On a plain
-    field :func:`green_norm2` returns a float, which the loop wraps."""
+    """The active rows as the layers' input, and their values as the
+    layers' ``out=``: one load as a plain field, more as a stack.  The
+    layers make the same NumPy calls on either form; per Green and
+    Green-Jacobi iteration on a cosine cell the plain field measured about
+    4% faster at n = 32 and equal within noise at n = 128 and 512 (10
+    alternating pairs, 2-core virtual machine).  On a plain field
+    :func:`green_norm2` returns a float, which the loop wraps."""
     return VectorField(grid, rows[0] if len(rows) == 1 else rows)
 
 
@@ -159,15 +168,19 @@ def pcg_stack(op: SystemOperator, rhs: VectorField,
                          "right-hand sides")
     if rhs.grid != op.grid:
         raise ValueError("right-hand side lives on a different grid")
+    for part in (green, preconditioner.green, preconditioner.jacobi):
+        if part is not None and part.grid != op.grid:
+            raise ValueError(f"{type(part).__name__} lives on a different "
+                             "grid than the operator")
     grid = op.grid
     reuse_green = preconditioner.kind == "green" and preconditioner.green is green
 
     # rows [:b] of the work arrays hold the active loads, in stack order;
-    # xs, rs, ps, steps and the two fields are views of those rows
+    # xs, rs, ps, ws and the three fields are views of those rows
     x = np.zeros_like(rhs.values)
     r = rhs.values.copy()
     p = np.empty_like(r)
-    step = np.empty_like(r)
+    w = np.empty_like(r)
     active = list(range(len(r)))
     histories: list[list[float]] = [[] for _ in active]
     reports: list[SolveReport | None] = [None] * len(r)
@@ -184,12 +197,13 @@ def pcg_stack(op: SystemOperator, rhs: VectorField,
 
     iterations = 0
     b = len(active)
-    xs, rs, ps, steps = x, r, p, step
-    residual, direction = _as_field(grid, rs), _as_field(grid, ps)
-    z = preconditioner.apply(residual).values.reshape(rs.shape)
+    xs, rs, ps, ws = x, r, p, w
+    residual, direction, work = (_as_field(grid, a) for a in (rs, ps, ws))
+    preconditioner.apply(residual, out=work.values)
     while True:
+        # ws holds z
         if reuse_green:
-            gnorm2 = _dots(rs, z)
+            gnorm2 = _dots(rs, ws)
         else:
             gnorm2 = green_norm2(green, residual)
             gnorm2 = gnorm2 if b > 1 else [gnorm2]
@@ -200,7 +214,7 @@ def pcg_stack(op: SystemOperator, rhs: VectorField,
         if any(done):
             freeze(done, CONVERGED)
             keep = [not d for d in done]
-            _compact((x, r, p, z), keep)
+            _compact((x, r, p, w), keep)
             active = [load for load, k in zip(active, keep) if k]
             gnorm2 = [value for value, k in zip(gnorm2, keep) if k]
             if iterations:
@@ -208,33 +222,37 @@ def pcg_stack(op: SystemOperator, rhs: VectorField,
             b = len(active)
             if not b:
                 break
-            xs, rs, ps, steps, z = x[:b], r[:b], p[:b], step[:b], z[:b]
-            residual, direction = _as_field(grid, rs), _as_field(grid, ps)
+            xs, rs, ps, ws = x[:b], r[:b], p[:b], w[:b]
+            residual, direction, work = (_as_field(grid, a)
+                                         for a in (rs, ps, ws))
 
         # for Green, <r, z> is the Green norm just taken
         rz_new = gnorm2 if reuse_green else _checked(
-            _dots(rs, z), "preconditioned residual product")
+            _dots(rs, ws), "preconditioned residual product")
         if iterations >= max_iter:
             freeze([True] * b, ITERATION_CAP)
             break
         if iterations:
             ps *= _column([new / old for new, old in zip(rz_new, rz)])
-            ps += z
+            ps += ws
         else:
-            ps[...] = z
+            ps[...] = ws
         rz = rz_new
 
-        kp = apply_system(op, direction).values.reshape(ps.shape)
-        curvature = _checked(_dots(ps, kp), "search-direction curvature")
+        # z is read for the last time: ws takes K p
+        apply_system(op, direction, out=work.values)
+        curvature = _checked(_dots(ps, ws), "search-direction curvature")
         for value in curvature:
             if value <= 0.0:
                 raise SolverAbortError(
                     f"non-positive curvature {value:.3e} in PCG")
         alpha = _column([a / c for a, c in zip(rz, curvature)])
-        xs += np.multiply(ps, alpha, out=steps)
-        rs -= np.multiply(kp, alpha, out=steps)
+        ws *= alpha
+        rs -= ws
+        np.multiply(ps, alpha, out=ws)
+        xs += ws
         iterations += 1
-        z = preconditioner.apply(residual).values.reshape(rs.shape)
+        preconditioner.apply(residual, out=work.values)
 
     return reports
 

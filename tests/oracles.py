@@ -3,11 +3,13 @@
 Everything here is derived from first principles (explicit element
 stencils, dense matrices, direct DFT summation) without touching the
 matrix-free production kernels, so agreement is meaningful.  The comb
-probing of the Jacobi diagonal, the ``eigh`` assembly of the Green blocks
-and the reference solve paths at the end are the exceptions: they drive
-the production operator, the first two to pin the closed forms of the
-Jacobi diagonal and the Green blocks to what ``K`` itself does, the others
-one load at a time, to pin the stacked solver's control flow and sums.
+probing of the Jacobi diagonal, the ``eigh`` assembly of the Green blocks,
+the fresh-array homogenized stress and the reference solve paths at the
+end are the exceptions: they drive the production operator, the first two
+to pin the closed forms of the Jacobi diagonal and the Green blocks to
+what ``K`` itself does, the third to pin the in-workspace homogenized
+stress to the production kernels it reuses, the others one load at a
+time, to pin the stacked solver's control flow and sums.
 """
 
 import math
@@ -349,6 +351,18 @@ def reference_pcg(op, rhs, preconditioner, green, eta=1e-6, max_iter=999):
         rz = rz_new
     x -= x.mean(axis=(1, 2))[:, None, None]
     return iterations, history, terminated, x
+
+
+def reference_homogenized_stress(op, u, eps_bar):
+    """Volume-averaged stress from fresh arrays: the total strain, the
+    stress of the production material law and the cell average, each a
+    new field."""
+    from jfft.fem import cell_average
+    from jfft.material import stress
+    from jfft.operators import total_strain
+
+    return cell_average(stress(op.density, op.material,
+                               total_strain(u, eps_bar)))
 
 
 def reference_solve_load_cases(problem, rho, preconditioner):

@@ -77,6 +77,18 @@ def test_fft_seam_bitwise_equal_numpy_nd_transforms(n, loads):
     assert np.array_equal(fft_inverse(spec, grid).values, expected)
 
 
+@pytest.mark.parametrize("n", [8, 9, 32])
+@pytest.mark.parametrize("loads", [(), (3,)], ids=["one-load", "three-loads"])
+def test_fft_inverse_into_buffer_bitwise_equal_allocating_call(n, loads):
+    rng = np.random.default_rng(90 + n)
+    grid = make_grid(n)
+    spec = fft_forward(VectorField(grid, rng.normal(size=loads + (2, n, n))))
+    expected = fft_inverse(spec.copy(), grid).values
+    out = np.full(loads + (2, n, n), np.nan)
+    assert fft_inverse(spec, grid, out=out).values is out
+    assert np.array_equal(out, expected)
+
+
 def test_repeated_green_applications_equal_and_unshared(solid_material):
     # fft_inverse overwrites the spectrum it is given; apply_green hands it
     # the operator's scratch, so a second call sees no trace of the first

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from jfft.grid import ScalarField, VectorField, make_grid
 from jfft.operators import (apply_system, assemble_rhs, homogenized_stress,
                             make_operator)
 
-from oracles import (dense_k, dense_rhs, reference_apply_k, reference_rhs,
-                     vec_flat)
+from oracles import (dense_k, dense_rhs, reference_apply_k,
+                     reference_homogenized_stress, reference_rhs, vec_flat)
 
 
 def random_operator(n, rng, material, lengths=(1.0, 1.0)):
@@ -153,6 +155,35 @@ def test_homogenized_stress_uniform(solid_material):
     sigma = homogenized_stress(op, VectorField.zeros(grid),
                                np.array([1.0, 1.0, 1.0]))
     assert np.allclose(sigma, [7.0 / 3.0, 7.0 / 3.0, 1.0], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [8, 9, 32])
+def test_homogenized_stress_bitwise_equal_fresh_arrays(n, solid_material):
+    rng = np.random.default_rng(700 + n)
+    op = random_operator(n, rng, solid_material, (1.0, 1.5))
+    u = VectorField(op.grid, rng.normal(size=(2, n, n)))
+    eps_bar = rng.normal(size=3)
+    expected = reference_homogenized_stress(op, u, eps_bar)
+    assert np.array_equal(homogenized_stress(op, u, eps_bar), expected)
+    # after a stack has grown the workspace
+    apply_system(op, VectorField(op.grid, rng.normal(size=(3, 2, n, n))))
+    assert np.array_equal(homogenized_stress(op, u, eps_bar), expected)
+    with pytest.raises(ValueError, match="grid"):
+        homogenized_stress(op, VectorField.zeros(make_grid(n)), eps_bar)
+
+
+def test_homogenized_stress_makes_no_field_sized_temporary(solid_material):
+    n = 128
+    rng = np.random.default_rng(7)
+    op = random_operator(n, rng, solid_material)
+    u = VectorField(op.grid, rng.normal(size=(2, n, n)))
+    tracemalloc.start()
+    try:
+        homogenized_stress(op, u, np.ones(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n * 8
 
 
 @pytest.mark.parametrize("n", [8, 9, 32])

@@ -254,6 +254,41 @@ def test_stacked_preconditioners_bitwise_equal_per_load(n, solid_material):
             assert np.array_equal(applied[kind][j], pre.apply(one).values), kind
 
 
+@pytest.mark.parametrize("n", [8, 9, 32])
+@pytest.mark.parametrize("loads", [(), (3,)], ids=["one-load", "three-loads"])
+def test_out_forms_bitwise_equal_allocating_calls(n, loads, solid_material):
+    rng = np.random.default_rng(80 + n)
+    grid = make_grid(n, (1.0, 1.5))
+    green = assemble_green(grid, solid_material)
+    op = make_operator(ScalarField(grid, rng.uniform(0.01, 1.0, (n, n))),
+                       solid_material)
+    jacobi = assemble_jacobi(op)
+    r = VectorField(grid, rng.normal(size=loads + (2, n, n)))
+    kept = r.values.copy()
+    calls = {
+        "K": lambda out=None: apply_system(op, r, out=out),
+        "green": lambda out=None: apply_green(green, r, out=out),
+        "jacobi": lambda out=None: apply_jacobi(jacobi, r, out=out),
+        "green-jacobi": lambda out=None: apply_green_jacobi(jacobi, green, r,
+                                                            out=out),
+    }
+    for kind in ("none", "green", "jacobi", "green-jacobi"):
+        pre = build_preconditioner(kind, op, green)
+        calls[kind + " via apply"] = lambda out=None, pre=pre: pre.apply(
+            r, out=out)
+    for name, call in calls.items():
+        expected = call().values
+        out = np.full_like(r.values, np.nan)
+        result = call(out=out)
+        assert result.values is out, name
+        assert np.array_equal(out, expected), name
+        assert np.array_equal(r.values, kept), name
+    # the result may overwrite the input, as Green-Jacobi relies on
+    expected = apply_green(green, r).values
+    assert apply_green(green, r, out=r.values).values is r.values
+    assert np.array_equal(r.values, expected)
+
+
 @pytest.mark.parametrize("n", [8, 9, 16])
 def test_green_norm_by_parseval_matches_real_space(n, solid_material):
     rng = np.random.default_rng(30 + n)

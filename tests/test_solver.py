@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,10 @@ from jfft import microstructures as micro
 from jfft.grid import ScalarField, VectorField, make_grid
 from jfft.operators import (apply_system, assemble_rhs, homogenized_stress,
                             make_operator)
-from jfft.preconditioners import assemble_green, build_preconditioner
-from jfft.preconditioners import apply_green
+from jfft.preconditioners import (Preconditioner, apply_green,
+                                  apply_green_jacobi, apply_jacobi,
+                                  assemble_green, assemble_jacobi,
+                                  build_preconditioner)
 from jfft.solver import (CONVERGED, ITERATION_CAP, SolverAbortError, pcg,
                          pcg_stack, solve_cell)
 
@@ -218,6 +221,68 @@ def test_stack_nan_in_one_load_aborts(solid_material):
         pcg_stack(op, other, pre, green)
     with pytest.raises(ValueError, match="grid"):
         pcg(op, VectorField(other.grid, other.values[0]), pre, green)
+
+
+def test_foreign_jacobi_diagonal_rejected(solid_material):
+    # the same densities on a cell of lengths (2.0, 0.5): solved with the
+    # unit-grid operator, this diagonal used to converge in 32 iterations
+    # instead of the 24 of the operator's own, without notice
+    rho = np.random.default_rng(0).uniform(0.01, 1.0, (8, 8))
+    op = make_operator(ScalarField(make_grid(8), rho), solid_material)
+    other = make_operator(ScalarField(make_grid(8, (2.0, 0.5)), rho),
+                          solid_material)
+    green = assemble_green(op.grid, solid_material)
+    rhs = assemble_rhs(op, np.ones(3))
+    assert pcg(op, rhs, build_preconditioner("jacobi", op, green),
+               green).iterations == 24
+    foreign = assemble_jacobi(other)
+    for pre in (Preconditioner("jacobi", jacobi=foreign),
+                Preconditioner("green-jacobi", green=green, jacobi=foreign),
+                Preconditioner("green", green=assemble_green(other.grid,
+                                                             solid_material))):
+        with pytest.raises(ValueError, match="grid"):
+            pcg(op, rhs, pre, green)
+    with pytest.raises(ValueError, match="grid"):
+        apply_jacobi(foreign, rhs)
+    with pytest.raises(ValueError, match="grid"):
+        apply_green_jacobi(foreign, green, rhs)
+
+
+def _traced_peak(solve) -> tuple[int, list]:
+    tracemalloc.start()
+    try:
+        reports = solve()
+        return tracemalloc.get_traced_memory()[1], reports
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["none", "green", "jacobi", "green-jacobi"])
+@pytest.mark.parametrize("loads", [1, 3])
+def test_solve_allocates_four_fields_per_load(kind, loads, solid_material):
+    # x, r, p and one work buffer per load, allocated before the first
+    # iteration: the peak does not grow with the iteration count
+    n = 128
+    rng = np.random.default_rng(90)
+    rho = ScalarField(make_grid(n), rng.uniform(0.01, 1.0, (n, n)))
+    op = make_operator(rho, solid_material)
+    green = assemble_green(op.grid, solid_material)
+    pre = build_preconditioner(kind, op, green)
+    rhs = assemble_rhs(op, rng.normal(size=(loads, 3)))
+    # the operators' workspaces grow to the stack once, outside the trace
+    pcg_stack(op, rhs, pre, green, max_iter=2)
+    field = 2 * n * n * 8
+    peaks, longest = [], []
+    for cap in (2, 40):
+        peak, reports = _traced_peak(
+            lambda: pcg_stack(op, rhs, pre, green, max_iter=cap))
+        solutions = sum(r.solution.values.nbytes for r in reports)
+        assert peak <= 4 * loads * field + solutions + 256 * 1024, (
+            peak / field / loads)
+        peaks.append(peak)
+        longest.append(max(r.iterations for r in reports))
+    assert longest[0] == 2 < longest[1]
+    assert abs(peaks[1] - peaks[0]) <= 16 * 1024
 
 
 # one process per BLAS thread count: OpenBLAS reads the variable at load time
