@@ -34,6 +34,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -77,13 +78,14 @@ def make_grid(n: int, lengths: tuple[float, float] = (1.0, 1.0)) -> Grid:
     n : int
         Nodes (and pixels) per direction, at least 2.
     lengths : (float, float)
-        Cell side lengths, strictly positive.
+        Cell side lengths, strictly positive and finite.
     """
     if int(n) != n or n < 2:
         raise ValueError(f"grid needs n >= 2 nodes per direction, got {n}")
     l1, l2 = (float(lengths[0]), float(lengths[1]))
-    if l1 <= 0.0 or l2 <= 0.0:
-        raise ValueError(f"cell side lengths must be positive, got {lengths}")
+    if not (0.0 < l1 < math.inf and 0.0 < l2 < math.inf):
+        raise ValueError(f"cell side lengths must be positive and finite, "
+                         f"got {lengths}")
     return Grid(int(n), (l1, l2))
 
 

@@ -100,18 +100,30 @@ def assemble_green(grid: Grid, material_ref: MaterialModel) -> GreenOperator:
 
     One unit impulse per displacement component is placed at node (0, 0)
     and pushed through the matrix-free reference operator (uniform density
-    one).  The FFT of each response column yields the Fourier blocks of
-    ``K_ref``, which stay consistent with the chosen triangulation by
-    construction.  Each block is Hermitized, ``b = (k12 + conj(k21)) / 2``,
-    and pseudo-inverted in closed form by :func:`_invert_blocks`, on whole
+    one) on a patch of at most 4 x 4 nodes with the grid's pixel size.
+    ``K_ref`` couples a node only to its eight neighbours, so the 3 x 3
+    neighbourhood of node (0, 0) holds the whole response; it is copied
+    into an ``n x n`` field, which is the response on the grid itself.  The
+    FFT of each response column yields the Fourier blocks of ``K_ref``,
+    which stay consistent with the chosen triangulation by construction.
+    Each block is Hermitized, ``b = (k12 + conj(k21)) / 2``, and
+    pseudo-inverted in closed form by :func:`_invert_blocks`, on whole
     ``(n, n//2 + 1)`` planes; ``g21`` is stored as ``conj(g12)``.
     """
-    ref_op = make_operator(ScalarField.full(grid, 1.0), material_ref)
+    h1, h2 = grid.pixel_size
+    # scaling by four is exact: the patch has the grid's pixel size and
+    # quadrature weight, so its response is the grid's bit for bit
+    patch = grid if grid.n <= 4 else Grid(4, (4.0 * h1, 4.0 * h2))
+    ref_op = make_operator(ScalarField.full(patch, 1.0), material_ref)
+    near = np.array([-1, 0, 1])
+    stencil = (slice(None), near[:, None], near)
     columns = []
     for beta in range(Grid.d):
-        impulse = VectorField.zeros(grid)
+        impulse = VectorField.zeros(patch)
         impulse.values[beta, 0, 0] = 1.0
-        columns.append(fft_forward(apply_system(ref_op, impulse)))
+        response = VectorField.zeros(grid)
+        response.values[stencil] = apply_system(ref_op, impulse).values[stencil]
+        columns.append(fft_forward(response))
     (k11, k21), (k12, k22) = columns
     a, d = k11.real.copy(), k22.real.copy()
     b = 0.5 * (k12 + np.conj(k21))

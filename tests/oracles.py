@@ -3,13 +3,15 @@
 Everything here is derived from first principles (explicit element
 stencils, dense matrices, direct DFT summation) without touching the
 matrix-free production kernels, so agreement is meaningful.  The comb
-probing of the Jacobi diagonal, the ``eigh`` assembly of the Green blocks,
-the fresh-array homogenized stress and the reference solve paths at the
-end are the exceptions: they drive the production operator, the first two
-to pin the closed forms of the Jacobi diagonal and the Green blocks to
-what ``K`` itself does, the third to pin the in-workspace homogenized
-stress to the production kernels it reuses, the others one load at a
-time, to pin the stacked solver's control flow and sums.
+probing of the Jacobi diagonal, the ``eigh`` and full-grid assemblies of
+the Green blocks, the fresh-array homogenized stress and the reference
+solve paths at the end are the exceptions: they drive the production
+operator, the first three to pin the closed-form Jacobi diagonal, the
+closed-form Green blocks and the patch assembly of the Green operator to
+what ``K`` itself does on the whole grid, the fourth to pin the
+in-workspace homogenized stress to the production kernels it reuses,
+the others one load at a time, to pin the stacked solver's control flow
+and sums.
 """
 
 import math
@@ -280,6 +282,28 @@ def eigh_green_blocks(grid, material, cutoff=1e-12):
                        np.conj(eigvecs))
     blocks[0, 0] = 0.0
     return blocks
+
+
+def full_grid_green(grid, material):
+    """The Green operator assembled from impulse responses of ``K_ref`` on
+    the whole grid, then Hermitized and inverted by the production closed
+    form.  The patch assembly must reproduce its blocks bit for bit."""
+    from jfft.grid import ScalarField, VectorField, fft_forward
+    from jfft.operators import apply_system, make_operator
+    from jfft.preconditioners import GreenOperator, _invert_blocks
+
+    ref_op = make_operator(ScalarField.full(grid, 1.0), material)
+    columns = []
+    for beta in range(2):
+        impulse = VectorField.zeros(grid)
+        impulse.values[beta, 0, 0] = 1.0
+        columns.append(fft_forward(apply_system(ref_op, impulse)))
+    (k11, k21), (k12, k22) = columns
+    a, d = k11.real.copy(), k22.real.copy()
+    b = 0.5 * (k12 + np.conj(k21))
+    a[0, 0] = d[0, 0] = b[0, 0] = 0.0
+    g11, g22, g12 = _invert_blocks(a, d, b)
+    return GreenOperator(grid, g11, g12, np.conj(g12), g22)
 
 
 def green_blocks(green):

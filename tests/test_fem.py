@@ -132,10 +132,17 @@ def test_linearity():
     assert np.abs(direct - linear).max() <= 1e-13 * np.abs(direct).max()
 
 
-@pytest.mark.parametrize("n", [8, 9])
-def test_gradient_and_adjoint_bitwise_equal_roll_reference(n):
+# the pixel size is a power of two along x1 only at n = 8, along neither
+# axis at n = 9 and along both on the square cells
+@pytest.mark.parametrize("n, lengths", [
+    pytest.param(8, (1.0, 1.5), id="8"),
+    pytest.param(9, (1.0, 1.5), id="9"),
+    pytest.param(16, (1.0, 1.0), id="16-unit-square"),
+    pytest.param(16, (2.0, 2.0), id="16-square-of-two"),
+])
+def test_gradient_and_adjoint_bitwise_equal_roll_reference(n, lengths):
     rng = np.random.default_rng(40 + n)
-    grid = make_grid(n, (1.0, 1.5))
+    grid = make_grid(n, lengths)
     dx1, dx2 = grid.pixel_size
     u = rng.normal(size=(2, n, n))
     s = rng.normal(size=(3, 2, n, n))
@@ -158,3 +165,21 @@ def test_flat_rows_refuse_planes_that_are_not_c_contiguous():
         fem.sym_gradient_into(u, grid.pixel_size, eps.transpose(0, 1, 3, 2),
                               np.empty((2, 4, 4)))
     assert not eps.any()
+
+
+def test_scale_by_inverse_bitwise_equal_division():
+    rng = np.random.default_rng(11)
+    tiny = np.nextafter(0.0, 1.0)
+    huge = np.finfo(np.float64).max
+    x = np.concatenate([
+        rng.normal(size=64), [0.0, -0.0, tiny, -tiny, 2.0 * tiny],
+        [huge, -huge, 0.75 * huge, np.nextafter(huge, 0.0)],
+        [np.inf, -np.inf, np.nan]])
+    # 0.1 and 1.5/8 are no powers of two; the reciprocal of the smallest
+    # subnormal overflows: all three divide
+    for h in [2.0 ** k for k in range(-40, 41)] + [0.1, 1.5 / 8, tiny]:
+        out = x.copy()
+        with np.errstate(over="ignore"):
+            fem._scale_by_inverse(out, h)
+            expected = x / h
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64)), h

@@ -32,6 +32,11 @@ def test_grid_rejects_degenerate():
         make_grid(8, (0.0, 1.0))
     with pytest.raises(ValueError):
         make_grid(8, (1.0, -2.0))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            make_grid(8, (bad, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            make_grid(8, (1.0, bad))
 
 
 def test_field_shape_validation():

@@ -186,18 +186,33 @@ def test_homogenized_stress_makes_no_field_sized_temporary(solid_material):
     assert peak < 2 * n * n * 8
 
 
-@pytest.mark.parametrize("n", [8, 9, 32])
-def test_kernels_bitwise_equal_roll_einsum_reference(n, solid_material):
+# the pixel size is a power of two along x1 only at n = 8 and 32, along
+# neither axis at n = 9 and along both on the square cells
+@pytest.mark.parametrize("n, lengths", [
+    pytest.param(8, (1.0, 1.5), id="8"),
+    pytest.param(9, (1.0, 1.5), id="9"),
+    pytest.param(32, (1.0, 1.5), id="32"),
+    pytest.param(16, (1.0, 1.0), id="16-unit-square"),
+    pytest.param(16, (2.0, 2.0), id="16-square-of-two"),
+])
+def test_kernels_bitwise_equal_roll_einsum_reference(n, lengths,
+                                                     solid_material):
     rng = np.random.default_rng(300 + n)
-    lengths = (1.0, 1.5)
     op = random_operator(n, rng, solid_material, lengths)
-    u = rng.normal(size=(2, n, n))
-    eps_bar = rng.normal(size=3)
-    ku = apply_system(op, VectorField(op.grid, u))
-    assert np.array_equal(ku.values, reference_apply_k(
-        u, op.density.values, solid_material.stiffness, lengths))
-    assert np.array_equal(assemble_rhs(op, eps_bar).values, reference_rhs(
-        op.density.values, solid_material.stiffness, eps_bar, lengths))
+    c0, rho = solid_material.stiffness, op.density.values
+    u = rng.normal(size=(3, 2, n, n))
+    eps_bars = rng.normal(size=(3, 3))
+    ku = apply_system(op, VectorField(op.grid, u[0]))
+    assert np.array_equal(ku.values, reference_apply_k(u[0], rho, c0, lengths))
+    assert np.array_equal(assemble_rhs(op, eps_bars[0]).values,
+                          reference_rhs(rho, c0, eps_bars[0], lengths))
+    # a stack of three loads, each against the one-load reference
+    ku = apply_system(op, VectorField(op.grid, u)).values
+    rhs = assemble_rhs(op, eps_bars).values
+    for j in range(3):
+        assert np.array_equal(ku[j], reference_apply_k(u[j], rho, c0, lengths))
+        assert np.array_equal(rhs[j], reference_rhs(rho, c0, eps_bars[j],
+                                                    lengths))
 
 
 def test_results_do_not_share_the_workspace(solid_material):

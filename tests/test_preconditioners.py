@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,9 @@ from jfft.preconditioners import (Preconditioner, apply_green,
                                   build_preconditioner, green_norm2)
 from jfft.solver import pcg
 
-from oracles import (eigh_green_blocks, green_blocks, impulse_diagonal,
-                     probed_diagonal, reference_apply_green, vec_flat,
-                     vec_unflat)
+from oracles import (eigh_green_blocks, full_grid_green, green_blocks,
+                     impulse_diagonal, probed_diagonal, reference_apply_green,
+                     vec_flat, vec_unflat)
 
 
 def zero_mean(values):
@@ -52,6 +54,29 @@ def test_green_closed_form_matches_eigh_pseudo_inverse(n, solid_material):
             blocks = green_blocks(assemble_green(grid, material))
             assert np.abs(blocks - expected).max() \
                 <= bound * np.abs(expected).max(), (material, lengths)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 16, 32])
+@pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 1.5), (2.0, 0.5)],
+                         ids=["1x1", "1x1.5", "2x0.5"])
+def test_green_patch_assembly_bitwise_equal_full_grid(n, lengths,
+                                                      solid_material):
+    grid = make_grid(n, lengths)
+    assert np.array_equal(green_blocks(assemble_green(grid, solid_material)),
+                          green_blocks(full_grid_green(grid, solid_material)))
+
+
+def test_green_assembly_peak_memory(solid_material):
+    # the full-grid assembly peaked at 12.6 fields of (2, n, n) doubles
+    n = 256
+    grid = make_grid(n)
+    tracemalloc.start()
+    try:
+        assemble_green(grid, solid_material)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2 * n * n * 8
 
 
 @pytest.mark.parametrize("n, lengths", [(8, (1.0, 1.0)), (9, (1.0, 1.0)),
