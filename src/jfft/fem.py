@@ -16,6 +16,14 @@ on every cell of ``n = 2^k`` pixels over a side of ``2^j``, they multiply
 by its reciprocal instead: a multiplication pass costs a third to half a
 division pass, and scaling by a power of two is exact, so the product is
 the quotient bit for bit.
+
+The ``_into`` kernels take planes of ``r x n`` nodes or pixels and wrap
+periodically along both axes of the plane.  On the whole grid, ``r = n``
+and that is the cell's periodicity.  :func:`~jfft.operators.apply_system`
+also calls them on row bands of a large grid, each with one halo row on
+either side: there the axis-0 wrap joins the band's first and last rows,
+which are no neighbours on the grid, and spoils only the two halo rows of
+the result, which the caller discards.
 """
 
 from __future__ import annotations
@@ -28,22 +36,23 @@ from .grid import MANDEL_DIM, SQRT2, QuadField, VectorField
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
-    """Planes ``a`` (..., n, n) as flat rows (..., n*n), a view.  Raises on
+    """Planes ``a`` (..., r, n) as flat rows (..., r*n), a view.  Raises on
     a plane that is not C-contiguous: reshaping it would copy, and what the
     kernels write into the copy would be lost."""
-    n = a.shape[-1]
+    r, n = a.shape[-2:]
     if a.strides[-2:] != (n * a.itemsize, a.itemsize):
         raise ValueError("plane is not C-contiguous")
-    return a.reshape(a.shape[:-2] + (n * n,))
+    return a.reshape(a.shape[:-2] + (r * n,))
 
 
-def _lines(n: int, axis: int) -> tuple[int, slice, slice]:
-    """How the kernels below walk a flat row of an ``n x n`` plane along
+def _lines(shape: tuple[int, int], axis: int) -> tuple[int, slice, slice]:
+    """How the kernels below walk a flat row of an ``r x n`` plane along
     ``axis``: the distance to the next entry along it (``n`` for axis 0,
     one for axis 1) and the slices of the first and last line across it (a
     row of the plane for axis 0, a column for axis 1)."""
+    r, n = shape
     if axis == 0:
-        return n, slice(0, n), slice(n * n - n, None)
+        return n, slice(0, n), slice(r * n - n, None)
     return 1, slice(0, None, n), slice(n - 1, None, n)
 
 
@@ -59,10 +68,10 @@ def _scale_by_inverse(out: np.ndarray, h: float) -> None:
         out /= h
 
 
-# Each kernel makes one call on the flat rows ``a`` and ``out`` (..., n*n),
-# offset by the distance of ``line`` = _lines(n, axis), then redoes the one
-# line whose neighbour wraps around the cell, which that call either skipped
-# or took from the next row of the plane.
+# Each kernel makes one call on the flat rows ``a`` and ``out`` (..., r*n),
+# offset by the distance of ``line`` = _lines((r, n), axis), then redoes the
+# one line whose neighbour wraps around the plane, which that call either
+# skipped or took from the next row of the plane.
 
 def _forward_difference(a: np.ndarray, line, h: float,
                         out: np.ndarray) -> None:
@@ -98,13 +107,13 @@ def _shift(a: np.ndarray, step: int, line, out: np.ndarray) -> None:
 
 def sym_gradient_into(u: np.ndarray, pixel_size: tuple[float, float],
                       eps: np.ndarray, planes: np.ndarray) -> None:
-    """Strain planes ``eps`` (3, 2, ..., n, n) from displacement planes
-    ``u`` (..., 2, n, n); ``planes`` (2, ..., n, n) is scratch.  The axes
+    """Strain planes ``eps`` (3, 2, ..., r, n) from displacement planes
+    ``u`` (..., 2, r, n); ``planes`` (2, ..., r, n) is scratch.  The axes
     marked ``...`` are load axes, and each load is computed as it would be
     alone.  Component-major ``eps`` and ``planes`` make each strain plane
     of a stack one block.  Every plane must be C-contiguous."""
     dx1, dx2 = pixel_size
-    along1, along2 = _lines(u.shape[-1], 0), _lines(u.shape[-1], 1)
+    along1, along2 = _lines(u.shape[-2:], 0), _lines(u.shape[-2:], 1)
     u, eps, planes = _rows(u), _rows(eps), _rows(planes)
     dyu1, dxu2 = planes
     u1, u2 = u[..., 0, :], u[..., 1, :]
@@ -128,11 +137,11 @@ def sym_gradient_into(u: np.ndarray, pixel_size: tuple[float, float],
 def sym_gradient_adjoint_into(s: np.ndarray, pixel_size: tuple[float, float],
                               f: np.ndarray, planes: np.ndarray) -> None:
     """Exact transpose of :func:`sym_gradient_into`: nodal planes ``f``
-    (..., 2, n, n) from quadrature planes ``s`` (3, 2, ..., n, n), which are
-    left unchanged; ``planes`` (2, ..., n, n) is scratch.  Every plane must
+    (..., 2, r, n) from quadrature planes ``s`` (3, 2, ..., r, n), which are
+    left unchanged; ``planes`` (2, ..., r, n) is scratch.  Every plane must
     be C-contiguous."""
     dx1, dx2 = pixel_size
-    along1, along2 = _lines(f.shape[-1], 0), _lines(f.shape[-1], 1)
+    along1, along2 = _lines(f.shape[-2:], 0), _lines(f.shape[-2:], 1)
     s, f, planes = _rows(s), _rows(f), _rows(planes)
     gathered, term = planes
     f1, f2 = f[..., 0, :], f[..., 1, :]

@@ -13,3 +13,35 @@ from jfft.material import isotropic_material
 def solid_material():
     """Solid-phase parameters used throughout the experiments."""
     return isotropic_material(2.0 / 3.0, 0.5)
+
+
+@pytest.fixture
+def bands(monkeypatch):
+    """Forces K into row bands and counts them.
+
+    ``bands.force(n, loads, rows)`` sets the band budget to ``rows`` rows
+    for ``loads`` loads of an ``n x n`` grid (``rows=1`` through a budget
+    below any band), which K then splits into ``ceil(n / rows)`` bands.
+    ``bands.count`` is the number of strain passes made since, one per
+    band of each K application.
+    """
+    from jfft import fem, operators
+
+    class Bands:
+        count = 0
+
+        def force(self, n, loads, rows):
+            budget = 0 if rows == 1 else (
+                (rows + 2) * operators._BAND_PLANES * 8 * loads * n)
+            monkeypatch.setattr(operators, "_BAND_BYTES", budget)
+            assert operators._band_count(n, loads) == -(-n // rows)
+
+    recorder = Bands()
+    strain_pass = fem.sym_gradient_into
+
+    def counted(*args):
+        recorder.count += 1
+        strain_pass(*args)
+
+    monkeypatch.setattr(fem, "sym_gradient_into", counted)
+    return recorder

@@ -225,3 +225,85 @@ def test_results_do_not_share_the_workspace(solid_material):
     apply_system(op, v)
     assert ku.values is not f.values
     assert np.array_equal(ku.values, kept)
+
+
+@pytest.mark.parametrize("n", [8, 512])
+def test_apply_system_rejects_out_sharing_memory_with_u(n, solid_material):
+    rng = np.random.default_rng(16)
+    op = random_operator(n, rng, solid_material)
+    stack = rng.normal(size=(2, 2, n, n))
+    u = VectorField(op.grid, stack[0])
+    kept = stack.copy()
+    for out in (stack[0], stack[0][:, ::-1], stack):
+        with pytest.raises(ValueError, match="share memory"):
+            apply_system(op, u, out=out)
+    assert np.array_equal(stack, kept)
+    # a separate buffer, even the other load of the same stack, is fine
+    other = stack[1]
+    assert apply_system(op, u, out=other).values is other
+    assert np.array_equal(other, apply_system(op, u).values)
+
+
+def test_banded_kernel_bitwise_equal_reference_at_512(bands, solid_material):
+    n = 512
+    rng = np.random.default_rng(512)
+    op = random_operator(n, rng, solid_material)
+    c0, rho = solid_material.stiffness, op.density.values
+    u = rng.normal(size=(3, 2, n, n))
+    ku = apply_system(op, VectorField(op.grid, u[0]))
+    assert bands.count > 1
+    assert np.array_equal(ku.values, reference_apply_k(u[0], rho, c0))
+    bands.count = 0
+    ku = apply_system(op, VectorField(op.grid, u)).values
+    assert bands.count > 1
+    for j in range(3):
+        assert np.array_equal(ku[j], reference_apply_k(u[j], rho, c0))
+
+
+# one-row bands everywhere; at most two rows at n = 9 and five or seven at
+# n = 32 give bands of unequal heights (1 and 2, 4 and 5, 6 and 7 rows)
+@pytest.mark.parametrize("n, rows", [
+    (2, 1), (3, 1), (8, 1), (9, 1), (9, 2), (32, 1), (32, 5), (32, 7)])
+@pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 1.5)])
+@pytest.mark.parametrize("loads", [1, 3])
+def test_forced_bands_bitwise_equal_reference(n, rows, lengths, loads, bands,
+                                              solid_material):
+    rng = np.random.default_rng(900 + n)
+    op = random_operator(n, rng, solid_material, lengths)
+    c0, rho = solid_material.stiffness, op.density.values
+    u = rng.normal(size=(loads, 2, n, n))
+    field = VectorField(op.grid, u[0] if loads == 1 else u)
+    bands.force(n, loads, rows)
+    ku = apply_system(op, field).values.reshape(u.shape)
+    assert bands.count == -(-n // rows) > 1
+    for j in range(loads):
+        assert np.array_equal(ku[j], reference_apply_k(u[j], rho, c0, lengths))
+
+
+@pytest.mark.parametrize("n, loads", [(32, 3), (128, 1), (128, 3), (256, 1)])
+def test_small_grids_run_one_band(n, loads, bands, solid_material):
+    op = random_operator(n, np.random.default_rng(n), solid_material)
+    shape = (2, n, n) if loads == 1 else (loads, 2, n, n)
+    apply_system(op, VectorField(op.grid, np.ones(shape)))
+    assert bands.count == 1
+
+
+def test_banded_kernel_makes_no_field_sized_temporary(bands, solid_material):
+    n = 512
+    rng = np.random.default_rng(8)
+    op = random_operator(n, rng, solid_material)
+    u = VectorField(op.grid, rng.normal(size=(2, n, n)))
+    out = np.empty((2, n, n))
+    apply_system(op, u, out=out)
+    sizes = op._strain.size, op._planes.size
+    bands.count = 0
+    tracemalloc.start()
+    try:
+        apply_system(op, u, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bands.count > 1
+    assert peak < n * n * 8
+    assert (op._strain.size, op._planes.size) == sizes == (6 * n * n,
+                                                           2 * n * n)

@@ -192,6 +192,29 @@ def test_stacked_loads_bitwise_equal_solo_solves(n, kind, solid_material):
         assert np.array_equal(report.solution.values, x)
 
 
+@pytest.mark.parametrize("kind", ["green", "jacobi", "green-jacobi"])
+def test_banded_kernel_solves_bitwise_equal_whole_grid(kind, bands,
+                                                       solid_material):
+    n = 64
+    rng = np.random.default_rng(64)
+    op = make_operator(ScalarField(make_grid(n), rng.uniform(0.01, 1.0, (n, n))),
+                       solid_material)
+    green = assemble_green(op.grid, solid_material)
+    pre = build_preconditioner(kind, op, green)
+    rhs = assemble_rhs(op, rng.normal(size=(3, 3)))
+    whole = pcg_stack(op, rhs, pre, green)
+    passes = bands.count
+    bands.force(n, 3, 5)
+    banded = pcg_stack(op, rhs, pre, green)
+    # 13 bands a pass while all three loads run, 8 for two, 1 for one
+    assert bands.count - passes > 5 * passes
+    for a, b in zip(banded, whole):
+        assert a.terminated == b.terminated == CONVERGED
+        assert a.iterations == b.iterations
+        assert a.residual_history == b.residual_history
+        assert np.array_equal(a.solution.values, b.solution.values)
+
+
 def test_stack_at_iteration_cap_matches_solo_solves(solid_material):
     op, green, pre, loads = stack_problem(8, "jacobi", solid_material)
     solos = [pcg(op, assemble_rhs(op, load), pre, green, max_iter=11)
