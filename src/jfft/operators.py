@@ -95,24 +95,27 @@ def _weighted_stress_adjoint(op: SystemOperator, sig: np.ndarray,
     return out
 
 
-#: Bytes that one band's working set may take, about ``_BAND_PLANES``
-#: planes per load of the band's rows, so that it stays in a core's L2
-#: cache while the stencil makes its passes over it.  On a 2-vCPU VM with a
-#: 2 MB L2 per core, budgets of 1.5 to 3 MB cut K by 27-33% at n = 512.
-_BAND_BYTES = 5 << 19
-_BAND_PLANES = 12
+#: Nodes of each load that one band may span, halo rows included.  A band
+#: works on about 12 planes of doubles per load, so 27306 nodes make a
+#: 2.5 MB working set, which stays in a core's L2 cache while the stencil
+#: makes its passes over it (2 MB L2 per core on the 2-vCPU VM measured).
+_BAND_NODES = 27306
+#: Fewest output rows of a band, whatever the budget gives: each band pays
+#: about 60 NumPy calls and two halo rows.  Bands of 8 rows cut K by 9-43%
+#: at n = 512 and 1024 for one to three loads and at n = 2048 for one;
+#: bands of 2 rows were slower than the whole grid at n = 1024 and 2048.
+_MIN_ROWS = 8
 #: A grid is cut into bands only when it holds more than ``_MIN_BANDS``
-#: bands of the budget.  Grids of two to four, as n = 256 for one load,
-#: gained nothing measurable: a band pays about 60 NumPy calls and two
-#: halo rows.
+#: bands.  Grids of at most four, as n = 256 and 320 for one load and
+#: n = 128 for up to three, gained at most 6% in bands or lost.
 _MIN_BANDS = 4
 
 
 def _band_count(n: int, loads: int) -> int:
     """Number of row bands of a K application on ``loads`` loads of an
     ``n x n`` grid, one for the whole grid."""
-    rows = _BAND_BYTES // (_BAND_PLANES * 8 * loads * n) - 2
-    return 1 if _MIN_BANDS * rows >= n else -(-n // max(rows, 1))
+    rows = max(_BAND_NODES // (loads * n) - 2, _MIN_ROWS)
+    return 1 if _MIN_BANDS * rows >= n else -(-n // rows)
 
 
 def _band_workspace(op: SystemOperator, lead: tuple[int, ...], rows: int):

@@ -19,9 +19,8 @@ def solid_material():
 def bands(monkeypatch):
     """Forces K into row bands and counts them.
 
-    ``bands.force(n, loads, rows)`` sets the band budget to ``rows`` rows
-    for ``loads`` loads of an ``n x n`` grid (``rows=1`` through a budget
-    below any band), which K then splits into ``ceil(n / rows)`` bands.
+    ``bands.force(rows)`` makes every K application cut its ``n x n`` grid
+    into ``ceil(n / rows)`` bands, whatever the band rule says.
     ``bands.count`` is the number of strain passes made since, one per
     band of each K application.
     """
@@ -30,11 +29,9 @@ def bands(monkeypatch):
     class Bands:
         count = 0
 
-        def force(self, n, loads, rows):
-            budget = 0 if rows == 1 else (
-                (rows + 2) * operators._BAND_PLANES * 8 * loads * n)
-            monkeypatch.setattr(operators, "_BAND_BYTES", budget)
-            assert operators._band_count(n, loads) == -(-n // rows)
+        def force(self, rows):
+            monkeypatch.setattr(operators, "_band_count",
+                                lambda n, loads: -(-n // rows))
 
     recorder = Bands()
     strain_pass = fem.sym_gradient_into

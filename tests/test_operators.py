@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from jfft import operators
 from jfft.grid import ScalarField, VectorField, make_grid
 from jfft.operators import (apply_system, assemble_rhs, homogenized_stress,
                             make_operator)
@@ -273,7 +274,7 @@ def test_forced_bands_bitwise_equal_reference(n, rows, lengths, loads, bands,
     c0, rho = solid_material.stiffness, op.density.values
     u = rng.normal(size=(loads, 2, n, n))
     field = VectorField(op.grid, u[0] if loads == 1 else u)
-    bands.force(n, loads, rows)
+    bands.force(rows)
     ku = apply_system(op, field).values.reshape(u.shape)
     assert bands.count == -(-n // rows) > 1
     for j in range(loads):
@@ -286,6 +287,18 @@ def test_small_grids_run_one_band(n, loads, bands, solid_material):
     shape = (2, n, n) if loads == 1 else (loads, 2, n, n)
     apply_system(op, VectorField(op.grid, np.ones(shape)))
     assert bands.count == 1
+
+
+# Bands where they were measured to win, from n = 192 for three loads and
+# n = 256 for two, with 8-row bands once loads x n exceeds 2730 (n = 1024
+# for three loads); one band where bands gained at most 6% or lost.
+@pytest.mark.parametrize("n, loads, count", [
+    (32, 3, 1), (128, 3, 1), (192, 2, 1), (256, 1, 1), (320, 1, 1),
+    (192, 3, 5), (256, 2, 6), (256, 3, 8), (384, 1, 6), (512, 1, 11),
+    (512, 2, 22), (512, 3, 35), (1024, 1, 43), (1024, 2, 94),
+    (1024, 3, 128), (2048, 1, 187), (2048, 3, 256)])
+def test_band_rule(n, loads, count):
+    assert operators._band_count(n, loads) == count
 
 
 def test_banded_kernel_makes_no_field_sized_temporary(bands, solid_material):
