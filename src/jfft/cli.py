@@ -21,6 +21,22 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 
+#: Runner, whether it takes ``--threads`` workers, and help of each command.
+_COMMANDS = {
+    "solve": (run_solve, False, "solve one cell problem"),
+    "laminate-sweep": (run_laminate_sweep, True,
+                       "iteration counts over the laminate geometry"),
+    "cosine-sweep": (run_cosine_sweep, True,
+                     "iteration counts over the cosine geometry"),
+    "motivate": (run_motivate, False,
+                 "iteration counts along a Gaussian-filter cascade"),
+    "topopt": (run_topopt, False, "phase-field topology optimization"),
+    "smooth-vs-sharp": (run_smooth_vs_sharp, False,
+                        "residual histories for smooth and thresholded "
+                        "densities"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jfft",
@@ -28,14 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "cell problems (Green, Jacobi, and Green-Jacobi "
                     "preconditioning).")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-            ("solve", "solve one cell problem"),
-            ("laminate-sweep", "iteration counts over the laminate geometry"),
-            ("cosine-sweep", "iteration counts over the cosine geometry"),
-            ("motivate", "iteration counts along a Gaussian-filter cascade"),
-            ("topopt", "phase-field topology optimization"),
-            ("smooth-vs-sharp", "residual histories for smooth and "
-                                "thresholded densities")):
+    for name, (_, _, desc) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=desc)
         cmd.add_argument("--config", required=True, help="JSON config file")
         cmd.add_argument("--out", required=True, help="output directory")
@@ -46,23 +55,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    runner, sweep, _ = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
-        out = Path(args.out)
         if args.threads < 1:
             raise ConfigError("--threads must be at least 1")
-        if args.command == "solve":
-            run_solve(cfg, out)
-        elif args.command == "laminate-sweep":
-            run_laminate_sweep(cfg, out, workers=args.threads)
-        elif args.command == "cosine-sweep":
-            run_cosine_sweep(cfg, out, workers=args.threads)
-        elif args.command == "motivate":
-            run_motivate(cfg, out)
-        elif args.command == "topopt":
-            run_topopt(cfg, out)
+        if sweep:
+            runner(cfg, Path(args.out), workers=args.threads)
         else:
-            run_smooth_vs_sharp(cfg, out)
+            runner(cfg, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import microstructures as micro
-from .grid import Grid, ScalarField, finite_number, load_field, save_field
+from .grid import ScalarField, finite_number, load_field, make_grid, save_field
 from .material import MaterialModel, isotropic_material
 from .operators import homogenized_stress, make_operator
 from .preconditioners import PRECONDITIONER_KINDS, assemble_green
@@ -143,24 +143,21 @@ def _inclusion(cfg: dict, key: str, p: int) -> ScalarField:
                      _get(cfg, "radius_fraction", float, default=0.25))
 
 
+#: Generators of the geometries given by a resolution ``p`` and a contrast.
+_GEOMETRIES = {"laminate": micro.laminate_density,
+               "cosine": micro.cosine_density}
+
+
 def build_geometry(spec: dict, config_dir: str) -> ScalarField:
     """Resolve a geometry spec to a density field on its sampling lattice."""
     if not isinstance(spec, dict):
         raise ConfigError("key 'geometry': expected an object")
     kind = _get(spec, "kind", str, required=True)
-    if kind == "laminate":
+    if kind in _GEOMETRIES:
         p = _get(spec, "p", int, required=True)
         if "chi_tot" not in spec:
             raise ConfigError("missing required key 'geometry.chi_tot'")
-        chi = _contrast(spec["chi_tot"], "geometry.chi_tot")
-        if not np.isfinite(chi):
-            raise ConfigError("key 'geometry.chi_tot': laminate needs finite contrast")
-        return _generate("geometry", micro.laminate_density, p, chi)
-    if kind == "cosine":
-        p = _get(spec, "p", int, required=True)
-        if "chi_tot" not in spec:
-            raise ConfigError("missing required key 'geometry.chi_tot'")
-        return _generate("geometry", micro.cosine_density, p,
+        return _generate("geometry", _GEOMETRIES[kind], p,
                          _contrast(spec["chi_tot"], "geometry.chi_tot"))
     if kind == "inclusion":
         return _inclusion(spec, "geometry", _get(spec, "p", int, required=True))
@@ -232,16 +229,6 @@ def _fmt_chi(chi: float) -> str:
 # single solve
 # ----------------------------------------------------------------------------
 
-_GREEN_CACHE: dict = {}
-
-
-def _cached_green(grid: Grid, material: MaterialModel):
-    key = (grid.n, grid.lengths, material.lambda0, material.mu0)
-    if key not in _GREEN_CACHE:
-        _GREEN_CACHE[key] = assemble_green(grid, material)
-    return _GREEN_CACHE[key]
-
-
 def run_solve(cfg: dict, out_dir: Path) -> tuple[SolveReport, np.ndarray]:
     """Solve one cell problem and write solution/residuals/stress artifacts."""
     out_dir = _begin_run(cfg, "solve", out_dir)
@@ -258,8 +245,7 @@ def run_solve(cfg: dict, out_dir: Path) -> tuple[SolveReport, np.ndarray]:
     eta, cap = _solver_opts(cfg)
     eps_bar = _eps_bar(cfg)
 
-    report = solve_cell(rho, eps_bar, kind, material,
-                        _cached_green(rho.grid, material), eta, cap)
+    report = solve_cell(rho, eps_bar, kind, material, eta=eta, max_iter=cap)
     sigma = homogenized_stress(make_operator(rho, material), report.solution,
                                eps_bar)
 
@@ -286,14 +272,10 @@ SWEEP_COLUMNS = ["experiment", "preconditioner", "p", "n", "chi_tot",
 
 
 def _sweep_cell(args) -> dict:
-    (family, kind, p, n, chi, material, eps_bar, eta, cap) = args
-    if family == "laminate":
-        geometry = micro.laminate_density(p, chi)
-    else:
-        geometry = micro.cosine_density(p, chi)
-    rho = micro.refine_to_grid(geometry, n)
-    report = solve_cell(rho, np.asarray(eps_bar), kind, material,
-                        _cached_green(rho.grid, material), eta, cap)
+    (family, kind, p, n, chi, material, green, eps_bar, eta, cap) = args
+    rho = micro.refine_to_grid(_GEOMETRIES[family](p, chi), n)
+    report = solve_cell(rho, np.asarray(eps_bar), kind, material, green,
+                        eta, cap)
     return {
         "experiment": f"{family}-sweep",
         "preconditioner": kind,
@@ -316,9 +298,10 @@ def _sweep_axes(cfg: dict) -> tuple[list[int], list[int]]:
         if not values or not all(isinstance(v, int) and v >= 2 for v in values):
             raise ConfigError(f"key {label!r}: expected integers >= 2")
         if max(values) > cap:
+            hint = "" if full else "; set full_scale=true for paper-scale sweeps"
             raise ConfigError(
-                f"key {label!r}: {max(values)} exceeds the desk-scale cap "
-                f"{cap}; set full_scale=true for paper-scale sweeps")
+                f"key {label!r}: {max(values)} exceeds the "
+                f"{'full' if full else 'desk'}-scale cap {cap}{hint}")
     return sorted(p_values), sorted(n_values)
 
 
@@ -336,7 +319,10 @@ def _run_sweep(family: str, cfg: dict, out_dir: Path, workers: int) -> list[dict
     eta, cap = _solver_opts(cfg)
     eps_bar = tuple(_eps_bar(cfg))
 
-    cells = [(family, kind, p, n, chi, material, eps_bar, eta, cap)
+    # one Green operator per grid size, pickled into the cells of a pool
+    greens = {n: assemble_green(make_grid(n), material) for n in n_values
+              if any(n % p == 0 for p in p_values)}
+    cells = [(family, kind, p, n, chi, material, greens[n], eps_bar, eta, cap)
              for kind in kinds
              for chi in contrasts
              for p in p_values
@@ -391,6 +377,7 @@ def run_motivate(cfg: dict, out_dir: Path) -> list[dict]:
     material = _material(cfg)
     eta, cap = _solver_opts(cfg)
     eps_bar = _eps_bar(cfg)
+    green = assemble_green(rho.grid, material)
 
     rows = []
     step = 0
@@ -399,8 +386,8 @@ def run_motivate(cfg: dict, out_dir: Path) -> list[dict]:
         done = contrast <= stop_contrast or step >= max_steps
         if step % stride == 0 or done:
             for kind in kinds:
-                report = solve_cell(rho, eps_bar, kind, material,
-                                    _cached_green(rho.grid, material), eta, cap)
+                report = solve_cell(rho, eps_bar, kind, material, green,
+                                    eta, cap)
                 rows.append({
                     "experiment": "motivate",
                     "preconditioner": kind,
@@ -425,30 +412,26 @@ def run_motivate(cfg: dict, out_dir: Path) -> list[dict]:
 # topology optimization
 # ----------------------------------------------------------------------------
 
+#: Keys of a topopt config passed to :class:`TopOptConfig` as they are,
+#: with their types; the dataclass owns their defaults.
+_TOPOPT_KEYS = {"eta_pf": float, "k_target": float, "mu_target": float,
+                "lbfgs_memory": int, "max_outer": int, "objective_tol": float,
+                "seed": int, "preconditioner": str}
+
+
 def _topopt_config(cfg: dict) -> tuple[TopOptConfig, int]:
     measure = _get(cfg, "measure", list, default=[])
     kinds = tuple(_preconditioner_name(k, "measure") for k in measure)
     material = _material(cfg)
     eta, cap = _solver_opts(cfg)
+    n = _get(cfg, "n", int, required=True)
+    given = {key: _get(cfg, key, kind) for key, kind in _TOPOPT_KEYS.items()
+             if key in cfg}
+    if "preconditioner" in given:
+        _preconditioner_name(given["preconditioner"], "preconditioner")
     try:
-        topt = TopOptConfig(
-            n=_get(cfg, "n", int, required=True),
-            eta_pf=_get(cfg, "eta_pf", float, default=0.01),
-            k_target=_get(cfg, "k_target", float, default=0.025),
-            mu_target=_get(cfg, "mu_target", float, default=0.15),
-            lambda0=material.lambda0,
-            mu0=material.mu0,
-            lbfgs_memory=_get(cfg, "lbfgs_memory", int, default=10),
-            max_outer=_get(cfg, "max_outer", int, default=200),
-            objective_tol=_get(cfg, "objective_tol", float, default=0.0),
-            seed=_get(cfg, "seed", int, default=0),
-            preconditioner=_preconditioner_name(
-                _get(cfg, "preconditioner", str, default="green-jacobi"),
-                "preconditioner"),
-            measure=kinds,
-            eta_cg=eta,
-            max_iter=cap,
-        )
+        topt = TopOptConfig(n=n, lambda0=material.lambda0, mu0=material.mu0,
+                            measure=kinds, eta_cg=eta, max_iter=cap, **given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return topt, _get(cfg, "snapshot_stride", int, default=0)
@@ -524,6 +507,7 @@ def run_smooth_vs_sharp(cfg: dict, out_dir: Path) -> dict:
     material = _material(cfg)
     eta, cap = _solver_opts(cfg)
     eps_bar = _eps_bar(cfg)
+    green = assemble_green(rho_smooth.grid, material)
 
     reports = {}
     for chi in contrasts:
@@ -533,8 +517,8 @@ def run_smooth_vs_sharp(cfg: dict, out_dir: Path) -> dict:
         }
         for variant, rho in variants.items():
             for kind in kinds:
-                report = solve_cell(rho, eps_bar, kind, material,
-                                    _cached_green(rho.grid, material), eta, cap)
+                report = solve_cell(rho, eps_bar, kind, material, green,
+                                    eta, cap)
                 reports[(variant, chi, kind)] = report
                 name = f"residuals_{variant}_chi{_fmt_chi(chi)}_{kind}.csv"
                 _write_residuals(out_dir / name, report)

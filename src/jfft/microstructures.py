@@ -18,6 +18,14 @@ def _sample_coords(p: int) -> tuple[np.ndarray, np.ndarray]:
     return np.meshgrid(x, x, indexing="ij")
 
 
+def _soft_phase(chi_tot: float) -> float:
+    """Density ``1/chi_tot`` of the soft phase, zero at infinite contrast."""
+    chi = float(chi_tot)
+    if chi < 1.0:
+        raise ValueError(f"total phase contrast must be >= 1, got {chi}")
+    return 0.0 if np.isinf(chi) else 1.0 / chi
+
+
 def laminate_density(p: int, chi_tot: float) -> ScalarField:
     """Linearly graded laminate, ``chi_tot`` at x1 = 0 down to 1 at the last
     sampling point ``x1 = 1 - 1/p``."""
@@ -38,15 +46,12 @@ def cosine_density(p: int, chi_tot: float) -> ScalarField:
 
     Infinite contrast is allowed and produces exact voids (density zero).
     """
-    chi = float(chi_tot)
-    if chi < 1.0:
-        raise ValueError(f"total phase contrast must be >= 1, got {chi}")
-    offset = 0.0 if np.isinf(chi) else 1.0 / chi
+    offset = _soft_phase(chi_tot)
     grid = make_grid(p)
     x1, x2 = _sample_coords(p)
     rho = (0.5 + 0.25 * (np.cos(2.0 * np.pi * (x1 - x2))
                          + np.cos(2.0 * np.pi * (x2 + x1))) + offset)
-    if np.isinf(chi):
+    if offset == 0.0:
         # the cosines cancel only up to rounding; voids must be exact zeros
         rho[np.abs(rho) < 1e-12] = 0.0
     return ScalarField(grid, rho)
@@ -90,24 +95,18 @@ def total_contrast(rho: ScalarField) -> float:
 
 def threshold(rho_smooth: ScalarField, chi_tot: float) -> ScalarField:
     """Two-valued field: 1 where ``rho_smooth >= 0.5``, else ``1/chi_tot``."""
-    chi = float(chi_tot)
-    if chi < 1.0:
-        raise ValueError(f"total phase contrast must be >= 1, got {chi}")
-    soft = 0.0 if np.isinf(chi) else 1.0 / chi
+    soft = _soft_phase(chi_tot)
     values = np.where(rho_smooth.values >= 0.5, 1.0, soft)
     return ScalarField(rho_smooth.grid, values)
 
 
 def rescale_contrast(rho: ScalarField, chi_tot: float) -> ScalarField:
     """Affinely map a non-constant field onto ``[1/chi_tot, 1]``."""
-    chi = float(chi_tot)
-    if chi < 1.0:
-        raise ValueError(f"total phase contrast must be >= 1, got {chi}")
+    soft = _soft_phase(chi_tot)
     lo = rho.values.min()
     hi = rho.values.max()
     if hi <= lo:
         raise ValueError("cannot rescale a constant field to a target contrast")
-    soft = 0.0 if np.isinf(chi) else 1.0 / chi
     values = soft + (1.0 - soft) * (rho.values - lo) / (hi - lo)
     return ScalarField(rho.grid, values)
 

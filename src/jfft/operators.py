@@ -176,6 +176,13 @@ def _apply_in_bands(op: SystemOperator, u: np.ndarray, out: np.ndarray,
             out[..., a:b, :] = nodal[..., 1:-1, :]
 
 
+def _check_out(out: np.ndarray | None, values: np.ndarray) -> None:
+    """Reject an ``out`` whose shape is not that of the input ``values``,
+    into which NumPy would otherwise broadcast."""
+    if out is not None and out.shape != values.shape:
+        raise ValueError(f"out has shape {out.shape}, expected {values.shape}")
+
+
 def apply_system(op: SystemOperator, u: VectorField,
                  out: np.ndarray | None = None) -> VectorField:
     """Apply ``K(rho) u`` element by element, cost O(n^2).  A stack
@@ -192,6 +199,7 @@ def apply_system(op: SystemOperator, u: VectorField,
         raise ValueError("displacement lives on a different grid")
     if out is not None and np.may_share_memory(out, u.values):
         raise ValueError("out must not share memory with u")
+    _check_out(out, u.values)
     lead = u.values.shape[:-3]
     bands = _band_count(op.grid.n, lead[0] if lead else 1)
     if bands == 1:

@@ -18,7 +18,7 @@ import numpy as np
 from .grid import (Grid, ScalarField, VectorField, dot, fft_forward,
                    fft_inverse, spectral_shape)
 from .material import MaterialModel
-from .operators import SystemOperator, apply_system, make_operator
+from .operators import SystemOperator, _check_out, apply_system, make_operator
 
 PRECONDITIONER_KINDS = ("none", "green", "jacobi", "green-jacobi")
 
@@ -268,6 +268,7 @@ def _half_jacobi(jacobi: JacobiDiagonal, r: VectorField,
     """``J^(1/2) r`` into ``out`` or a new array."""
     if r.grid != jacobi.grid:
         raise ValueError("residual lives on a different grid")
+    _check_out(out, r.values)
     return np.multiply(jacobi.inv_sqrt, r.values, out=out)
 
 
@@ -316,6 +317,7 @@ class Preconditioner:
         if self.kind == "none":
             if out is None:
                 return VectorField(r.grid, r.values.copy())
+            _check_out(out, r.values)
             np.copyto(out, r.values)
             return VectorField(r.grid, out)
         if self.kind == "green":

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import jfft.experiments
+import jfft.solver
 from jfft import microstructures as micro
 from jfft.cli import main
 from jfft.experiments import (ConfigError, build_geometry, load_config,
@@ -16,6 +17,7 @@ from jfft.experiments import (ConfigError, build_geometry, load_config,
                               run_motivate, run_smooth_vs_sharp, run_solve,
                               run_topopt)
 from jfft.grid import QuadField, ScalarField, load_field, make_grid, save_field
+from jfft.topopt import TopOptConfig
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -163,7 +165,10 @@ def test_cosine_sweep_with_voids(tmp_path):
 
 def test_sweep_scale_guard(tmp_path):
     cfg = sweep_config(n_values=[4, 1024])
-    with pytest.raises(ConfigError, match="full_scale"):
+    with pytest.raises(ConfigError, match="desk-scale cap 256; set full_scale"):
+        run_laminate_sweep(cfg, tmp_path / "out")
+    cfg = sweep_config(n_values=[2048], full_scale=True)
+    with pytest.raises(ConfigError, match="full-scale cap 1024$"):
         run_laminate_sweep(cfg, tmp_path / "out")
 
 
@@ -223,6 +228,9 @@ def test_run_topopt_artifacts(tmp_path):
     assert "iters_green-jacobi_load2" in rows[0]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["outer_iterations"] == len(history.objective) - 1
+    # keys the config leaves out take the defaults of TopOptConfig
+    topt, _ = jfft.experiments._topopt_config({"n": 8, "max_outer": 4})
+    assert topt == TopOptConfig(n=8, max_outer=4)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +264,49 @@ def test_run_smooth_vs_sharp_missing_file(tmp_path):
     cfg = {"rho_file": "ghost", "_config_dir": str(tmp_path)}
     with pytest.raises(ConfigError, match="not found"):
         run_smooth_vs_sharp(cfg, tmp_path / "out")
+
+
+# ---------------------------------------------------------------------------
+# Green operators
+# ---------------------------------------------------------------------------
+
+def _smooth_vs_sharp_config(tmp_path):
+    rng = np.random.default_rng(2)
+    rho = micro.gaussian_filter(
+        ScalarField(make_grid(8), rng.uniform(0.0, 1.0, (8, 8))))
+    save_field(tmp_path / "smooth", rho)
+    return {"rho_file": "smooth", "contrasts": [100.0],
+            "preconditioners": ["green"], "_config_dir": str(tmp_path)}
+
+
+@pytest.mark.parametrize("runner, workers, make_config, assemblies", [
+    (run_solve, None, lambda tmp_path: {
+        "n": 8, "geometry": {"kind": "laminate", "p": 8, "chi_tot": 10.0}}, 1),
+    (run_motivate, None, lambda tmp_path: {
+        "n": 16, "stop_contrast": 2.0, "stride": 10, "max_steps": 20,
+        "preconditioners": ["green"]}, 1),
+    (run_smooth_vs_sharp, None, _smooth_vs_sharp_config, 1),
+    (run_laminate_sweep, 1, lambda tmp_path: sweep_config(n_values=[8, 16]), 2),
+    (run_laminate_sweep, 2, lambda tmp_path: sweep_config(n_values=[8, 16]), 2),
+], ids=["solve", "motivate", "smooth-vs-sharp", "sweep-serial", "sweep-pool"])
+def test_each_run_assembles_its_own_green(tmp_path, monkeypatch, runner,
+                                          workers, make_config, assemblies):
+    # one Green operator per grid size and run, none kept for the next run
+    grids = []
+    assemble = jfft.experiments.assemble_green
+
+    def counted(grid, material):
+        grids.append(grid.n)
+        return assemble(grid, material)
+
+    monkeypatch.setattr(jfft.experiments, "assemble_green", counted)
+    monkeypatch.setattr(jfft.solver, "assemble_green", counted)
+    cfg = make_config(tmp_path)
+    extra = {} if workers is None else {"workers": workers}
+    for run in range(2):
+        grids.clear()
+        runner(cfg, tmp_path / f"out{run}", **extra)
+        assert len(grids) == assemblies, run
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,28 @@ def test_out_forms_bitwise_equal_allocating_calls(n, loads, solid_material):
     assert np.array_equal(r.values, expected)
 
 
+@pytest.mark.parametrize("kind", ["K", "none", "green", "jacobi",
+                                  "green-jacobi"])
+@pytest.mark.parametrize("loads, out_shape", [((), (3, 2, 8, 8)),
+                                              ((3,), (1, 3, 2, 8, 8))],
+                         ids=["one-load", "three-loads"])
+def test_out_of_another_shape_rejected(kind, loads, out_shape,
+                                       solid_material):
+    # NumPy would broadcast the result into an out with extra leading axes
+    rng = np.random.default_rng(90)
+    grid = make_grid(8)
+    green = assemble_green(grid, solid_material)
+    op = make_operator(ScalarField(grid, rng.uniform(0.01, 1.0, (8, 8))),
+                       solid_material)
+    r = VectorField(grid, rng.normal(size=loads + (2, 8, 8)))
+    out = np.zeros(out_shape)
+    with pytest.raises(ValueError):
+        if kind == "K":
+            apply_system(op, r, out=out)
+        else:
+            build_preconditioner(kind, op, green).apply(r, out=out)
+
+
 @pytest.mark.parametrize("n", [8, 9, 16])
 def test_green_norm_by_parseval_matches_real_space(n, solid_material):
     rng = np.random.default_rng(30 + n)
