@@ -178,9 +178,15 @@ def _apply_in_bands(op: SystemOperator, u: np.ndarray, out: np.ndarray,
 
 def _check_out(out: np.ndarray | None, values: np.ndarray) -> None:
     """Reject an ``out`` whose shape is not that of the input ``values``,
-    into which NumPy would otherwise broadcast."""
-    if out is not None and out.shape != values.shape:
+    into which NumPy would otherwise broadcast, and one that is not a
+    C-contiguous float64 array, which a :class:`VectorField` would copy
+    instead of wrapping, so that later steps would miss it."""
+    if out is None:
+        return
+    if out.shape != values.shape:
         raise ValueError(f"out has shape {out.shape}, expected {values.shape}")
+    if out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float64 array")
 
 
 def apply_system(op: SystemOperator, u: VectorField,

@@ -3,8 +3,9 @@ the uniform-data reference operator), Jacobi (scaling by the stiffness
 diagonal, in closed form), and their symmetric composition Green-Jacobi.
 
 The reference operator ``K_ref = B^T W C_ref B`` is block-circulant on the
-periodic grid, so its Fourier transform is block-diagonal with one Hermitian
-``2x2`` block per frequency.  The Green operator stores the closed-form
+periodic grid, so its Fourier transform is block-diagonal with one ``2x2``
+block per frequency.  Every stencil block of ``K_ref`` is symmetric, so each
+Fourier block is real symmetric.  The Green operator stores the closed-form
 pseudo-inverse of each block; rigid translations (the zero frequency) map
 to zero.
 """
@@ -31,16 +32,17 @@ _EIG_CUTOFF = 1e-12
 class GreenOperator:
     """Per-frequency pseudo-inverse blocks of the reference operator.
 
-    The ``2x2`` block at each frequency of the half-spectrum is stored as
-    four planes of shape ``(n, n//2 + 1)``: the diagonal entries ``g11`` and
-    ``g22`` are real, ``g12`` and ``g21`` complex.  The blocks are Hermitian
-    by construction, ``g21`` is ``conj(g12)`` bitwise, and positive
-    semi-definite.
+    The real symmetric, positive semi-definite ``2x2`` block at each
+    frequency of the half-spectrum is stored as three planes ``g11``,
+    ``g12`` and ``g22`` of shape ``(n, n//2 + 1)``.  Their values are real,
+    their dtype is ``complex128``, the spectrum's, so that each block
+    product is a plain complex multiply.
     The operator owns the workspace of :func:`apply_green` and
     :func:`green_norm2`: a spectrum buffer and a scratch spectrum per load
-    of the largest stack transformed so far (one load until a stack
-    arrives), so an application allocates only the field it returns, and
-    nothing when the caller passes ``out=``.  Both are component-major,
+    of the largest stack transformed so far (none until the first
+    application, so a fresh operator pickles as its planes alone), so that
+    an application allocates only the field it returns, and nothing when
+    the caller passes ``out=``.  Both are component-major,
     ``(2, loads, n, n//2 + 1)``, so that the block rows run on one
     contiguous block per component.
     """
@@ -48,13 +50,12 @@ class GreenOperator:
     grid: Grid
     g11: np.ndarray
     g12: np.ndarray
-    g21: np.ndarray
     g22: np.ndarray
     _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
     _scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _grow_spectra(self, 1)
+        _grow_spectra(self, 0)
 
 
 def _grow_spectra(green: GreenOperator, loads: int) -> None:
@@ -106,9 +107,10 @@ def assemble_green(grid: Grid, material_ref: MaterialModel) -> GreenOperator:
     into an ``n x n`` field, which is the response on the grid itself.  The
     FFT of each response column yields the Fourier blocks of ``K_ref``,
     which stay consistent with the chosen triangulation by construction.
-    Each block is Hermitized, ``b = (k12 + conj(k21)) / 2``, and
+    The blocks are real symmetric up to rounding: the off-diagonal entry is
+    taken as ``b = (Re k12 + Re k21) / 2``, and each block is
     pseudo-inverted in closed form by :func:`_invert_blocks`, on whole
-    ``(n, n//2 + 1)`` planes; ``g21`` is stored as ``conj(g12)``.
+    ``(n, n//2 + 1)`` planes.
     """
     h1, h2 = grid.pixel_size
     # scaling by four is exact: the patch has the grid's pixel size and
@@ -126,24 +128,24 @@ def assemble_green(grid: Grid, material_ref: MaterialModel) -> GreenOperator:
         columns.append(fft_forward(response))
     (k11, k21), (k12, k22) = columns
     a, d = k11.real.copy(), k22.real.copy()
-    b = 0.5 * (k12 + np.conj(k21))
+    b = 0.5 * (k12.real + k21.real)
     # rigid translations: the zero-frequency block is zero by construction,
     # up to the rounding of the column sums, and maps to zero
     a[0, 0] = d[0, 0] = b[0, 0] = 0.0
-    g11, g22, g12 = _invert_blocks(a, d, b)
-    return GreenOperator(grid, g11, g12, np.conj(g12), g22)
+    return GreenOperator(grid, *(plane.astype(np.complex128)
+                                 for plane in _invert_blocks(a, d, b)))
 
 
 def _invert_blocks(a: np.ndarray, d: np.ndarray, b: np.ndarray):
-    """``g11``, ``g22`` and ``g12`` of the pseudo-inverse of each Hermitian
-    block ``[[a, b], [conj(b), d]]``, elementwise on planes (``a``, ``d``
-    real, ``b`` complex).
+    """``g11``, ``g12`` and ``g22`` of the pseudo-inverse of each real
+    symmetric block ``[[a, b], [b, d]]``, elementwise on real planes.
 
     With ``lam`` and ``mu`` the larger and smaller eigenvalue of a block and
-    ``det = a d - |b|^2``:
+    ``det = a d - b^2``:
 
     * ``mu > _EIG_CUTOFF * lam > 0``: the inverse, ``g11 = d / det``,
-      ``g22 = a / det`` and ``g12 = -b / det``;
+      ``g22 = a / det`` and ``g12 = b * (1 / -det)``, a product with the
+      reciprocal, whose rounding the recorded iteration counts rest on;
     * ``lam > 0`` and ``mu`` at or below the cutoff: the inverse on the
       range of ``lam``, ``(K - mu I) / (lam (lam - mu))``, which is
       ``K / lam^2`` for a rank-one block;
@@ -152,20 +154,20 @@ def _invert_blocks(a: np.ndarray, d: np.ndarray, b: np.ndarray):
     half_gap = 0.5 * (a - d)
     radius = np.hypot(half_gap, np.abs(b))  # (lam - mu) / 2
     lam = 0.5 * (a + d) + radius
-    det = a * d - (b.real ** 2 + b.imag ** 2)  # lam * mu
+    det = a * d - b * b  # lam * mu
     positive = lam > 0.0
     full = positive & (det > _EIG_CUTOFF * lam ** 2)
-    g11, g22 = np.zeros(a.shape), np.zeros(a.shape)
-    g12 = np.zeros(b.shape, dtype=np.complex128)
+    g11, g12, g22 = np.zeros(a.shape), np.zeros(a.shape), np.zeros(a.shape)
     np.divide(d, det, out=g11, where=full)
     np.divide(a, det, out=g22, where=full)
-    np.divide(b, -det, out=g12, where=full)
+    np.divide(-1.0, det, out=g12, where=full)
+    np.multiply(b, g12, out=g12, where=full)
     on_range = np.nonzero(positive & ~full)
     scale = 1.0 / (2.0 * radius[on_range] * lam[on_range])
     g11[on_range] = (radius[on_range] + half_gap[on_range]) * scale
     g22[on_range] = (radius[on_range] - half_gap[on_range]) * scale
     g12[on_range] = b[on_range] * scale
-    return g11, g22, g12
+    return g11, g12, g22
 
 
 def apply_green(green: GreenOperator, r: VectorField,
@@ -181,13 +183,14 @@ def apply_green(green: GreenOperator, r: VectorField,
     """
     if r.grid != green.grid:
         raise ValueError("residual lives on a different grid")
+    _check_out(out, r.values)
     spectrum, z = _spectra(green, r.values.shape[:-3])
     fft_forward(r, out=_load_major(spectrum))
     np.multiply(green.g11, spectrum[0], out=z[0])
     np.multiply(green.g12, spectrum[1], out=z[1])
     z[0] += z[1]
     # the first component is read for the last time: it becomes scratch
-    np.multiply(green.g21, spectrum[0], out=z[1])
+    np.multiply(green.g12, spectrum[0], out=z[1])
     np.multiply(green.g22, spectrum[1], out=spectrum[0])
     z[1] += spectrum[0]
     return fft_inverse(_load_major(z), green.grid, out=out)
@@ -195,12 +198,13 @@ def apply_green(green: GreenOperator, r: VectorField,
 
 def green_norm2(green: GreenOperator, r: VectorField) -> float | list[float]:
     """``<r, G r>`` by Parseval's identity, without the inverse FFT: with
-    ``s`` the forward FFT of ``r`` and ``g21 = conj(g12)``, the Hermitian
-    form ``Re sum conj(s1) t1 + conj(s2) t2``, ``t1 = g11 s1 + 2 g12 s2`` and
-    ``t2 = g22 s2``, over the full spectrum, divided by ``n^2``.  On the
-    half-spectrum, interior columns stand for themselves and their mirror
-    images, the k2 = 0 column and, for even ``n``, the Nyquist column only
-    for themselves: those columns of ``t`` are halved and the sum doubled.
+    ``s`` the forward FFT of ``r`` and the blocks real symmetric, the
+    Hermitian form ``Re sum conj(s1) t1 + conj(s2) t2``,
+    ``t1 = g11 s1 + 2 g12 s2`` and ``t2 = g22 s2``, over the full spectrum,
+    divided by ``n^2``.  On the half-spectrum, interior columns stand for
+    themselves and their mirror images, the k2 = 0 column and, for even
+    ``n``, the Nyquist column only for themselves: those columns of ``t``
+    are halved and the sum doubled.
     Two :func:`~jfft.grid.dot` calls per load, on the (re, im) float views.
 
     A float for one field; for a stack, a list with one value per load,

@@ -163,8 +163,8 @@ def pcg_stack(op: SystemOperator, rhs: VectorField,
         definiteness.
     """
     start = time.perf_counter()
-    if rhs.values.ndim != 4:
-        raise ValueError("pcg_stack takes a stack (B, 2, n, n) of "
+    if rhs.values.ndim != 4 or len(rhs.values) == 0:
+        raise ValueError("pcg_stack takes a stack (B, 2, n, n), B >= 1, of "
                          "right-hand sides")
     if rhs.grid != op.grid:
         raise ValueError("right-hand side lives on a different grid")

@@ -284,9 +284,28 @@ def eigh_green_blocks(grid, material, cutoff=1e-12):
     return blocks
 
 
+def hermitized_reference_blocks(grid, material):
+    """The Fourier blocks of ``K_ref``, (n, n//2 + 1, 2, 2), from the FFTs
+    of its responses to a unit impulse per displacement component on the
+    whole grid, Hermitized, with the zero-frequency block zero."""
+    from jfft.grid import ScalarField, VectorField, fft_forward
+    from jfft.operators import apply_system, make_operator
+
+    ref_op = make_operator(ScalarField.full(grid, 1.0), material)
+    n = grid.n
+    khat = np.empty((n, n // 2 + 1, 2, 2), dtype=np.complex128)
+    for beta in range(2):
+        impulse = VectorField.zeros(grid)
+        impulse.values[beta, 0, 0] = 1.0
+        response = apply_system(ref_op, impulse)
+        khat[:, :, :, beta] = np.moveaxis(fft_forward(response), 0, -1)
+    khat[0, 0] = 0.0
+    return 0.5 * (khat + np.conj(np.swapaxes(khat, -1, -2)))
+
+
 def full_grid_green(grid, material):
     """The Green operator assembled from impulse responses of ``K_ref`` on
-    the whole grid, then Hermitized and inverted by the production closed
+    the whole grid, then symmetrized and inverted by the production closed
     form.  The patch assembly must reproduce its blocks bit for bit."""
     from jfft.grid import ScalarField, VectorField, fft_forward
     from jfft.operators import apply_system, make_operator
@@ -300,16 +319,16 @@ def full_grid_green(grid, material):
         columns.append(fft_forward(apply_system(ref_op, impulse)))
     (k11, k21), (k12, k22) = columns
     a, d = k11.real.copy(), k22.real.copy()
-    b = 0.5 * (k12 + np.conj(k21))
+    b = 0.5 * (k12.real + k21.real)
     a[0, 0] = d[0, 0] = b[0, 0] = 0.0
-    g11, g22, g12 = _invert_blocks(a, d, b)
-    return GreenOperator(grid, g11, g12, np.conj(g12), g22)
+    return GreenOperator(grid, *(plane.astype(np.complex128)
+                                 for plane in _invert_blocks(a, d, b)))
 
 
 def green_blocks(green):
     """The Green operator's planes as one (n, n//2 + 1, 2, 2) block array."""
     return np.stack([np.stack([green.g11, green.g12], axis=-1),
-                     np.stack([green.g21, green.g22], axis=-1)], axis=-2)
+                     np.stack([green.g12, green.g22], axis=-1)], axis=-2)
 
 
 def reference_apply_green(green, r):

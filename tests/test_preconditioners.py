@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -16,8 +18,9 @@ from jfft.preconditioners import (Preconditioner, apply_green,
 from jfft.solver import pcg
 
 from oracles import (eigh_green_blocks, full_grid_green, green_blocks,
-                     impulse_diagonal, probed_diagonal, reference_apply_green,
-                     vec_flat, vec_unflat)
+                     hermitized_reference_blocks, impulse_diagonal,
+                     probed_diagonal, reference_apply_green, vec_flat,
+                     vec_unflat)
 
 
 def zero_mean(values):
@@ -84,45 +87,90 @@ def test_green_assembly_peak_memory(solid_material):
 def test_green_conjugate_planes_and_positive_diagonal(n, lengths,
                                                       solid_material):
     green = assemble_green(make_grid(n, lengths), solid_material)
-    assert green.g21.tobytes() == np.conj(green.g12).tobytes()
+    planes = (green.g11, green.g12, green.g22)
+    assert [f.name for f in dataclasses.fields(green) if f.init] \
+        == ["grid", "g11", "g12", "g22"]
+    for plane in planes:
+        assert plane.dtype == np.complex128
+        assert not plane.imag.any()
     for plane in (green.g11, green.g22):
         assert plane[0, 0] == 0.0
         away = np.ones(plane.shape, dtype=bool)
         away[0, 0] = False
-        assert plane[away].min() > 0.0
+        assert plane[away].real.min() > 0.0
 
 
-def _hermitian_blocks(lam_max, lam_min, off_diagonal_phase):
-    """Blocks ``lam_max v v^H + lam_min w w^H`` with orthonormal ``v, w``;
-    ``v`` has components of moduli 0.6 and 0.8 and the given phase."""
-    v = np.array([0.6, 0.8 * np.exp(1j * off_diagonal_phase)])
-    w = np.array([-np.conj(v[1]), np.conj(v[0])])
-    return (lam_max * np.outer(v, np.conj(v))
-            + lam_min * np.outer(w, np.conj(w)))
+@pytest.mark.parametrize("n", [8, 9, 32])
+@pytest.mark.parametrize("lengths", [(1.0, 1.5), (0.3, 7.0)],
+                         ids=["1x1.5", "0.3x7"])
+def test_green_rectangular_pixels_match_eigh_of_real_blocks(n, lengths,
+                                                            solid_material):
+    # on such pixels the Fourier blocks of K_ref carry imaginary rounding
+    # noise (at most 5.3e-17 of the largest entry for n = 8 to 256), which
+    # the assembly drops
+    for material, bound in ((solid_material, 1e-15),
+                            (isotropic_material(100.0, 0.5), 1e-14)):
+        grid = make_grid(n, lengths)
+        khat = hermitized_reference_blocks(grid, material)
+        assert np.abs(khat.imag).max() <= 1e-16 * np.abs(khat).max()
+        eigvals, eigvecs = np.linalg.eigh(khat.real)
+        kept = eigvals > precond_mod._EIG_CUTOFF * np.clip(
+            eigvals[..., -1:], 0.0, None)
+        inv_vals = np.where(kept, 1.0, 0.0) / np.where(kept, eigvals, 1.0)
+        expected = np.einsum("...ab,...b,...cb->...ac", eigvecs, inv_vals,
+                             eigvecs)
+        blocks = green_blocks(assemble_green(grid, material))
+        assert np.abs(blocks - expected).max() \
+            <= bound * np.abs(expected).max(), material
+
+
+@pytest.mark.parametrize("n", [9, 128])
+def test_fresh_green_pickles_as_its_planes(n, solid_material):
+    grid = make_grid(n)
+    green = assemble_green(grid, solid_material)
+    data = pickle.dumps(green)
+    assert len(data) <= 3 * 16 * n * (n // 2 + 1) + 4096
+    back = pickle.loads(data)
+    rng = np.random.default_rng(70 + n)
+    for shape in ((2, n, n), (3, 2, n, n)):
+        r = VectorField(grid, rng.normal(size=shape))
+        assert np.array_equal(apply_green(back, r).values,
+                              apply_green(green, r).values)
+        assert green_norm2(back, r) == green_norm2(green, r)
+
+
+def _symmetric_blocks(lam_max, lam_min, off_diagonal_phase):
+    """Blocks ``lam_max v v^T + lam_min w w^T`` with orthonormal ``v, w``;
+    ``v = (0.6, 0.8 cos(phase))``, so a phase of 0 or pi gives an
+    off-diagonal entry of either sign."""
+    v = np.array([0.6, 0.8 * np.cos(off_diagonal_phase)])
+    w = np.array([-v[1], v[0]])
+    return lam_max * np.outer(v, v) + lam_min * np.outer(w, w)
 
 
 def _inverted(blocks):
     """:func:`_invert_blocks` on the planes of a stack of ``2x2`` blocks,
     returned as a stack of blocks."""
-    g11, g22, g12 = precond_mod._invert_blocks(
-        blocks[:, 0, 0].real, blocks[:, 1, 1].real, blocks[:, 0, 1])
+    g11, g12, g22 = precond_mod._invert_blocks(
+        blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 0, 1])
     return np.stack([np.stack([g11, g12], axis=-1),
-                     np.stack([np.conj(g12), g22], axis=-1)], axis=-2)
+                     np.stack([g12, g22], axis=-1)], axis=-2)
 
 
 @pytest.mark.parametrize("case, lam_min, phase, rtol", [
-    ("full rank", 0.3, 0.7, 1e-15),
+    ("full rank", 0.3, 0.0, 1e-15),
+    ("full rank, negative off-diagonal", 0.3, np.pi, 1e-15),
     ("rank one, real off-diagonal", 0.0, 0.0, 1e-15),
-    ("rank one, complex off-diagonal", 0.0, 2.1, 1e-15),
-    ("smaller eigenvalue at 1e-13", 1e-13, 0.7, 1e-15),
+    ("rank one, negative off-diagonal", 0.0, np.pi, 1e-15),
+    ("smaller eigenvalue at 1e-13", 1e-13, np.pi, 1e-15),
     # kept: an inverse of condition 1e11, accurate to about eps * 1e11
-    ("smaller eigenvalue at 1e-11", 1e-11, 0.7, 1e-4),
+    ("smaller eigenvalue at 1e-11", 1e-11, np.pi, 1e-4),
     ("zero", None, 0.0, 0.0),
 ])
 def test_invert_blocks_matches_pinv(case, lam_min, phase, rtol):
     scales = np.array([1.0, 3.5e-4, 2.0e6])
-    blocks = (np.zeros((3, 2, 2), dtype=np.complex128) if lam_min is None
-              else np.stack([s * _hermitian_blocks(1.0, lam_min, phase)
+    blocks = (np.zeros((3, 2, 2)) if lam_min is None
+              else np.stack([s * _symmetric_blocks(1.0, lam_min, phase)
                              for s in scales]))
     got = _inverted(blocks)
     expected = np.linalg.pinv(blocks, rcond=precond_mod._EIG_CUTOFF,
@@ -137,9 +185,9 @@ def test_invert_blocks_keeps_positive_eigenvalues_only():
     # zero is dropped whatever its modulus, so an indefinite block is
     # inverted on the range of its positive eigenvalue and a negative
     # definite block maps to zero
-    got = _inverted(np.stack([_hermitian_blocks(2.0, -0.5, 0.7),
-                              _hermitian_blocks(-1.0, -2.0, 0.7)]))
-    assert np.abs(got[0] - _hermitian_blocks(0.5, 0.0, 0.7)).max() <= 1e-15
+    got = _inverted(np.stack([_symmetric_blocks(2.0, -0.5, np.pi),
+                              _symmetric_blocks(-1.0, -2.0, np.pi)]))
+    assert np.abs(got[0] - _symmetric_blocks(0.5, 0.0, np.pi)).max() <= 1e-15
     assert not got[1].any()
 
 
@@ -314,26 +362,48 @@ def test_out_forms_bitwise_equal_allocating_calls(n, loads, solid_material):
     assert np.array_equal(r.values, expected)
 
 
+def _apply_into(kind, loads, out, material):
+    """``kind`` ("K", "apply_green" or a preconditioner kind) applied at
+    n = 8 to ``loads`` random fields, into ``out``."""
+    rng = np.random.default_rng(90)
+    grid = make_grid(8)
+    green = assemble_green(grid, material)
+    op = make_operator(ScalarField(grid, rng.uniform(0.01, 1.0, (8, 8))),
+                       material)
+    r = VectorField(grid, rng.normal(size=loads + (2, 8, 8)))
+    if kind == "K":
+        return apply_system(op, r, out=out)
+    if kind == "apply_green":
+        return apply_green(green, r, out=out)
+    return build_preconditioner(kind, op, green).apply(r, out=out)
+
+
 @pytest.mark.parametrize("kind", ["K", "none", "green", "jacobi",
-                                  "green-jacobi"])
+                                  "green-jacobi", "apply_green"])
 @pytest.mark.parametrize("loads, out_shape", [((), (3, 2, 8, 8)),
                                               ((3,), (1, 3, 2, 8, 8))],
                          ids=["one-load", "three-loads"])
 def test_out_of_another_shape_rejected(kind, loads, out_shape,
                                        solid_material):
     # NumPy would broadcast the result into an out with extra leading axes
-    rng = np.random.default_rng(90)
-    grid = make_grid(8)
-    green = assemble_green(grid, solid_material)
-    op = make_operator(ScalarField(grid, rng.uniform(0.01, 1.0, (8, 8))),
-                       solid_material)
-    r = VectorField(grid, rng.normal(size=loads + (2, 8, 8)))
-    out = np.zeros(out_shape)
-    with pytest.raises(ValueError):
-        if kind == "K":
-            apply_system(op, r, out=out)
-        else:
-            build_preconditioner(kind, op, green).apply(r, out=out)
+    with pytest.raises(ValueError, match="shape"):
+        _apply_into(kind, loads, np.zeros(out_shape), solid_material)
+
+
+@pytest.mark.parametrize("kind", ["K", "none", "green", "jacobi",
+                                  "green-jacobi", "apply_green"])
+@pytest.mark.parametrize("loads", [(), (3,)], ids=["one-load", "three-loads"])
+@pytest.mark.parametrize("layout", ["F-order", "float32"])
+def test_out_of_another_layout_rejected(kind, loads, layout,
+                                        solid_material):
+    # a VectorField copies such an out instead of wrapping it: Green-Jacobi
+    # returned the right field and left J^(1/2) r in out, and K and Green
+    # rounded into a float32 out without notice
+    shape = loads + (2, 8, 8)
+    out = (np.zeros(shape, order="F") if layout == "F-order"
+           else np.zeros(shape, dtype=np.float32))
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        _apply_into(kind, loads, out, solid_material)
 
 
 @pytest.mark.parametrize("n", [8, 9, 16])

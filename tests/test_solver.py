@@ -238,6 +238,9 @@ def test_stack_nan_in_one_load_aborts(solid_material):
         pcg_stack(op, rhs, pre, green)
     with pytest.raises(ValueError, match="stack"):
         pcg_stack(op, assemble_rhs(op, loads[0]), pre, green)
+    # B = 0 is no stack either
+    with pytest.raises(ValueError, match="stack"):
+        pcg_stack(op, VectorField(op.grid, np.empty((0, 2, 8, 8))), pre, green)
     # the same densities on a cell of other lengths: same n, other grid
     stretched = ScalarField(make_grid(8, (2.0, 0.5)), op.density.values)
     other = assemble_rhs(make_operator(stretched, solid_material), loads)
