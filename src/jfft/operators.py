@@ -193,7 +193,7 @@ def apply_system(op: SystemOperator, u: VectorField,
                  out: np.ndarray | None = None) -> VectorField:
     """Apply ``K(rho) u`` element by element, cost O(n^2).  A stack
     ``u`` gives the stack of products, each bitwise equal to its load's
-    product alone.  ``out``, when given, is a C-contiguous float array of
+    product alone.  ``out``, when given, is a C-contiguous float64 array of
     ``u``'s shape that receives (and backs) the product; it must not share
     memory with ``u.values``, since on a large grid the product is written
     band by band while later bands still read ``u``.

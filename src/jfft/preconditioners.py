@@ -177,7 +177,7 @@ def apply_green(green: GreenOperator, r: VectorField,
     Symmetric positive semi-definite; the output has zero mean per
     component.  Cost O(n^2 log n).  A stack ``r`` gives the stack
     of results, each bitwise equal to its load's result alone.  ``out``,
-    when given, is a C-contiguous float array of ``r``'s shape that
+    when given, is a C-contiguous float64 array of ``r``'s shape that
     receives (and backs) the result; it may be ``r.values`` itself, since
     the forward FFT reads all of ``r`` before the inverse FFT writes.
     """
