@@ -7,7 +7,11 @@ reproductions of the iteration-count studies; 1-4 and 8 are exact
 properties.
 """
 
+import csv
+import os
+import platform
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -481,3 +485,103 @@ def test_trend_smooth_high_contrast_favors_green_jacobi(smooth_sharp_reports):
     reports, _ = smooth_sharp_reports
     assert reports[("smooth", 1e8, "green-jacobi")].iterations \
         < reports[("smooth", 1e8, "green")].iterations
+
+
+# ---------------------------------------------------------------------------
+# golden count ledger: the counts of every solve the studies above ran
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def ledgers(laminate_table, cosine_table, motivate_rows, topopt_run,
+            smooth_sharp_reports):
+    """Ledger name -> (key columns, value columns, rows of strings)."""
+    sweep_keys = ("preconditioner", "p", "n", "chi_tot")
+    outcome = ("iterations", "terminated")
+    (_, history), _ = topopt_run
+    reports, _ = smooth_sharp_reports
+
+    def sweep(rows):
+        return [tuple(row[c] for c in sweep_keys + outcome) for row in rows]
+
+    tables = {
+        "laminate": (sweep_keys, outcome, sweep(laminate_table[0])),
+        "cosine": (sweep_keys, outcome, sweep(cosine_table[0])),
+        "motivate": (("preconditioner", "step"),
+                     ("chi_tot",) + outcome,
+                     [(row["preconditioner"], row["step"], row["chi_tot"],
+                       row["iterations"], row["terminated"])
+                      for row in motivate_rows[0]]),
+        "smooth_vs_sharp": (("variant", "chi_tot", "preconditioner"), outcome,
+                            [(variant, f"{chi:g}", kind, rep.iterations,
+                              rep.terminated)
+                             for (variant, chi, kind), rep in reports.items()]),
+        # per accepted iterate, the counts of each load of the stacked solve
+        "topopt": (("record", "preconditioner"), ("iterations",),
+                   [(k, kind, " ".join(map(str, counts)))
+                    for k, record in enumerate(history.inner_iterations)
+                    for kind, counts in record.items()]),
+        "topopt_run": (("entry",), ("value",),
+                       [("status", history.status),
+                        ("outer steps", len(history.objective) - 1)]),
+    }
+    return {name: (keys, values, [tuple(map(str, row)) for row in rows])
+            for name, (keys, values, rows) in tables.items()}
+
+
+def provenance() -> list[str]:
+    return [f"# numpy {np.__version__}",
+            f"# Python {platform.python_version()} on {platform.system()} "
+            f"{platform.machine()}"]
+
+
+def write_ledger(path, keys, values, rows):
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(provenance()) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(keys + values)
+        writer.writerows(rows)
+
+
+def read_ledger(path, keys):
+    """Key tuple -> value tuple of a ledger file, and its comment lines."""
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    table = list(csv.reader(line for line in lines if not line.startswith("#")))
+    assert tuple(table[0][:len(keys)]) == keys, (path, table[0])
+    return ({tuple(row[:len(keys)]): tuple(row[len(keys):])
+             for row in table[1:]}, comments)
+
+
+def test_golden_count_ledger(laminate_table, cosine_table, motivate_rows,
+                             topopt_run, smooth_sharp_reports):
+    """Every count, termination and the topology-optimization outcome of
+    the session studies equal the checked-in ledger in ``tests/golden``,
+    exactly.  ``python tests/golden/regenerate.py`` rewrites the ledger
+    from the current code; it records criterion 9's counts whether or not
+    that criterion passes."""
+    tables = ledgers(laminate_table, cosine_table, motivate_rows, topopt_run,
+                     smooth_sharp_reports)
+    if os.environ.get("JFFT_REGENERATE_GOLDEN") == "1":
+        for name, (keys, values, rows) in tables.items():
+            write_ledger(GOLDEN / f"{name}.csv", keys, values, rows)
+        return
+    moved = []
+    for name, (keys, values, rows) in tables.items():
+        old, comments = read_ledger(GOLDEN / f"{name}.csv", keys)
+        new = {row[:len(keys)]: row[len(keys):] for row in rows}
+        for key in sorted(old.keys() | new.keys()):
+            if old.get(key) != new.get(key):
+                where = ", ".join(f"{k}={v}" for k, v in zip(keys, key))
+                was, now = (" ".join(v) if v else "(absent)"
+                            for v in (old.get(key), new.get(key)))
+                moved.append(f"{name} {where}: {was} -> {now}")
+
+    def made_with(lines):
+        return "; ".join(line.lstrip("# ") for line in lines)
+
+    assert not moved, (f"{len(moved)} ledger rows moved (ledger made with "
+                       f"{made_with(comments)}, now {made_with(provenance())}):"
+                       "\n" + "\n".join(moved))
