@@ -29,10 +29,11 @@ the result, which the caller discards.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
-from .grid import MANDEL_DIM, SQRT2, QuadField, VectorField
+from .grid import MANDEL_DIM, SQRT2, QuadField, VectorField, sequence
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -56,112 +57,121 @@ def _lines(shape: tuple[int, int], axis: int) -> tuple[int, slice, slice]:
     return 1, slice(0, None, n), slice(n - 1, None, n)
 
 
-def _scale_by_inverse(out: np.ndarray, h: float) -> None:
-    """``out /= h`` in place, as ``out *= 1 / h`` when ``1 / h`` is exact.
-    For a power of two ``h`` whose reciprocal is finite, quotient and
-    product are one real number, which both round alike, subnormals,
+def _scale_by_inverse(out: np.ndarray, h: float):
+    """The step ``out /= h`` in place, as ``out *= 1 / h`` when ``1 / h`` is
+    exact.  For a power of two ``h`` whose reciprocal is finite, quotient
+    and product are one real number, which both round alike, subnormals,
     infinities and NaNs included; any other ``h`` divides."""
     inverse = 1.0 / h
     if math.frexp(h)[0] == 0.5 and math.isfinite(inverse):
-        out *= inverse
-    else:
-        out /= h
+        return partial(np.multiply, out, inverse, out)
+    return partial(np.true_divide, out, h, out)
 
 
-# Each kernel makes one call on the flat rows ``a`` and ``out`` (..., r*n),
-# offset by the distance of ``line`` = _lines((r, n), axis), then redoes the
-# one line whose neighbour wraps around the plane, which that call either
-# skipped or took from the next row of the plane.
+# Each kernel returns the steps of one call on the flat rows ``a`` and
+# ``out`` (..., r*n), offset by the distance of ``line`` =
+# _lines((r, n), axis), then of the call that redoes the one line whose
+# neighbour wraps around the plane, which the first call either skipped or
+# took from the next row of the plane.
 
 def _forward_difference(a: np.ndarray, line, h: float,
-                        out: np.ndarray) -> None:
-    """``out = (roll(a, -1, axis) - a) / h``, the periodic forward difference
-    along the axis of ``line``."""
+                        out: np.ndarray) -> list:
+    """Steps of ``out = (roll(a, -1, axis) - a) / h``, the periodic forward
+    difference along the axis of ``line``."""
     k, first, last = line
-    np.subtract(a[..., k:], a[..., :-k], out=out[..., :-k])
-    np.subtract(a[..., first], a[..., last], out=out[..., last])
-    _scale_by_inverse(out, h)
+    return [partial(np.subtract, a[..., k:], a[..., :-k], out[..., :-k]),
+            partial(np.subtract, a[..., first], a[..., last], out[..., last]),
+            _scale_by_inverse(out, h)]
 
 
 def _backward_difference(a: np.ndarray, line, h: float,
-                         out: np.ndarray) -> None:
-    """``out = (roll(a, 1, axis) - a) / h`` along the axis of ``line``, the
-    adjoint of :func:`_forward_difference`."""
+                         out: np.ndarray) -> list:
+    """Steps of ``out = (roll(a, 1, axis) - a) / h`` along the axis of
+    ``line``, the adjoint of :func:`_forward_difference`."""
     k, first, last = line
-    np.subtract(a[..., :-k], a[..., k:], out=out[..., k:])
-    np.subtract(a[..., last], a[..., first], out=out[..., first])
-    _scale_by_inverse(out, h)
+    return [partial(np.subtract, a[..., :-k], a[..., k:], out[..., k:]),
+            partial(np.subtract, a[..., last], a[..., first], out[..., first]),
+            _scale_by_inverse(out, h)]
 
 
-def _shift(a: np.ndarray, step: int, line, out: np.ndarray) -> None:
-    """``out = roll(a, step, axis)`` for ``step`` = +1 or -1, along the axis
-    of ``line``."""
+def _shift(a: np.ndarray, step: int, line, out: np.ndarray) -> list:
+    """Steps of ``out = roll(a, step, axis)`` for ``step`` = +1 or -1, along
+    the axis of ``line``."""
     k, first, last = line
     if step == 1:
-        out[..., k:] = a[..., :-k]
-        out[..., first] = a[..., last]
-    else:
-        out[..., :-k] = a[..., k:]
-        out[..., last] = a[..., first]
+        return [partial(np.copyto, out[..., k:], a[..., :-k]),
+                partial(np.copyto, out[..., first], a[..., last])]
+    return [partial(np.copyto, out[..., :-k], a[..., k:]),
+            partial(np.copyto, out[..., last], a[..., first])]
 
 
-def sym_gradient_into(u: np.ndarray, pixel_size: tuple[float, float],
-                      eps: np.ndarray, planes: np.ndarray) -> None:
-    """Strain planes ``eps`` (3, 2, ..., r, n) from displacement planes
-    ``u`` (..., 2, r, n); ``planes`` (2, ..., r, n) is scratch.  The axes
-    marked ``...`` are load axes, and each load is computed as it would be
-    alone.  Component-major ``eps`` and ``planes`` make each strain plane
-    of a stack one block.  Every plane must be C-contiguous."""
+def prepare_sym_gradient(u: np.ndarray, pixel_size: tuple[float, float],
+                         eps: np.ndarray, planes: np.ndarray):
+    """The strain pass, run as often as wanted: strain planes ``eps``
+    (3, 2, ..., r, n) from displacement planes ``u`` (..., 2, r, n);
+    ``planes`` (2, ..., r, n) is scratch.  The axes marked ``...`` are load
+    axes, and each load is computed as it would be alone.  Component-major
+    ``eps`` and ``planes`` make each strain plane of a stack one block.
+    Every plane must be C-contiguous."""
     dx1, dx2 = pixel_size
     along1, along2 = _lines(u.shape[-2:], 0), _lines(u.shape[-2:], 1)
     u, eps, planes = _rows(u), _rows(eps), _rows(planes)
     dyu1, dxu2 = planes
     u1, u2 = u[..., 0, :], u[..., 1, :]
     e00, e10, e20, e21 = eps[0, 0], eps[1, 0], eps[2, 0], eps[2, 1]
-    # lower triangle: gradients anchored at the pixel's lower-left node
-    _forward_difference(u1, along1, dx1, e00)
-    _forward_difference(u2, along2, dx2, e10)
-    _forward_difference(u1, along2, dx2, dyu1)
-    _forward_difference(u2, along1, dx1, dxu2)
-    np.add(dyu1, dxu2, out=e20)
-    e20 /= SQRT2
-    # upper triangle: the same differences taken along the far pixel edges
-    _shift(e00, -1, along2, eps[0, 1])
-    _shift(e10, -1, along1, eps[1, 1])
-    _shift(dyu1, -1, along1, e21)
-    _shift(dxu2, -1, along2, dyu1)
-    e21 += dyu1
-    e21 /= SQRT2
+    return sequence([
+        # lower triangle: gradients anchored at the pixel's lower-left node
+        *_forward_difference(u1, along1, dx1, e00),
+        *_forward_difference(u2, along2, dx2, e10),
+        *_forward_difference(u1, along2, dx2, dyu1),
+        *_forward_difference(u2, along1, dx1, dxu2),
+        partial(np.add, dyu1, dxu2, e20),
+        partial(np.true_divide, e20, SQRT2, e20),
+        # upper triangle: the same differences taken along the far edges
+        *_shift(e00, -1, along2, eps[0, 1]),
+        *_shift(e10, -1, along1, eps[1, 1]),
+        *_shift(dyu1, -1, along1, e21),
+        *_shift(dxu2, -1, along2, dyu1),
+        partial(np.add, e21, dyu1, e21),
+        partial(np.true_divide, e21, SQRT2, e21)])
 
 
-def sym_gradient_adjoint_into(s: np.ndarray, pixel_size: tuple[float, float],
-                              f: np.ndarray, planes: np.ndarray) -> None:
-    """Exact transpose of :func:`sym_gradient_into`: nodal planes ``f``
-    (..., 2, r, n) from quadrature planes ``s`` (3, 2, ..., r, n), which are
-    left unchanged; ``planes`` (2, ..., r, n) is scratch.  Every plane must
-    be C-contiguous."""
+def sym_gradient_into(u: np.ndarray, pixel_size: tuple[float, float],
+                      eps: np.ndarray, planes: np.ndarray) -> None:
+    """One strain pass of :func:`prepare_sym_gradient`."""
+    prepare_sym_gradient(u, pixel_size, eps, planes)()
+
+
+def prepare_sym_gradient_adjoint(s: np.ndarray,
+                                 pixel_size: tuple[float, float],
+                                 f: np.ndarray, planes: np.ndarray):
+    """The exact transpose of :func:`prepare_sym_gradient`, run as often as
+    wanted: nodal planes ``f`` (..., 2, r, n) from quadrature planes ``s``
+    (3, 2, ..., r, n), which are left unchanged; ``planes`` (2, ..., r, n)
+    is scratch.  Every plane must be C-contiguous."""
     dx1, dx2 = pixel_size
     along1, along2 = _lines(f.shape[-2:], 0), _lines(f.shape[-2:], 1)
     s, f, planes = _rows(s), _rows(f), _rows(planes)
     gathered, term = planes
     f1, f2 = f[..., 0, :], f[..., 1, :]
     s20, s21 = s[2, 0], s[2, 1]
-    _shift(s[0, 1], 1, along2, gathered)
-    gathered += s[0, 0]
-    _backward_difference(gathered, along1, dx1, f1)
-    _shift(s21, 1, along1, gathered)
-    gathered += s20
-    _backward_difference(gathered, along2, dx2, term)
-    term /= SQRT2
-    f1 += term
-    _shift(s[1, 1], 1, along1, gathered)
-    gathered += s[1, 0]
-    _backward_difference(gathered, along2, dx2, f2)
-    _shift(s21, 1, along2, gathered)
-    gathered += s20
-    _backward_difference(gathered, along1, dx1, term)
-    term /= SQRT2
-    f2 += term
+    return sequence([
+        *_shift(s[0, 1], 1, along2, gathered),
+        partial(np.add, gathered, s[0, 0], gathered),
+        *_backward_difference(gathered, along1, dx1, f1),
+        *_shift(s21, 1, along1, gathered),
+        partial(np.add, gathered, s20, gathered),
+        *_backward_difference(gathered, along2, dx2, term),
+        partial(np.true_divide, term, SQRT2, term),
+        partial(np.add, f1, term, f1),
+        *_shift(s[1, 1], 1, along1, gathered),
+        partial(np.add, gathered, s[1, 0], gathered),
+        *_backward_difference(gathered, along2, dx2, f2),
+        *_shift(s21, 1, along2, gathered),
+        partial(np.add, gathered, s20, gathered),
+        *_backward_difference(gathered, along1, dx1, term),
+        partial(np.true_divide, term, SQRT2, term),
+        partial(np.add, f2, term, f2)])
 
 
 def sym_gradient(u: VectorField) -> QuadField:
@@ -184,7 +194,8 @@ def sym_gradient_adjoint(s: QuadField) -> VectorField:
     """
     n = s.grid.n
     f = np.empty((2, n, n))
-    sym_gradient_adjoint_into(s.values, s.grid.pixel_size, f, np.empty((2, n, n)))
+    prepare_sym_gradient_adjoint(s.values, s.grid.pixel_size, f,
+                                 np.empty((2, n, n)))()
     return VectorField(s.grid, f)
 
 

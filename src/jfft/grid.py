@@ -17,9 +17,10 @@ Conventions used throughout the package:
   equals the tensor double contraction.
 * FFTs use the unnormalized forward transform and put the ``1/N`` factor on
   the inverse (numpy's default), in the real-to-complex layout.  Only
-  :func:`fft_forward` and :func:`fft_inverse` call ``np.fft``.  They run
-  the 1D transforms of ``rfftn`` and ``irfftn`` in the same order, so their
-  output is bitwise equal, without the temporaries of the n-D calls.  The
+  :func:`fft_forward` and :func:`prepare_fft_inverse` call ``np.fft``.
+  They run the 1D transforms of ``rfftn`` and ``irfftn`` in the same
+  order, so their output is bitwise equal, without the temporaries of the
+  n-D calls.  The
   forward transform is ``rfft`` along axis -1, into a caller's spectrum
   buffer when given ``out=`` (numpy >= 2.0), then ``fft`` along axis -2 in
   place.  The inverse is ``ifft`` along axis -2 in place, overwriting the
@@ -29,6 +30,11 @@ Conventions used throughout the package:
   1.6x (n = 128) to 2x (n = 512) as long.
 * Only :func:`dot` takes inner products: every dot product and norm of
   PCG and L-BFGS, so one fixed summation decides the iteration counts.
+* The layers of a PCG iteration come in two steps.  ``prepare_*`` checks
+  its inputs, carves its workspace and slices every view it will use, and
+  returns a zero-argument callable, built by :func:`sequence`, that makes
+  only the NumPy calls; run again, it recomputes from whatever its input
+  buffers hold by then.  Each one-shot function is its ``prepare_*(...)()``.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -162,6 +169,19 @@ class QuadField:
         return cls(grid, np.zeros((MANDEL_DIM, 2, grid.n, grid.n)))
 
 
+def sequence(steps, result=None):
+    """A zero-argument callable that calls each of ``steps``, zero-argument
+    callables themselves, in order, and returns ``result``."""
+    steps = tuple(steps)
+
+    def run():
+        for step in steps:
+            step()
+        return result
+
+    return run
+
+
 # ----------------------------------------------------------------------------
 # FFT contract used by the Green preconditioner
 # ----------------------------------------------------------------------------
@@ -185,9 +205,11 @@ def fft_forward(u: VectorField, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.fft(spectrum, axis=-2, out=spectrum)
 
 
-def fft_inverse(spectrum: np.ndarray, grid: Grid,
-                out: np.ndarray | None = None) -> VectorField:
-    """Inverse of :func:`fft_forward` (carries the ``1/N`` normalization).
+def prepare_fft_inverse(spectrum: np.ndarray, grid: Grid,
+                        out: np.ndarray | None = None):
+    """Inverse of :func:`fft_forward` (carries the ``1/N`` normalization),
+    as a zero-argument callable that transforms whatever ``spectrum``
+    holds when run and returns the field.
 
     Overwrites ``spectrum``: the transform along axis -2 runs in place, and
     the real transform along axis -1 writes the returned field.  Callers
@@ -199,13 +221,19 @@ def fft_inverse(spectrum: np.ndarray, grid: Grid,
         raise ValueError(f"spectrum has shape {spectrum.shape}, expected "
                          f"{spectral_shape(grid)} with at most one load axis "
                          "in front")
-    np.fft.ifft(spectrum, axis=-2, out=spectrum)
     # an explicit C-ordered result: irfft would follow a transposed
     # spectrum's memory order, and VectorField would copy it back
     if out is None:
         out = np.empty(spectrum.shape[:-1] + (grid.n,))
-    return VectorField(grid, np.fft.irfft(spectrum, n=grid.n, axis=-1,
-                                          out=out))
+    return sequence([partial(np.fft.ifft, spectrum, axis=-2, out=spectrum),
+                     partial(np.fft.irfft, spectrum, n=grid.n, axis=-1,
+                             out=out)], VectorField(grid, out))
+
+
+def fft_inverse(spectrum: np.ndarray, grid: Grid,
+                out: np.ndarray | None = None) -> VectorField:
+    """The inverse FFT once: :func:`prepare_fft_inverse`, run once."""
+    return prepare_fft_inverse(spectrum, grid, out)()
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -217,8 +245,11 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     2-core virtual machine such calls stalled for about 8 ms.  Stacks are
     summed per load: an ``einsum`` over the load axis adds in another order.
     """
-    subscripts = "ijklm"[:a.ndim]
-    return float(np.einsum(f"{subscripts},{subscripts}->", a, b))
+    return float(np.einsum(_DOT_SUBSCRIPTS[a.ndim], a, b))
+
+
+#: The ``np.einsum`` subscripts of :func:`dot` for each rank up to five.
+_DOT_SUBSCRIPTS = tuple(f"{s},{s}->" for s in ("ijklm"[:k] for k in range(6)))
 
 
 # ----------------------------------------------------------------------------

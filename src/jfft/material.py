@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .grid import QuadField, ScalarField
+from .grid import QuadField, ScalarField, sequence
 
 
 @dataclass(frozen=True)
@@ -15,7 +16,7 @@ class MaterialModel:
 
     ``C0`` has the isotropic Mandel pattern of :func:`isotropic_material`
     (no coupling between normal and shear components), which
-    :func:`stiffness_product_into` relies on.
+    :func:`prepare_stiffness_product` relies on.
     """
 
     lambda0: float
@@ -54,9 +55,10 @@ def isotropic_material(lambda0: float, mu0: float) -> MaterialModel:
     return MaterialModel(lam, mu, c)
 
 
-def stiffness_product_into(material: MaterialModel, eps: np.ndarray,
-                           planes: np.ndarray) -> None:
-    """Overwrite Mandel planes ``eps`` (3, 2, ..., n, n) with ``C0 eps``.
+def prepare_stiffness_product(material: MaterialModel, eps: np.ndarray,
+                              planes: np.ndarray):
+    """Overwrite Mandel planes ``eps`` (3, 2, ..., n, n) with ``C0 eps``,
+    as often as run.
 
     Written out for the isotropic pattern: ``c00 e0 + c01 e1``,
     ``c10 e0 + c11 e1`` and ``c22 e2``, triangle by triangle, with
@@ -65,15 +67,17 @@ def stiffness_product_into(material: MaterialModel, eps: np.ndarray,
     """
     c = material.stiffness
     c0_of_e0, c1_of_e0 = planes
+    steps = []
     for t in range(2):
         e0, e1 = eps[0, t], eps[1, t]
-        np.multiply(e0, c[1, 0], out=c1_of_e0)
-        np.multiply(e0, c[0, 0], out=c0_of_e0)
-        np.multiply(e1, c[0, 1], out=e0)
-        e0 += c0_of_e0
-        e1 *= c[1, 1]
-        e1 += c1_of_e0
-    eps[2] *= c[2, 2]
+        steps += [partial(np.multiply, e0, c[1, 0], c1_of_e0),
+                  partial(np.multiply, e0, c[0, 0], c0_of_e0),
+                  partial(np.multiply, e1, c[0, 1], e0),
+                  partial(np.add, e0, c0_of_e0, e0),
+                  partial(np.multiply, e1, c[1, 1], e1),
+                  partial(np.add, e1, c1_of_e0, e1)]
+    steps.append(partial(np.multiply, eps[2], c[2, 2], eps[2]))
+    return sequence(steps)
 
 
 def stress(rho: ScalarField, material: MaterialModel, eps: QuadField) -> QuadField:
@@ -84,6 +88,7 @@ def stress(rho: ScalarField, material: MaterialModel, eps: QuadField) -> QuadFie
     if rho.grid != eps.grid:
         raise ValueError("density and strain live on different grids")
     sig = eps.values.copy()
-    stiffness_product_into(material, sig, np.empty((2,) + sig.shape[2:]))
+    prepare_stiffness_product(material, sig,
+                              np.empty((2,) + sig.shape[2:]))()
     sig *= rho.values
     return QuadField(eps.grid, sig)

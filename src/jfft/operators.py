@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import fem
-from .grid import MANDEL_DIM, Grid, QuadField, ScalarField, VectorField
-from .material import MaterialModel, stiffness_product_into
+from .grid import (MANDEL_DIM, Grid, QuadField, ScalarField, VectorField,
+                   sequence)
+from .material import MaterialModel, prepare_stiffness_product
 
 
 @dataclass(frozen=True)
@@ -81,18 +83,16 @@ def make_operator(density: ScalarField, material: MaterialModel) -> SystemOperat
 
 def _weighted_stress_adjoint(op: SystemOperator, sig: np.ndarray,
                              planes: np.ndarray, factor: np.ndarray,
-                             out: np.ndarray | None = None) -> np.ndarray:
-    """``B^T W rho C0`` applied to the strain held in the workspace buffer
-    ``sig``, with the per-pixel ``factor`` ``w * rho`` of its rows, into
-    ``out`` or a new array."""
+                             out: np.ndarray) -> list:
+    """Steps of ``B^T W rho C0`` applied to the strain held in the
+    workspace buffer ``sig``, with the per-pixel ``factor`` ``w * rho`` of
+    its rows, into ``out``."""
     # W * rho * C0 * eps, fused: the uniform weight and the pixel density are
     # a single scale factor per pixel.
-    stiffness_product_into(op.material, sig, planes)
-    sig *= factor
-    if out is None:
-        out = np.empty(sig.shape[2:-2] + (2, op.grid.n, op.grid.n))
-    fem.sym_gradient_adjoint_into(sig, op.grid.pixel_size, out, planes)
-    return out
+    return [prepare_stiffness_product(op.material, sig, planes),
+            partial(np.multiply, sig, factor, sig),
+            fem.prepare_sym_gradient_adjoint(sig, op.grid.pixel_size, out,
+                                             planes)]
 
 
 #: Nodes of each load that one band may span, halo rows included.  A band
@@ -152,6 +152,8 @@ def _apply_in_bands(op: SystemOperator, u: np.ndarray, out: np.ndarray,
     ``out``: the next band overwrites row ``b``, and row ``a - 1`` is put
     back.  The first and last bands wrap around the grid: they gather
     their rows of ``u`` and ``w * rho`` and copy their rows into ``out``.
+    Each band's steps are prepared as it runs and dropped after it, so
+    only one band's views are alive at a time.
     """
     n = op.grid.n
     for k in range(bands):
@@ -161,18 +163,21 @@ def _apply_in_bands(op: SystemOperator, u: np.ndarray, out: np.ndarray,
         if 0 < a and b < n:
             saved = nodal[..., 0, :]
             saved[...] = out[..., a - 1, :]
-            fem.sym_gradient_into(u[..., a - 1:b + 1, :], op.grid.pixel_size,
-                                  strain, planes)
-            _weighted_stress_adjoint(op, strain, planes,
-                                     op._factor[a - 1:b + 1],
-                                     out[..., a - 1:b + 1, :])
+            sequence([fem.prepare_sym_gradient(u[..., a - 1:b + 1, :],
+                                               op.grid.pixel_size, strain,
+                                               planes),
+                      *_weighted_stress_adjoint(op, strain, planes,
+                                                op._factor[a - 1:b + 1],
+                                                out[..., a - 1:b + 1, :])])()
             out[..., a - 1, :] = saved
         else:
             halo = np.arange(a - 1, b + 1)
             np.take(u, halo, axis=-2, out=nodal, mode="wrap")
             np.take(op._factor, halo, axis=0, out=factor, mode="wrap")
-            fem.sym_gradient_into(nodal, op.grid.pixel_size, strain, planes)
-            _weighted_stress_adjoint(op, strain, planes, factor, nodal)
+            sequence([fem.prepare_sym_gradient(nodal, op.grid.pixel_size,
+                                               strain, planes),
+                      *_weighted_stress_adjoint(op, strain, planes, factor,
+                                                nodal)])()
             out[..., a:b, :] = nodal[..., 1:-1, :]
 
 
@@ -189,18 +194,22 @@ def _check_out(out: np.ndarray | None, values: np.ndarray) -> None:
         raise ValueError("out must be a C-contiguous float64 array")
 
 
-def apply_system(op: SystemOperator, u: VectorField,
-                 out: np.ndarray | None = None) -> VectorField:
-    """Apply ``K(rho) u`` element by element, cost O(n^2).  A stack
-    ``u`` gives the stack of products, each bitwise equal to its load's
-    product alone.  ``out``, when given, is a C-contiguous float64 array of
-    ``u``'s shape that receives (and backs) the product; it must not share
-    memory with ``u.values``, since on a large grid the product is written
-    band by band while later bands still read ``u``.
+def prepare_system(op: SystemOperator, u: VectorField,
+                   out: np.ndarray | None = None):
+    """``K(rho) u`` element by element, cost O(n^2), as a zero-argument
+    callable that recomputes it from whatever ``u.values`` holds when run
+    and returns the product.  A stack ``u`` gives the stack of products,
+    each bitwise equal to its load's product alone.  ``out``, when given,
+    is a C-contiguous float64 array of ``u``'s shape that receives (and
+    backs) the product; it must not share memory with ``u.values``, since
+    on a large grid the product is written band by band while later bands
+    still read ``u``.
 
     A grid whose working set would outgrow the cache runs in row bands
     (:func:`_apply_in_bands`), bitwise equal to the whole-grid pass that
-    every smaller grid makes."""
+    every smaller grid makes.  Such a grid prepares each band's views as
+    it runs the band, which costs little beside the band's arithmetic;
+    holding them all would keep about 14 KB per band alive."""
     if u.grid != op.grid:
         raise ValueError("displacement lives on a different grid")
     if out is not None and np.may_share_memory(out, u.values):
@@ -208,33 +217,46 @@ def apply_system(op: SystemOperator, u: VectorField,
     _check_out(out, u.values)
     lead = u.values.shape[:-3]
     bands = _band_count(op.grid.n, lead[0] if lead else 1)
-    if bands == 1:
-        strain, planes = _workspace(op, lead)
-        fem.sym_gradient_into(u.values, op.grid.pixel_size, strain, planes)
-        return VectorField(op.grid, _weighted_stress_adjoint(
-            op, strain, planes, op._factor, out))
     if out is None:
         out = np.empty(u.values.shape)
-    _apply_in_bands(op, u.values, out, bands)
-    return VectorField(op.grid, out)
+    product = VectorField(op.grid, out)
+    if bands > 1:
+        return sequence([partial(_apply_in_bands, op, u.values, out, bands)],
+                        product)
+    strain, planes = _workspace(op, lead)
+    return sequence([fem.prepare_sym_gradient(u.values, op.grid.pixel_size,
+                                               strain, planes),
+                     *_weighted_stress_adjoint(op, strain, planes, op._factor,
+                                               out)], product)
+
+
+def apply_system(op: SystemOperator, u: VectorField,
+                 out: np.ndarray | None = None) -> VectorField:
+    """``K(rho) u`` once: :func:`prepare_system`, run once."""
+    return prepare_system(op, u, out)()
 
 
 def assemble_rhs(op: SystemOperator, eps_bar) -> VectorField:
     """Right-hand side ``f = -B^T W C(rho) E`` for a macroscopic strain.
 
     ``eps_bar`` is a Mandel vector broadcast to every quadrature point, or a
-    ``(B, 3)`` array of them, which gives the stack of the ``B`` right-hand
-    sides.  The result has zero mean per component.
+    ``(B, 3)`` array of them, ``B >= 1``, which gives the stack of the
+    ``B`` right-hand sides.  The result has zero mean per component.
     """
     eps_bar = np.asarray(eps_bar, dtype=np.float64)
     if eps_bar.shape[-1:] != (MANDEL_DIM,) or eps_bar.ndim > 2:
         raise ValueError(f"macroscopic strain must have shape ({MANDEL_DIM},) "
                          f"or (loads, {MANDEL_DIM})")
+    if eps_bar.size == 0:
+        raise ValueError(f"macroscopic strain stack (loads, {MANDEL_DIM}) has "
+                         "an empty load axis; it needs loads >= 1")
     if not np.all(np.isfinite(eps_bar)):
         raise ValueError("macroscopic strain must be finite")
-    strain, planes = _workspace(op, eps_bar.shape[:-1])
+    lead = eps_bar.shape[:-1]
+    strain, planes = _workspace(op, lead)
     strain[...] = np.moveaxis(eps_bar, -1, 0)[:, None, ..., None, None]
-    f = _weighted_stress_adjoint(op, strain, planes, op._factor)
+    f = np.empty(lead + (2, op.grid.n, op.grid.n))
+    sequence(_weighted_stress_adjoint(op, strain, planes, op._factor, f))()
     np.negative(f, out=f)
     return VectorField(op.grid, f)
 
@@ -260,6 +282,6 @@ def homogenized_stress(op: SystemOperator, u: VectorField, eps_bar) -> np.ndarra
     strain, planes = _workspace(op, ())
     fem.sym_gradient_into(u.values, op.grid.pixel_size, strain, planes)
     strain += np.asarray(eps_bar, dtype=np.float64)[:, None, None, None]
-    stiffness_product_into(op.material, strain, planes)
+    prepare_stiffness_product(op.material, strain, planes)()
     strain *= op.density.values
     return fem.cell_average(QuadField(op.grid, strain))

@@ -13,11 +13,12 @@ to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .grid import (Grid, ScalarField, VectorField, dot, fft_forward,
-                   fft_inverse, spectral_shape)
+                   prepare_fft_inverse, sequence, spectral_shape)
 from .material import MaterialModel
 from .operators import SystemOperator, _check_out, apply_system, make_operator
 
@@ -170,9 +171,40 @@ def _invert_blocks(a: np.ndarray, d: np.ndarray, b: np.ndarray):
     return g11, g12, g22
 
 
-def apply_green(green: GreenOperator, r: VectorField,
-                out: np.ndarray | None = None) -> VectorField:
-    """Apply the Green operator: inverse FFT of block times forward FFT.
+def _check_residual(part, r: VectorField) -> None:
+    if r.grid != part.grid:
+        raise ValueError("residual lives on a different grid")
+
+
+def _green_steps(green: GreenOperator, r: VectorField,
+                 out: np.ndarray) -> list:
+    """Steps of the Green application from ``r`` into ``out``."""
+    spectrum, z = _spectra(green, r.values.shape[:-3])
+    return [partial(fft_forward, r, _load_major(spectrum)),
+            partial(np.multiply, green.g11, spectrum[0], z[0]),
+            partial(np.multiply, green.g12, spectrum[1], z[1]),
+            partial(np.add, z[0], z[1], z[0]),
+            # the first component is read for the last time: it becomes
+            # scratch
+            partial(np.multiply, green.g12, spectrum[0], z[1]),
+            partial(np.multiply, green.g22, spectrum[1], spectrum[0]),
+            partial(np.add, z[1], spectrum[0], z[1]),
+            prepare_fft_inverse(_load_major(z), green.grid, out)]
+
+
+def _result(r: VectorField, out: np.ndarray | None) -> VectorField:
+    """The field a preconditioner writes: ``out`` checked against ``r``,
+    or a new array of ``r``'s shape."""
+    _check_out(out, r.values)
+    return VectorField(r.grid, np.empty(r.values.shape) if out is None
+                       else out)
+
+
+def prepare_green(green: GreenOperator, r: VectorField,
+                  out: np.ndarray | None = None):
+    """The Green operator, inverse FFT of block times forward FFT, as a
+    zero-argument callable that applies it to whatever ``r.values`` holds
+    when run and returns the result.
 
     Symmetric positive semi-definite; the output has zero mean per
     component.  Cost O(n^2 log n).  A stack ``r`` gives the stack
@@ -181,55 +213,65 @@ def apply_green(green: GreenOperator, r: VectorField,
     receives (and backs) the result; it may be ``r.values`` itself, since
     the forward FFT reads all of ``r`` before the inverse FFT writes.
     """
-    if r.grid != green.grid:
-        raise ValueError("residual lives on a different grid")
-    _check_out(out, r.values)
-    spectrum, z = _spectra(green, r.values.shape[:-3])
-    fft_forward(r, out=_load_major(spectrum))
-    np.multiply(green.g11, spectrum[0], out=z[0])
-    np.multiply(green.g12, spectrum[1], out=z[1])
-    z[0] += z[1]
-    # the first component is read for the last time: it becomes scratch
-    np.multiply(green.g12, spectrum[0], out=z[1])
-    np.multiply(green.g22, spectrum[1], out=spectrum[0])
-    z[1] += spectrum[0]
-    return fft_inverse(_load_major(z), green.grid, out=out)
+    _check_residual(green, r)
+    z = _result(r, out)
+    return sequence(_green_steps(green, r, z.values), z)
 
 
-def green_norm2(green: GreenOperator, r: VectorField) -> float | list[float]:
-    """``<r, G r>`` by Parseval's identity, without the inverse FFT: with
-    ``s`` the forward FFT of ``r`` and the blocks real symmetric, the
-    Hermitian form ``Re sum conj(s1) t1 + conj(s2) t2``,
-    ``t1 = g11 s1 + 2 g12 s2`` and ``t2 = g22 s2``, over the full spectrum,
-    divided by ``n^2``.  On the half-spectrum, interior columns stand for
-    themselves and their mirror images, the k2 = 0 column and, for even
-    ``n``, the Nyquist column only for themselves: those columns of ``t``
-    are halved and the sum doubled.
+def apply_green(green: GreenOperator, r: VectorField,
+                out: np.ndarray | None = None) -> VectorField:
+    """The Green operator once: :func:`prepare_green`, run once."""
+    return prepare_green(green, r, out)()
+
+
+def prepare_green_norm2(green: GreenOperator, r: VectorField):
+    """``<r, G r>`` of whatever ``r.values`` holds when run, by Parseval's
+    identity, without the inverse FFT: with ``s`` the forward FFT of ``r``
+    and the blocks real symmetric, the Hermitian form
+    ``Re sum conj(s1) t1 + conj(s2) t2``, ``t1 = g11 s1 + 2 g12 s2`` and
+    ``t2 = g22 s2``, over the full spectrum, divided by ``n^2``.  On the
+    half-spectrum, interior columns stand for themselves and their mirror
+    images, the k2 = 0 column and, for even ``n``, the Nyquist column only
+    for themselves: those columns of ``t`` are halved and the sum doubled.
     Two :func:`~jfft.grid.dot` calls per load, on the (re, im) float views.
 
-    A float for one field; for a stack, a list with one value per load,
-    each summed over that load's own planes as it would be alone.
+    The run returns a float for one field; for a stack, a list with one
+    value per load, each summed over that load's own planes as it would be
+    alone.
     """
-    if r.grid != green.grid:
-        raise ValueError("residual lives on a different grid")
+    _check_residual(green, r)
     n = green.grid.n
     spectrum, t = _spectra(green, r.values.shape[:-3])
-    fft_forward(r, out=_load_major(spectrum))
-    np.multiply(green.g12, spectrum[1], out=t[1])
-    t[1] *= 2.0
-    np.multiply(green.g11, spectrum[0], out=t[0])
-    t[0] += t[1]
-    np.multiply(green.g22, spectrum[1], out=t[1])
-    t[..., 0] *= 0.5
+    steps = [partial(fft_forward, r, _load_major(spectrum)),
+             partial(np.multiply, green.g12, spectrum[1], t[1]),
+             partial(np.multiply, t[1], 2.0, t[1]),
+             partial(np.multiply, green.g11, spectrum[0], t[0]),
+             partial(np.add, t[0], t[1], t[0]),
+             partial(np.multiply, green.g22, spectrum[1], t[1]),
+             partial(np.multiply, t[..., 0], 0.5, t[..., 0])]
     if n % 2 == 0:
-        t[..., -1] *= 0.5
+        steps.append(partial(np.multiply, t[..., -1], 0.5, t[..., -1]))
+    form = sequence(steps)
     # the (n, 2m) float planes per component and load, summed apart: a
     # load's two planes are adjacent only while the workspace holds one load
     m2 = 2 * spectrum.shape[-1]
     s, t = (a.view(np.float64).reshape(Grid.d, -1, n, m2) for a in (spectrum, t))
-    totals = [2.0 * (dot(s1, t1) + dot(s2, t2)) / n ** 2
-              for s1, s2, t1, t2 in zip(s[0], s[1], t[0], t[1])]
-    return totals if r.values.ndim == 4 else totals[0]
+    planes = tuple(zip(s[0], s[1], t[0], t[1]))
+    cells = n ** 2
+    stacked = r.values.ndim == 4
+
+    def run():
+        form()
+        totals = [2.0 * (dot(s1, t1) + dot(s2, t2)) / cells
+                  for s1, s2, t1, t2 in planes]
+        return totals if stacked else totals[0]
+
+    return run
+
+
+def green_norm2(green: GreenOperator, r: VectorField) -> float | list[float]:
+    """``<r, G r>`` once: :func:`prepare_green_norm2`, run once."""
+    return prepare_green_norm2(green, r)()
 
 
 def assemble_jacobi(op: SystemOperator) -> JacobiDiagonal:
@@ -267,35 +309,45 @@ def assemble_jacobi(op: SystemOperator) -> JacobiDiagonal:
     return JacobiDiagonal(grid, diag)
 
 
-def _half_jacobi(jacobi: JacobiDiagonal, r: VectorField,
-                 out: np.ndarray | None) -> np.ndarray:
-    """``J^(1/2) r`` into ``out`` or a new array."""
-    if r.grid != jacobi.grid:
-        raise ValueError("residual lives on a different grid")
-    _check_out(out, r.values)
-    return np.multiply(jacobi.inv_sqrt, r.values, out=out)
+def prepare_jacobi(jacobi: JacobiDiagonal, r: VectorField,
+                   out: np.ndarray | None = None):
+    """Entrywise multiply by ``1/diag(K)``, by ``1/sqrt(diag(K))`` twice,
+    as a zero-argument callable like :func:`prepare_green`; ``out`` as
+    there."""
+    _check_residual(jacobi, r)
+    z = _result(r, out)
+    return sequence([partial(np.multiply, jacobi.inv_sqrt, r.values, z.values),
+                     partial(np.multiply, z.values, jacobi.inv_sqrt, z.values)],
+                    z)
 
 
 def apply_jacobi(jacobi: JacobiDiagonal, r: VectorField,
                  out: np.ndarray | None = None) -> VectorField:
-    """Entrywise multiply by ``1/diag(K)``: by ``1/sqrt(diag(K))`` twice.
-    ``out`` as for :func:`apply_green`."""
-    z = _half_jacobi(jacobi, r, out)
-    z *= jacobi.inv_sqrt
-    return VectorField(jacobi.grid, z)
+    """The Jacobi scaling once: :func:`prepare_jacobi`, run once."""
+    return prepare_jacobi(jacobi, r, out)()
+
+
+def prepare_green_jacobi(jacobi: JacobiDiagonal, green: GreenOperator,
+                         r: VectorField, out: np.ndarray | None = None):
+    """Symmetric composition ``J^(1/2) G J^(1/2) r`` as a zero-argument
+    callable like :func:`prepare_green`; ``out`` as there.  ``J^(1/2) r``
+    is written into the result and the Green application runs from it into
+    it, so no temporary field is made."""
+    _check_residual(jacobi, r)
+    z = _result(r, out)
+    _check_residual(green, z)
+    return sequence([partial(np.multiply, jacobi.inv_sqrt, r.values, z.values),
+                     *_green_steps(green, z, z.values),
+                     partial(np.multiply, z.values, jacobi.inv_sqrt, z.values)],
+                    z)
 
 
 def apply_green_jacobi(jacobi: JacobiDiagonal, green: GreenOperator,
                        r: VectorField,
                        out: np.ndarray | None = None) -> VectorField:
-    """Symmetric composition ``J^(1/2) G J^(1/2) r``.  ``out`` as for
-    :func:`apply_green`: ``J^(1/2) r`` is written into it and the Green
-    application runs from ``out`` into ``out``, so no temporary field is
-    made."""
-    half = VectorField(jacobi.grid, _half_jacobi(jacobi, r, out))
-    z = apply_green(green, half, out=half.values)
-    z.values *= jacobi.inv_sqrt
-    return z
+    """The Green-Jacobi composition once: :func:`prepare_green_jacobi`, run
+    once."""
+    return prepare_green_jacobi(jacobi, green, r, out)()
 
 
 @dataclass(frozen=True)
@@ -315,20 +367,22 @@ class Preconditioner:
         if self.kind in ("jacobi", "green-jacobi") and self.jacobi is None:
             raise ValueError(f"{self.kind!r} needs an assembled Jacobi diagonal")
 
+    def prepare(self, r: VectorField, out: np.ndarray | None = None):
+        """``z = M r`` as a zero-argument callable like
+        :func:`prepare_green`; ``out`` as there."""
+        if self.kind == "none":
+            z = _result(r, out)
+            return sequence([partial(np.copyto, z.values, r.values)], z)
+        if self.kind == "green":
+            return prepare_green(self.green, r, out)
+        if self.kind == "jacobi":
+            return prepare_jacobi(self.jacobi, r, out)
+        return prepare_green_jacobi(self.jacobi, self.green, r, out)
+
     def apply(self, r: VectorField,
               out: np.ndarray | None = None) -> VectorField:
-        """``z = M r``; ``out`` as for :func:`apply_green`."""
-        if self.kind == "none":
-            if out is None:
-                return VectorField(r.grid, r.values.copy())
-            _check_out(out, r.values)
-            np.copyto(out, r.values)
-            return VectorField(r.grid, out)
-        if self.kind == "green":
-            return apply_green(self.green, r, out=out)
-        if self.kind == "jacobi":
-            return apply_jacobi(self.jacobi, r, out=out)
-        return apply_green_jacobi(self.jacobi, self.green, r, out=out)
+        """``z = M r`` once: :meth:`prepare`, run once."""
+        return self.prepare(r, out)()
 
 
 def build_preconditioner(kind: str, op: SystemOperator,

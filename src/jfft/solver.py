@@ -44,10 +44,10 @@ import numpy as np
 
 from .grid import Grid, ScalarField, VectorField, dot
 from .material import MaterialModel
-from .operators import (SystemOperator, apply_system, assemble_rhs,
-                        make_operator)
+from .operators import (SystemOperator, assemble_rhs, make_operator,
+                        prepare_system)
 from .preconditioners import (GreenOperator, Preconditioner, assemble_green,
-                              build_preconditioner, green_norm2)
+                              build_preconditioner, prepare_green_norm2)
 
 #: Termination tolerance on the squared Green norm of the residual.
 DEFAULT_ETA_CG = 1e-6
@@ -88,9 +88,11 @@ def _checked(values: list[float], what: str) -> list[float]:
     return values
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> list[float]:
-    """:func:`~jfft.grid.dot` of each load's ``(2, n, n)`` planes."""
-    return [dot(x, y) for x, y in zip(a, b)]
+def _prepare_dots(a: np.ndarray, b: np.ndarray):
+    """:func:`~jfft.grid.dot` of each load's ``(2, n, n)`` planes of
+    whatever ``a`` and ``b`` hold when run, as a list."""
+    pairs = tuple(zip(a, b))
+    return lambda: [dot(x, y) for x, y in pairs]
 
 
 def _as_field(grid: Grid, rows: np.ndarray) -> VectorField:
@@ -176,7 +178,7 @@ def pcg_stack(op: SystemOperator, rhs: VectorField,
     reuse_green = preconditioner.kind == "green" and preconditioner.green is green
 
     # rows [:b] of the work arrays hold the active loads, in stack order;
-    # xs, rs, ps, ws and the three fields are views of those rows
+    # xs, rs, ps, ws and the prepared layers are views of those rows
     x = np.zeros_like(rhs.values)
     r = rhs.values.copy()
     p = np.empty_like(r)
@@ -195,17 +197,28 @@ def pcg_stack(op: SystemOperator, rhs: VectorField,
             reports[load] = SolveReport(iterations, histories[load], terminated,
                                         time.perf_counter() - start, solution)
 
+    def prepare(b: int):
+        """Views of rows [:b] and the layers prepared on them: the
+        preconditioner and K into the work rows, the Green norm of the
+        residual rows and the per-load dots."""
+        rs, ps, ws = r[:b], p[:b], w[:b]
+        residual, direction = _as_field(grid, rs), _as_field(grid, ps)
+        work = _as_field(grid, ws).values
+        norm = None if reuse_green else prepare_green_norm2(green, residual)
+        return (x[:b], rs, ps, ws, preconditioner.prepare(residual, work),
+                prepare_system(op, direction, work), norm,
+                _prepare_dots(rs, ws), _prepare_dots(ps, ws))
+
     iterations = 0
     b = len(active)
-    xs, rs, ps, ws = x, r, p, w
-    residual, direction, work = (_as_field(grid, a) for a in (rs, ps, ws))
-    preconditioner.apply(residual, out=work.values)
+    xs, rs, ps, ws, precondition, apply_k, norm, rz_dots, pkp_dots = prepare(b)
+    precondition()
     while True:
         # ws holds z
         if reuse_green:
-            gnorm2 = _dots(rs, ws)
+            gnorm2 = rz_dots()
         else:
-            gnorm2 = green_norm2(green, residual)
+            gnorm2 = norm()
             gnorm2 = gnorm2 if b > 1 else [gnorm2]
         _checked(gnorm2, "residual Green norm")
         for load, value in zip(active, gnorm2):
@@ -222,13 +235,12 @@ def pcg_stack(op: SystemOperator, rhs: VectorField,
             b = len(active)
             if not b:
                 break
-            xs, rs, ps, ws = x[:b], r[:b], p[:b], w[:b]
-            residual, direction, work = (_as_field(grid, a)
-                                         for a in (rs, ps, ws))
+            (xs, rs, ps, ws, precondition, apply_k, norm, rz_dots,
+             pkp_dots) = prepare(b)
 
         # for Green, <r, z> is the Green norm just taken
         rz_new = gnorm2 if reuse_green else _checked(
-            _dots(rs, ws), "preconditioned residual product")
+            rz_dots(), "preconditioned residual product")
         if iterations >= max_iter:
             freeze([True] * b, ITERATION_CAP)
             break
@@ -240,8 +252,8 @@ def pcg_stack(op: SystemOperator, rhs: VectorField,
         rz = rz_new
 
         # z is read for the last time: ws takes K p
-        apply_system(op, direction, out=work.values)
-        curvature = _checked(_dots(ps, ws), "search-direction curvature")
+        apply_k()
+        curvature = _checked(pkp_dots(), "search-direction curvature")
         for value in curvature:
             if value <= 0.0:
                 raise SolverAbortError(
@@ -252,7 +264,7 @@ def pcg_stack(op: SystemOperator, rhs: VectorField,
         np.multiply(ps, alpha, out=ws)
         xs += ws
         iterations += 1
-        preconditioner.apply(residual, out=work.values)
+        precondition()
 
     return reports
 

@@ -21,8 +21,10 @@ def bands(monkeypatch):
 
     ``bands.force(rows)`` makes every K application cut its ``n x n`` grid
     into ``ceil(n / rows)`` bands, whatever the band rule says.
-    ``bands.count`` is the number of strain passes made since, one per
-    band of each K application.
+    ``bands.count`` is the number of strain passes run since, one per
+    band of each K application: every strain pass that
+    ``fem.prepare_sym_gradient`` prepares counts each time it runs, so a
+    K prepared once and run many times counts once per application.
     """
     from jfft import fem, operators
 
@@ -34,11 +36,16 @@ def bands(monkeypatch):
                                 lambda n, loads: -(-n // rows))
 
     recorder = Bands()
-    strain_pass = fem.sym_gradient_into
+    prepare = fem.prepare_sym_gradient
 
     def counted(*args):
-        recorder.count += 1
-        strain_pass(*args)
+        strain_pass = prepare(*args)
 
-    monkeypatch.setattr(fem, "sym_gradient_into", counted)
+        def run():
+            recorder.count += 1
+            strain_pass()
+
+        return run
+
+    monkeypatch.setattr(fem, "prepare_sym_gradient", counted)
     return recorder

@@ -180,6 +180,6 @@ def test_scale_by_inverse_bitwise_equal_division():
     for h in [2.0 ** k for k in range(-40, 41)] + [0.1, 1.5 / 8, tiny]:
         out = x.copy()
         with np.errstate(over="ignore"):
-            fem._scale_by_inverse(out, h)
+            fem._scale_by_inverse(out, h)()
             expected = x / h
         assert np.array_equal(out.view(np.int64), expected.view(np.int64)), h

@@ -112,6 +112,18 @@ def test_rhs_rejects_bad_strain(solid_material):
         assemble_rhs(op, np.zeros((2, 2, 3)))
 
 
+@pytest.mark.parametrize("n", [2, 8])
+def test_rhs_rejects_an_empty_load_axis(n, solid_material):
+    # pcg_stack takes B >= 1 loads; a (0, 3) strain stack names its empty
+    # load axis instead of failing deep inside the kernels
+    op = random_operator(n, np.random.default_rng(n), solid_material)
+    with pytest.raises(ValueError, match="empty load axis"):
+        assemble_rhs(op, np.empty((0, 3)))
+    # the workspace still serves a stack of one
+    assert np.array_equal(assemble_rhs(op, np.ones((1, 3))).values[0],
+                          assemble_rhs(op, np.ones(3)).values)
+
+
 def test_operator_rejects_negative_density(solid_material):
     grid = make_grid(4)
     rho = ScalarField.zeros(grid)
