@@ -17,10 +17,13 @@ by its reciprocal instead: a multiplication pass costs a third to half a
 division pass, and scaling by a power of two is exact, so the product is
 the quotient bit for bit.
 
-The ``_into`` kernels take planes of ``r x n`` nodes or pixels and wrap
-periodically along both axes of the plane.  On the whole grid, ``r = n``
-and that is the cell's periodicity.  :func:`~jfft.operators.apply_system`
-also calls them on row bands of a large grid, each with one halo row on
+The kernels take planes of ``r x n`` nodes or pixels and wrap
+periodically along both axes of the plane; they slice their views once
+and return the steps that make the NumPy calls on them, which
+:func:`prepare_sym_gradient` and :func:`prepare_sym_gradient_adjoint`
+chain into runs.  On the whole grid, ``r = n`` and that is the cell's
+periodicity.  :func:`~jfft.operators.prepare_system` also prepares them
+on row bands of a large grid, each with one halo row on
 either side: there the axis-0 wrap joins the band's first and last rows,
 which are no neighbours on the grid, and spoils only the two halo rows of
 the result, which the caller discards.
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from operator import setitem
 
 import numpy as np
 
@@ -94,15 +98,21 @@ def _backward_difference(a: np.ndarray, line, h: float,
             _scale_by_inverse(out, h)]
 
 
+def _copy(out: np.ndarray, a: np.ndarray):
+    """The step ``out[...] = a``, which copied large rows a few percent
+    faster than ``np.copyto``."""
+    return partial(setitem, out, Ellipsis, a)
+
+
 def _shift(a: np.ndarray, step: int, line, out: np.ndarray) -> list:
     """Steps of ``out = roll(a, step, axis)`` for ``step`` = +1 or -1, along
     the axis of ``line``."""
     k, first, last = line
     if step == 1:
-        return [partial(np.copyto, out[..., k:], a[..., :-k]),
-                partial(np.copyto, out[..., first], a[..., last])]
-    return [partial(np.copyto, out[..., :-k], a[..., k:]),
-            partial(np.copyto, out[..., last], a[..., first])]
+        return [_copy(out[..., k:], a[..., :-k]),
+                _copy(out[..., first], a[..., last])]
+    return [_copy(out[..., :-k], a[..., k:]),
+            _copy(out[..., last], a[..., first])]
 
 
 def prepare_sym_gradient(u: np.ndarray, pixel_size: tuple[float, float],
@@ -134,12 +144,6 @@ def prepare_sym_gradient(u: np.ndarray, pixel_size: tuple[float, float],
         *_shift(dxu2, -1, along2, dyu1),
         partial(np.add, e21, dyu1, e21),
         partial(np.true_divide, e21, SQRT2, e21)])
-
-
-def sym_gradient_into(u: np.ndarray, pixel_size: tuple[float, float],
-                      eps: np.ndarray, planes: np.ndarray) -> None:
-    """One strain pass of :func:`prepare_sym_gradient`."""
-    prepare_sym_gradient(u, pixel_size, eps, planes)()
 
 
 def prepare_sym_gradient_adjoint(s: np.ndarray,
@@ -181,7 +185,8 @@ def sym_gradient(u: VectorField) -> QuadField:
     """
     n = u.grid.n
     eps = np.empty((MANDEL_DIM, 2, n, n))
-    sym_gradient_into(u.values, u.grid.pixel_size, eps, np.empty((2, n, n)))
+    prepare_sym_gradient(u.values, u.grid.pixel_size, eps,
+                         np.empty((2, n, n)))()
     return QuadField(u.grid, eps)
 
 

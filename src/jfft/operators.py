@@ -209,7 +209,7 @@ def prepare_system(op: SystemOperator, u: VectorField,
     (:func:`_apply_in_bands`), bitwise equal to the whole-grid pass that
     every smaller grid makes.  Such a grid prepares each band's views as
     it runs the band, which costs little beside the band's arithmetic;
-    holding them all would keep about 14 KB per band alive."""
+    holding them all would keep about 19 KB per band alive."""
     if u.grid != op.grid:
         raise ValueError("displacement lives on a different grid")
     if out is not None and np.may_share_memory(out, u.values):
@@ -280,7 +280,7 @@ def homogenized_stress(op: SystemOperator, u: VectorField, eps_bar) -> np.ndarra
         raise ValueError("displacement must be one field on the operator's "
                          "grid")
     strain, planes = _workspace(op, ())
-    fem.sym_gradient_into(u.values, op.grid.pixel_size, strain, planes)
+    fem.prepare_sym_gradient(u.values, op.grid.pixel_size, strain, planes)()
     strain += np.asarray(eps_bar, dtype=np.float64)[:, None, None, None]
     prepare_stiffness_product(op.material, strain, planes)()
     strain *= op.density.values

@@ -316,9 +316,9 @@ def prepare_jacobi(jacobi: JacobiDiagonal, r: VectorField,
     there."""
     _check_residual(jacobi, r)
     z = _result(r, out)
-    return sequence([partial(np.multiply, jacobi.inv_sqrt, r.values, z.values),
-                     partial(np.multiply, z.values, jacobi.inv_sqrt, z.values)],
-                    z)
+    d = jacobi.inv_sqrt
+    return sequence([partial(np.multiply, d, r.values, z.values),
+                     partial(np.multiply, z.values, d, z.values)], z)
 
 
 def apply_jacobi(jacobi: JacobiDiagonal, r: VectorField,
@@ -336,10 +336,10 @@ def prepare_green_jacobi(jacobi: JacobiDiagonal, green: GreenOperator,
     _check_residual(jacobi, r)
     z = _result(r, out)
     _check_residual(green, z)
-    return sequence([partial(np.multiply, jacobi.inv_sqrt, r.values, z.values),
+    d = jacobi.inv_sqrt
+    return sequence([partial(np.multiply, d, r.values, z.values),
                      *_green_steps(green, z, z.values),
-                     partial(np.multiply, z.values, jacobi.inv_sqrt, z.values)],
-                    z)
+                     partial(np.multiply, z.values, d, z.values)], z)
 
 
 def apply_green_jacobi(jacobi: JacobiDiagonal, green: GreenOperator,

@@ -32,6 +32,14 @@ preconditioned residual ``z`` until the direction update has read it,
 then ``K p``, then ``alpha K p`` for the residual update, then
 ``alpha p`` for the iterate update, then the next ``z``.  No field-sized
 array is allocated per iteration.
+
+The loop prepares its layers once per active stack, and again only when
+loads leave it: K from the direction into the work buffer, the
+preconditioner from the residual into it, the Green norm of the residual
+and the per-load dots (see :mod:`jfft.grid`).  Each iteration then runs
+only their NumPy calls.  The prepared layers hold views of these four
+fields and of the operators' workspaces, tens of KB and no field, so the
+four fields per load above are still all that a solve allocates.
 """
 
 from __future__ import annotations
@@ -99,10 +107,9 @@ def _as_field(grid: Grid, rows: np.ndarray) -> VectorField:
     """The active rows as the layers' input, and their values as the
     layers' ``out=``: one load as a plain field, more as a stack.  The
     layers make the same NumPy calls on either form; per Green and
-    Green-Jacobi iteration on a cosine cell the plain field measured about
-    4% faster at n = 32 and equal within noise at n = 128 and 512 (10
-    alternating pairs, 2-core virtual machine).  On a plain field
-    :func:`green_norm2` returns a float, which the loop wraps."""
+    Green-Jacobi iteration on a cosine cell the plain field measured
+    AS_FIELD_FIGURES.  On a plain field the prepared Green norm returns a
+    float, which the loop wraps."""
     return VectorField(grid, rows[0] if len(rows) == 1 else rows)
 
 
@@ -235,6 +242,8 @@ def pcg_stack(op: SystemOperator, rhs: VectorField,
             b = len(active)
             if not b:
                 break
+            # the old layers go first, so one set of views is alive at a time
+            del precondition, apply_k, norm, rz_dots, pkp_dots
             (xs, rs, ps, ws, precondition, apply_k, norm, rz_dots,
              pkp_dots) = prepare(b)
 

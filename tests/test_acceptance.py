@@ -516,7 +516,8 @@ def ledgers(laminate_table, cosine_table, motivate_rows, topopt_run,
         "smooth_vs_sharp": (("variant", "chi_tot", "preconditioner"), outcome,
                             [(variant, f"{chi:g}", kind, rep.iterations,
                               rep.terminated)
-                             for (variant, chi, kind), rep in reports.items()]),
+                             for (variant, chi, kind), rep
+                             in reports.items()]),
         # per accepted iterate, the counts of each load of the stacked solve
         "topopt": (("record", "preconditioner"), ("iterations",),
                    [(k, kind, " ".join(map(str, counts)))
@@ -549,7 +550,8 @@ def read_ledger(path, keys):
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
     comments = [line for line in lines if line.startswith("#")]
-    table = list(csv.reader(line for line in lines if not line.startswith("#")))
+    table = list(csv.reader(line for line in lines
+                            if not line.startswith("#")))
     assert tuple(table[0][:len(keys)]) == keys, (path, table[0])
     return ({tuple(row[:len(keys)]): tuple(row[len(keys):])
              for row in table[1:]}, comments)
@@ -583,5 +585,5 @@ def test_golden_count_ledger(laminate_table, cosine_table, motivate_rows,
         return "; ".join(line.lstrip("# ") for line in lines)
 
     assert not moved, (f"{len(moved)} ledger rows moved (ledger made with "
-                       f"{made_with(comments)}, now {made_with(provenance())}):"
-                       "\n" + "\n".join(moved))
+                       f"{made_with(comments)}, now "
+                       f"{made_with(provenance())}):\n" + "\n".join(moved))

@@ -162,8 +162,9 @@ def test_flat_rows_refuse_planes_that_are_not_c_contiguous():
     u = np.arange(32.0).reshape(2, 4, 4)
     eps = np.zeros((3, 2, 4, 4))
     with pytest.raises(ValueError, match="C-contiguous"):
-        fem.sym_gradient_into(u, grid.pixel_size, eps.transpose(0, 1, 3, 2),
-                              np.empty((2, 4, 4)))
+        fem.prepare_sym_gradient(u, grid.pixel_size,
+                                 eps.transpose(0, 1, 3, 2),
+                                 np.empty((2, 4, 4)))
     assert not eps.any()
 
 
