@@ -32,12 +32,11 @@ the result, which the caller discards.
 from __future__ import annotations
 
 import math
-from functools import partial
 from operator import setitem
 
 import numpy as np
 
-from .grid import MANDEL_DIM, SQRT2, QuadField, VectorField, sequence
+from .grid import MANDEL_DIM, SQRT2, QuadField, VectorField, sequence, step
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -68,8 +67,8 @@ def _scale_by_inverse(out: np.ndarray, h: float):
     infinities and NaNs included; any other ``h`` divides."""
     inverse = 1.0 / h
     if math.frexp(h)[0] == 0.5 and math.isfinite(inverse):
-        return partial(np.multiply, out, inverse, out)
-    return partial(np.true_divide, out, h, out)
+        return step(np.multiply, out, inverse, out)
+    return step(np.true_divide, out, h, out)
 
 
 # Each kernel returns the steps of one call on the flat rows ``a`` and
@@ -83,8 +82,8 @@ def _forward_difference(a: np.ndarray, line, h: float,
     """Steps of ``out = (roll(a, -1, axis) - a) / h``, the periodic forward
     difference along the axis of ``line``."""
     k, first, last = line
-    return [partial(np.subtract, a[..., k:], a[..., :-k], out[..., :-k]),
-            partial(np.subtract, a[..., first], a[..., last], out[..., last]),
+    return [step(np.subtract, a[..., k:], a[..., :-k], out[..., :-k]),
+            step(np.subtract, a[..., first], a[..., last], out[..., last]),
             _scale_by_inverse(out, h)]
 
 
@@ -93,15 +92,15 @@ def _backward_difference(a: np.ndarray, line, h: float,
     """Steps of ``out = (roll(a, 1, axis) - a) / h`` along the axis of
     ``line``, the adjoint of :func:`_forward_difference`."""
     k, first, last = line
-    return [partial(np.subtract, a[..., :-k], a[..., k:], out[..., k:]),
-            partial(np.subtract, a[..., last], a[..., first], out[..., first]),
+    return [step(np.subtract, a[..., :-k], a[..., k:], out[..., k:]),
+            step(np.subtract, a[..., last], a[..., first], out[..., first]),
             _scale_by_inverse(out, h)]
 
 
 def _copy(out: np.ndarray, a: np.ndarray):
     """The step ``out[...] = a``, which copied large rows a few percent
     faster than ``np.copyto``."""
-    return partial(setitem, out, Ellipsis, a)
+    return step(setitem, out, Ellipsis, a)
 
 
 def _shift(a: np.ndarray, step: int, line, out: np.ndarray) -> list:
@@ -135,15 +134,15 @@ def prepare_sym_gradient(u: np.ndarray, pixel_size: tuple[float, float],
         *_forward_difference(u2, along2, dx2, e10),
         *_forward_difference(u1, along2, dx2, dyu1),
         *_forward_difference(u2, along1, dx1, dxu2),
-        partial(np.add, dyu1, dxu2, e20),
-        partial(np.true_divide, e20, SQRT2, e20),
+        step(np.add, dyu1, dxu2, e20),
+        step(np.true_divide, e20, SQRT2, e20),
         # upper triangle: the same differences taken along the far edges
         *_shift(e00, -1, along2, eps[0, 1]),
         *_shift(e10, -1, along1, eps[1, 1]),
         *_shift(dyu1, -1, along1, e21),
         *_shift(dxu2, -1, along2, dyu1),
-        partial(np.add, e21, dyu1, e21),
-        partial(np.true_divide, e21, SQRT2, e21)])
+        step(np.add, e21, dyu1, e21),
+        step(np.true_divide, e21, SQRT2, e21)])
 
 
 def prepare_sym_gradient_adjoint(s: np.ndarray,
@@ -161,21 +160,21 @@ def prepare_sym_gradient_adjoint(s: np.ndarray,
     s20, s21 = s[2, 0], s[2, 1]
     return sequence([
         *_shift(s[0, 1], 1, along2, gathered),
-        partial(np.add, gathered, s[0, 0], gathered),
+        step(np.add, gathered, s[0, 0], gathered),
         *_backward_difference(gathered, along1, dx1, f1),
         *_shift(s21, 1, along1, gathered),
-        partial(np.add, gathered, s20, gathered),
+        step(np.add, gathered, s20, gathered),
         *_backward_difference(gathered, along2, dx2, term),
-        partial(np.true_divide, term, SQRT2, term),
-        partial(np.add, f1, term, f1),
+        step(np.true_divide, term, SQRT2, term),
+        step(np.add, f1, term, f1),
         *_shift(s[1, 1], 1, along1, gathered),
-        partial(np.add, gathered, s[1, 0], gathered),
+        step(np.add, gathered, s[1, 0], gathered),
         *_backward_difference(gathered, along2, dx2, f2),
         *_shift(s21, 1, along2, gathered),
-        partial(np.add, gathered, s20, gathered),
+        step(np.add, gathered, s20, gathered),
         *_backward_difference(gathered, along1, dx1, term),
-        partial(np.true_divide, term, SQRT2, term),
-        partial(np.add, f2, term, f2)])
+        step(np.true_divide, term, SQRT2, term),
+        step(np.add, f2, term, f2)])
 
 
 def sym_gradient(u: VectorField) -> QuadField:

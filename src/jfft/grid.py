@@ -169,14 +169,20 @@ class QuadField:
         return cls(grid, np.zeros((MANDEL_DIM, 2, grid.n, grid.n)))
 
 
+def step(f, *args):
+    """One step of a :func:`sequence`, the call ``f(*args)``: the pair
+    ``(f, args)``, which holds less than a ``functools.partial``."""
+    return f, args
+
+
 def sequence(steps, result=None):
-    """A zero-argument callable that calls each of ``steps``, zero-argument
-    callables themselves, in order, and returns ``result``."""
+    """A zero-argument callable that makes the calls of ``steps``, made by
+    :func:`step`, in order and returns ``result``."""
     steps = tuple(steps)
 
     def run():
-        for step in steps:
-            step()
+        for f, args in steps:
+            f(*args)
         return result
 
     return run
@@ -225,9 +231,10 @@ def prepare_fft_inverse(spectrum: np.ndarray, grid: Grid,
     # spectrum's memory order, and VectorField would copy it back
     if out is None:
         out = np.empty(spectrum.shape[:-1] + (grid.n,))
-    return sequence([partial(np.fft.ifft, spectrum, axis=-2, out=spectrum),
-                     partial(np.fft.irfft, spectrum, n=grid.n, axis=-1,
-                             out=out)], VectorField(grid, out))
+    return sequence([step(partial(np.fft.ifft, spectrum, axis=-2,
+                                  out=spectrum)),
+                     step(partial(np.fft.irfft, spectrum, n=grid.n, axis=-1,
+                                  out=out))], VectorField(grid, out))
 
 
 def fft_inverse(spectrum: np.ndarray, grid: Grid,

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .grid import QuadField, ScalarField, sequence
+from .grid import QuadField, ScalarField, sequence, step
 
 
 @dataclass(frozen=True)
@@ -70,13 +69,14 @@ def prepare_stiffness_product(material: MaterialModel, eps: np.ndarray,
     steps = []
     for t in range(2):
         e0, e1 = eps[0, t], eps[1, t]
-        steps += [partial(np.multiply, e0, c[1, 0], c1_of_e0),
-                  partial(np.multiply, e0, c[0, 0], c0_of_e0),
-                  partial(np.multiply, e1, c[0, 1], e0),
-                  partial(np.add, e0, c0_of_e0, e0),
-                  partial(np.multiply, e1, c[1, 1], e1),
-                  partial(np.add, e1, c1_of_e0, e1)]
-    steps.append(partial(np.multiply, eps[2], c[2, 2], eps[2]))
+        steps += [step(np.multiply, e0, c[1, 0], c1_of_e0),
+                  step(np.multiply, e0, c[0, 0], c0_of_e0),
+                  step(np.multiply, e1, c[0, 1], e0),
+                  step(np.add, e0, c0_of_e0, e0),
+                  step(np.multiply, e1, c[1, 1], e1),
+                  step(np.add, e1, c1_of_e0, e1)]
+    shear = eps[2]
+    steps.append(step(np.multiply, shear, c[2, 2], shear))
     return sequence(steps)
 
 

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from . import fem
 from .grid import (MANDEL_DIM, Grid, QuadField, ScalarField, VectorField,
-                   sequence)
+                   sequence, step)
 from .material import MaterialModel, prepare_stiffness_product
 
 
@@ -89,10 +88,10 @@ def _weighted_stress_adjoint(op: SystemOperator, sig: np.ndarray,
     its rows, into ``out``."""
     # W * rho * C0 * eps, fused: the uniform weight and the pixel density are
     # a single scale factor per pixel.
-    return [prepare_stiffness_product(op.material, sig, planes),
-            partial(np.multiply, sig, factor, sig),
-            fem.prepare_sym_gradient_adjoint(sig, op.grid.pixel_size, out,
-                                             planes)]
+    return [step(prepare_stiffness_product(op.material, sig, planes)),
+            step(np.multiply, sig, factor, sig),
+            step(fem.prepare_sym_gradient_adjoint(sig, op.grid.pixel_size,
+                                                  out, planes))]
 
 
 #: Nodes of each load that one band may span, halo rows included.  A band
@@ -163,9 +162,9 @@ def _apply_in_bands(op: SystemOperator, u: np.ndarray, out: np.ndarray,
         if 0 < a and b < n:
             saved = nodal[..., 0, :]
             saved[...] = out[..., a - 1, :]
-            sequence([fem.prepare_sym_gradient(u[..., a - 1:b + 1, :],
-                                               op.grid.pixel_size, strain,
-                                               planes),
+            sequence([step(fem.prepare_sym_gradient(
+                          u[..., a - 1:b + 1, :], op.grid.pixel_size, strain,
+                          planes)),
                       *_weighted_stress_adjoint(op, strain, planes,
                                                 op._factor[a - 1:b + 1],
                                                 out[..., a - 1:b + 1, :])])()
@@ -174,8 +173,8 @@ def _apply_in_bands(op: SystemOperator, u: np.ndarray, out: np.ndarray,
             halo = np.arange(a - 1, b + 1)
             np.take(u, halo, axis=-2, out=nodal, mode="wrap")
             np.take(op._factor, halo, axis=0, out=factor, mode="wrap")
-            sequence([fem.prepare_sym_gradient(nodal, op.grid.pixel_size,
-                                               strain, planes),
+            sequence([step(fem.prepare_sym_gradient(
+                          nodal, op.grid.pixel_size, strain, planes)),
                       *_weighted_stress_adjoint(op, strain, planes, factor,
                                                 nodal)])()
             out[..., a:b, :] = nodal[..., 1:-1, :]
@@ -221,11 +220,11 @@ def prepare_system(op: SystemOperator, u: VectorField,
         out = np.empty(u.values.shape)
     product = VectorField(op.grid, out)
     if bands > 1:
-        return sequence([partial(_apply_in_bands, op, u.values, out, bands)],
+        return sequence([step(_apply_in_bands, op, u.values, out, bands)],
                         product)
     strain, planes = _workspace(op, lead)
-    return sequence([fem.prepare_sym_gradient(u.values, op.grid.pixel_size,
-                                               strain, planes),
+    return sequence([step(fem.prepare_sym_gradient(
+                         u.values, op.grid.pixel_size, strain, planes)),
                      *_weighted_stress_adjoint(op, strain, planes, op._factor,
                                                out)], product)
 

@@ -13,12 +13,11 @@ to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .grid import (Grid, ScalarField, VectorField, dot, fft_forward,
-                   prepare_fft_inverse, sequence, spectral_shape)
+                   prepare_fft_inverse, sequence, spectral_shape, step)
 from .material import MaterialModel
 from .operators import SystemOperator, _check_out, apply_system, make_operator
 
@@ -180,16 +179,17 @@ def _green_steps(green: GreenOperator, r: VectorField,
                  out: np.ndarray) -> list:
     """Steps of the Green application from ``r`` into ``out``."""
     spectrum, z = _spectra(green, r.values.shape[:-3])
-    return [partial(fft_forward, r, _load_major(spectrum)),
-            partial(np.multiply, green.g11, spectrum[0], z[0]),
-            partial(np.multiply, green.g12, spectrum[1], z[1]),
-            partial(np.add, z[0], z[1], z[0]),
+    (s1, s2), (z1, z2) = spectrum, z
+    return [step(fft_forward, r, _load_major(spectrum)),
+            step(np.multiply, green.g11, s1, z1),
+            step(np.multiply, green.g12, s2, z2),
+            step(np.add, z1, z2, z1),
             # the first component is read for the last time: it becomes
             # scratch
-            partial(np.multiply, green.g12, spectrum[0], z[1]),
-            partial(np.multiply, green.g22, spectrum[1], spectrum[0]),
-            partial(np.add, z[1], spectrum[0], z[1]),
-            prepare_fft_inverse(_load_major(z), green.grid, out)]
+            step(np.multiply, green.g12, s1, z2),
+            step(np.multiply, green.g22, s2, s1),
+            step(np.add, z2, s1, z2),
+            step(prepare_fft_inverse(_load_major(z), green.grid, out))]
 
 
 def _result(r: VectorField, out: np.ndarray | None) -> VectorField:
@@ -242,15 +242,18 @@ def prepare_green_norm2(green: GreenOperator, r: VectorField):
     _check_residual(green, r)
     n = green.grid.n
     spectrum, t = _spectra(green, r.values.shape[:-3])
-    steps = [partial(fft_forward, r, _load_major(spectrum)),
-             partial(np.multiply, green.g12, spectrum[1], t[1]),
-             partial(np.multiply, t[1], 2.0, t[1]),
-             partial(np.multiply, green.g11, spectrum[0], t[0]),
-             partial(np.add, t[0], t[1], t[0]),
-             partial(np.multiply, green.g22, spectrum[1], t[1]),
-             partial(np.multiply, t[..., 0], 0.5, t[..., 0])]
+    (s1, s2), (t1, t2) = spectrum, t
+    k2_zero = t[..., 0]
+    steps = [step(fft_forward, r, _load_major(spectrum)),
+             step(np.multiply, green.g12, s2, t2),
+             step(np.multiply, t2, 2.0, t2),
+             step(np.multiply, green.g11, s1, t1),
+             step(np.add, t1, t2, t1),
+             step(np.multiply, green.g22, s2, t2),
+             step(np.multiply, k2_zero, 0.5, k2_zero)]
     if n % 2 == 0:
-        steps.append(partial(np.multiply, t[..., -1], 0.5, t[..., -1]))
+        nyquist = t[..., -1]
+        steps.append(step(np.multiply, nyquist, 0.5, nyquist))
     form = sequence(steps)
     # the (n, 2m) float planes per component and load, summed apart: a
     # load's two planes are adjacent only while the workspace holds one load
@@ -262,8 +265,10 @@ def prepare_green_norm2(green: GreenOperator, r: VectorField):
 
     def run():
         form()
-        totals = [2.0 * (dot(s1, t1) + dot(s2, t2)) / cells
-                  for s1, s2, t1, t2 in planes]
+        # per load, a1 and a2 are the float views of s1 and s2, b1 and b2
+        # those of t1 and t2
+        totals = [2.0 * (dot(a1, b1) + dot(a2, b2)) / cells
+                  for a1, a2, b1, b2 in planes]
         return totals if stacked else totals[0]
 
     return run
@@ -317,8 +322,8 @@ def prepare_jacobi(jacobi: JacobiDiagonal, r: VectorField,
     _check_residual(jacobi, r)
     z = _result(r, out)
     d = jacobi.inv_sqrt
-    return sequence([partial(np.multiply, d, r.values, z.values),
-                     partial(np.multiply, z.values, d, z.values)], z)
+    return sequence([step(np.multiply, d, r.values, z.values),
+                     step(np.multiply, z.values, d, z.values)], z)
 
 
 def apply_jacobi(jacobi: JacobiDiagonal, r: VectorField,
@@ -337,9 +342,9 @@ def prepare_green_jacobi(jacobi: JacobiDiagonal, green: GreenOperator,
     z = _result(r, out)
     _check_residual(green, z)
     d = jacobi.inv_sqrt
-    return sequence([partial(np.multiply, d, r.values, z.values),
+    return sequence([step(np.multiply, d, r.values, z.values),
                      *_green_steps(green, z, z.values),
-                     partial(np.multiply, z.values, d, z.values)], z)
+                     step(np.multiply, z.values, d, z.values)], z)
 
 
 def apply_green_jacobi(jacobi: JacobiDiagonal, green: GreenOperator,
@@ -372,7 +377,7 @@ class Preconditioner:
         :func:`prepare_green`; ``out`` as there."""
         if self.kind == "none":
             z = _result(r, out)
-            return sequence([partial(np.copyto, z.values, r.values)], z)
+            return sequence([step(np.copyto, z.values, r.values)], z)
         if self.kind == "green":
             return prepare_green(self.green, r, out)
         if self.kind == "jacobi":
