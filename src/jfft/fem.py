@@ -103,11 +103,11 @@ def _copy(out: np.ndarray, a: np.ndarray):
     return step(setitem, out, Ellipsis, a)
 
 
-def _shift(a: np.ndarray, step: int, line, out: np.ndarray) -> list:
-    """Steps of ``out = roll(a, step, axis)`` for ``step`` = +1 or -1, along
+def _shift(a: np.ndarray, sign: int, line, out: np.ndarray) -> list:
+    """Steps of ``out = roll(a, sign, axis)`` for ``sign`` = +1 or -1, along
     the axis of ``line``."""
     k, first, last = line
-    if step == 1:
+    if sign == 1:
         return [_copy(out[..., k:], a[..., :-k]),
                 _copy(out[..., first], a[..., last])]
     return [_copy(out[..., :-k], a[..., k:]),

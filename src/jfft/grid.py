@@ -20,14 +20,13 @@ Conventions used throughout the package:
   :func:`fft_forward` and :func:`prepare_fft_inverse` call ``np.fft``.
   They run the 1D transforms of ``rfftn`` and ``irfftn`` in the same
   order, so their output is bitwise equal, without the temporaries of the
-  n-D calls.  The
-  forward transform is ``rfft`` along axis -1, into a caller's spectrum
-  buffer when given ``out=`` (numpy >= 2.0), then ``fft`` along axis -2 in
-  place.  The inverse is ``ifft`` along axis -2 in place, overwriting the
-  spectrum it is given, then ``irfft`` along axis -1 into the returned
-  field.  ``irfftn`` runs its first pass into a temporary of the
-  spectrum's size; on a 2-core virtual machine (numpy 2.4.6) it took about
-  1.6x (n = 128) to 2x (n = 512) as long.
+  n-D calls.  The forward transform is ``rfft`` along axis -1, into a
+  caller's spectrum buffer when given ``out=`` (numpy >= 2.0), then
+  ``fft`` along axis -2 in place.  The inverse is ``ifft`` along axis -2
+  in place, overwriting the spectrum it is given, then ``irfft`` along
+  axis -1 into the returned field.  ``irfftn`` runs its first pass into a
+  temporary of the spectrum's size; on a 2-core virtual machine (numpy
+  2.4.6) it took about 1.6x (n = 128) to 2x (n = 512) as long.
 * Only :func:`dot` takes inner products: every dot product and norm of
   PCG and L-BFGS, so one fixed summation decides the iteration counts.
 * The layers of a PCG iteration come in two steps.  ``prepare_*`` checks

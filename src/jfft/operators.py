@@ -208,7 +208,7 @@ def prepare_system(op: SystemOperator, u: VectorField,
     (:func:`_apply_in_bands`), bitwise equal to the whole-grid pass that
     every smaller grid makes.  Such a grid prepares each band's views as
     it runs the band, which costs little beside the band's arithmetic;
-    holding them all would keep about 19 KB per band alive."""
+    holding them all would keep about 13 KB per band alive."""
     if u.grid != op.grid:
         raise ValueError("displacement lives on a different grid")
     if out is not None and np.may_share_memory(out, u.values):

@@ -107,9 +107,11 @@ def _as_field(grid: Grid, rows: np.ndarray) -> VectorField:
     """The active rows as the layers' input, and their values as the
     layers' ``out=``: one load as a plain field, more as a stack.  The
     layers make the same NumPy calls on either form; per Green and
-    Green-Jacobi iteration on a cosine cell the plain field measured
-    AS_FIELD_FIGURES.  On a plain field the prepared Green norm returns a
-    float, which the loop wraps."""
+    Green-Jacobi iteration on a cosine cell the plain field measured 7%
+    faster at n = 32 and 1-12% faster at n = 128 and 512, within the
+    spread between runs there (prepared layers, 10 alternated solves,
+    2-core virtual machine).  On a plain field the prepared Green norm
+    returns a float, which the loop wraps."""
     return VectorField(grid, rows[0] if len(rows) == 1 else rows)
 
 
