@@ -22,8 +22,9 @@ periodically along both axes of the plane; they slice their views once
 and return the steps that make the NumPy calls on them, which
 :func:`prepare_sym_gradient` and :func:`prepare_sym_gradient_adjoint`
 chain into runs.  On the whole grid, ``r = n`` and that is the cell's
-periodicity.  :func:`~jfft.operators.prepare_system` also prepares them
-on row bands of a large grid, each with one halo row on
+periodicity.  :func:`~jfft.operators.prepare_system` and
+:func:`~jfft.operators.assemble_rhs` also prepare them on the row bands
+of a large grid, once per band height, each band with one halo row on
 either side: there the axis-0 wrap joins the band's first and last rows,
 which are no neighbours on the grid, and spoils only the two halo rows of
 the result, which the caller discards.

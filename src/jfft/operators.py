@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import setitem
 
 import numpy as np
 
@@ -22,27 +23,29 @@ class SystemOperator:
     The operator is symmetric positive semi-definite with the two rigid
     translations as its null space; it is never assembled as a matrix.  It
     owns the workspace of :func:`apply_system`, :func:`assemble_rhs` and
-    :func:`homogenized_stress`: the per-pixel factor ``w * rho``, a
-    strain/stress buffer and two scratch planes per load of the largest
-    stack applied so far (one load until a stack arrives), so an
+    :func:`homogenized_stress`: the per-pixel factor ``w * rho`` and one
+    flat buffer, grown to what the largest call so far needed, so an
     application allocates only the field it returns, and nothing when the
-    caller passes ``out=``.  A call on ``B`` loads works in the leading
-    ``(3, 2, B, n, n)`` and ``(2, B, n, n)`` entries of the two flat
-    buffers: component-major and C-contiguous, so that each plane of a
-    stack is one block and one load's strain is a plain ``(3, 2, n, n)``
-    array whatever stack grew the buffers.  A K application in row bands
-    of ``r`` rows carves its band buffers from the same two:
-    ``(3, 2, B, r, n)`` strain and ``(B, 2, r, n)`` nodal rows from the
-    strain buffer, ``(2, B, r, n)`` scratch and ``(r, n)`` factor rows
-    from the scratch buffer.
+    caller passes ``out=``.
+
+    On a grid that K takes whole for one load, construction sizes the
+    buffer for one load, which every call there needs, and a call on ``B``
+    loads works in its leading ``(3, 2, B, n, n)`` strain and
+    ``(2, B, n, n)`` scratch entries (:func:`_workspace`): component-major
+    and C-contiguous, so that each plane of a stack is one block and one
+    load's strain is a plain ``(3, 2, n, n)`` array whatever stack grew
+    the buffer.  On a grid that K cuts into row bands, the buffer starts
+    empty, and K and the right-hand side work in the buffers of one band
+    of ``r`` rows (:func:`_band_workspace`): ``(3, 2, B, r, n)`` strain,
+    ``(2, B, r, n)`` scratch, ``(B, 2, r, n)`` nodal rows and ``(r, n)``
+    factor rows, so no buffer of the operator spans the grid.
     """
 
     grid: Grid
     density: ScalarField
     material: MaterialModel
     _factor: np.ndarray = field(init=False, repr=False, compare=False)
-    _strain: np.ndarray = field(init=False, repr=False, compare=False)
-    _planes: np.ndarray = field(init=False, repr=False, compare=False)
+    _work: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.density.grid != self.grid:
@@ -53,13 +56,18 @@ class SystemOperator:
             raise ValueError("negative density")
         object.__setattr__(self, "_factor",
                            self.grid.quad_weight * self.density.values)
-        _grow_workspace(self, 1)
+        object.__setattr__(self, "_work", np.empty(0))
+        if _band_count(self.grid.n, 1) == 1:
+            _workspace(self, ())
 
 
-def _grow_workspace(op: SystemOperator, loads: int) -> None:
-    size = loads * op.grid.n ** 2
-    object.__setattr__(op, "_strain", np.empty(MANDEL_DIM * 2 * size))
-    object.__setattr__(op, "_planes", np.empty(2 * size))
+def _grown(op: SystemOperator, size: int) -> np.ndarray:
+    """The operator's flat workspace, replaced by one of ``size`` entries
+    when it holds fewer.  Steps prepared on the old buffer keep it alive
+    and still run on it."""
+    if op._work.size < size:
+        object.__setattr__(op, "_work", np.empty(size))
+    return op._work
 
 
 def _workspace(op: SystemOperator, lead: tuple[int, ...]):
@@ -67,13 +75,11 @@ def _workspace(op: SystemOperator, lead: tuple[int, ...]):
     ``(2,) + lead + (n, n)`` for fields with load axes ``lead`` (``()`` or
     ``(B,)``), as C-contiguous views of the operator's workspace."""
     n = op.grid.n
-    loads = lead[0] if lead else 1
-    if op._planes.size < 2 * loads * n * n:
-        _grow_workspace(op, loads)
-    strain_shape = (MANDEL_DIM, 2) + lead + (n, n)
     planes_shape = (2,) + lead + (n, n)
-    return (op._strain[:math.prod(strain_shape)].reshape(strain_shape),
-            op._planes[:math.prod(planes_shape)].reshape(planes_shape))
+    size = math.prod(planes_shape)
+    work = _grown(op, 4 * size)
+    return (work[:3 * size].reshape((MANDEL_DIM,) + planes_shape),
+            work[3 * size:4 * size].reshape(planes_shape))
 
 
 def make_operator(density: ScalarField, material: MaterialModel) -> SystemOperator:
@@ -121,63 +127,72 @@ def _band_workspace(op: SystemOperator, lead: tuple[int, ...], rows: int):
     """Buffers of one band of ``rows`` rows, halo rows included, for fields
     with load axes ``lead``: strain ``(3, 2) + lead + (rows, n)``, scratch
     ``(2,) + lead + (rows, n)``, nodal ``lead + (2, rows, n)`` and factor
-    ``(rows, n)``.  They are carved from the operator's workspace, which
-    grows only for a band that outsizes the whole grid, as on a tiny grid
-    cut into one-row bands."""
+    ``(rows, n)``, as C-contiguous views of the operator's workspace."""
     n = op.grid.n
-    loads = lead[0] if lead else 1
-    plane = loads * rows * n
-    if (op._strain.size < 8 * plane
-            or op._planes.size < 2 * plane + rows * n):
-        _grow_workspace(op, loads * -(-2 * rows // n))
+    plane = math.prod(lead) * rows * n
+    work = _grown(op, 10 * plane + rows * n)
     shape = lead + (rows, n)
-    return (op._strain[:6 * plane].reshape((MANDEL_DIM, 2) + shape),
-            op._planes[:2 * plane].reshape((2,) + shape),
-            op._strain[6 * plane:8 * plane].reshape(lead + (2, rows, n)),
-            op._planes[2 * plane:2 * plane + rows * n].reshape(rows, n))
+    return (work[:6 * plane].reshape((MANDEL_DIM, 2) + shape),
+            work[6 * plane:8 * plane].reshape((2,) + shape),
+            work[8 * plane:10 * plane].reshape(lead + (2, rows, n)),
+            work[10 * plane:10 * plane + rows * n].reshape(rows, n))
 
 
-def _apply_in_bands(op: SystemOperator, u: np.ndarray, out: np.ndarray,
-                    bands: int) -> None:
-    """``K u`` into ``out`` in ``bands`` bands of rows, whose heights
-    differ by one row at most.
+def _band_rows(src: np.ndarray, a: int, b: int, dst: np.ndarray):
+    """The step that copies rows ``a - 1 .. b`` (second-last axis) of the
+    grid's ``src`` into ``dst``: a slice inside the grid, a gather that
+    wraps around it at its edges."""
+    if 0 < a and b < src.shape[-2]:
+        return step(setitem, dst, Ellipsis, src[..., a - 1:b + 1, :])
+    return step(np.take, src, np.arange(a - 1, b + 1), -2, dst, "wrap")
 
-    A band of output rows ``[a, b)`` reads the displacement rows
-    ``[a - 1, b]``.  Its strain, stress and adjoint run on those
-    ``b - a + 2`` rows, where each entry of rows ``a .. b - 1`` takes the
-    operations and inputs it takes on the whole grid; the two halo rows
-    are spoiled by the wrap inside the band and discarded.  A band inside
-    the grid reads a view of ``u`` and writes rows ``a - 1 .. b`` of
-    ``out``: the next band overwrites row ``b``, and row ``a - 1`` is put
-    back.  The first and last bands wrap around the grid: they gather
-    their rows of ``u`` and ``w * rho`` and copy their rows into ``out``.
-    Each band's steps are prepared as it runs and dropped after it, so
-    only one band's views are alive at a time.
+
+def _prepare_bands(op: SystemOperator, out: np.ndarray, bands: int,
+                   strain_steps, u: np.ndarray | None = None) -> list:
+    """Steps of ``B^T W rho C0`` into ``out`` in ``bands`` bands of rows,
+    whose heights differ by one row at most, applied to the strain that
+    ``strain_steps(nodal, strain, planes)`` writes into a band's strain
+    buffer, from the rows of ``u`` in its nodal buffer when ``u`` is given.
+
+    A band of output rows ``[a, b)`` works on the ``b - a + 2`` rows
+    ``[a - 1, b]``.  It copies them from ``u`` into its nodal buffer, runs
+    the strain steps and the material product, scales by its rows of
+    ``w * rho`` (a view inside the grid, gathered at its edges) and runs
+    the adjoint into the nodal buffer.  Each entry of rows ``a .. b - 1``
+    takes the operations and inputs it takes on the whole grid; the two
+    halo rows are spoiled by the wrap inside the band and dropped when
+    rows ``1 .. b - a`` are copied into ``out``.  The strain steps, the
+    material product and the adjoint are prepared once per band height,
+    on the workspace grown beforehand to the tallest band, so that every
+    plan runs on one buffer: a plan prepared before a growth would keep
+    the replaced buffer alive.
     """
-    n = op.grid.n
+    n, h = op.grid.n, op.grid.pixel_size
+    lead = out.shape[:-3]
+    _band_workspace(op, lead, -(-n // bands) + 2)
+    plans, steps = {}, []
     for k in range(bands):
         a, b = k * n // bands, (k + 1) * n // bands
-        strain, planes, nodal, factor = _band_workspace(op, u.shape[:-3],
-                                                        b - a + 2)
+        rows = b - a + 2
+        if rows not in plans:
+            strain, planes, nodal, factor = _band_workspace(op, lead, rows)
+            plans[rows] = (
+                strain, nodal, factor, nodal[..., 1:-1, :],
+                [*strain_steps(nodal, strain, planes),
+                 step(prepare_stiffness_product(op.material, strain, planes))],
+                step(fem.prepare_sym_gradient_adjoint(strain, h, nodal,
+                                                      planes)))
+        strain, nodal, factor, inner, front, adjoint = plans[rows]
+        if u is not None:
+            steps.append(_band_rows(u, a, b, nodal))
         if 0 < a and b < n:
-            saved = nodal[..., 0, :]
-            saved[...] = out[..., a - 1, :]
-            sequence([step(fem.prepare_sym_gradient(
-                          u[..., a - 1:b + 1, :], op.grid.pixel_size, strain,
-                          planes)),
-                      *_weighted_stress_adjoint(op, strain, planes,
-                                                op._factor[a - 1:b + 1],
-                                                out[..., a - 1:b + 1, :])])()
-            out[..., a - 1, :] = saved
+            rho = op._factor[a - 1:b + 1]
         else:
-            halo = np.arange(a - 1, b + 1)
-            np.take(u, halo, axis=-2, out=nodal, mode="wrap")
-            np.take(op._factor, halo, axis=0, out=factor, mode="wrap")
-            sequence([step(fem.prepare_sym_gradient(
-                          nodal, op.grid.pixel_size, strain, planes)),
-                      *_weighted_stress_adjoint(op, strain, planes, factor,
-                                                nodal)])()
-            out[..., a:b, :] = nodal[..., 1:-1, :]
+            rho = factor
+            steps.append(_band_rows(op._factor, a, b, factor))
+        steps += [*front, step(np.multiply, strain, rho, strain), adjoint,
+                  step(setitem, out[..., a:b, :], Ellipsis, inner)]
+    return steps
 
 
 def _check_out(out: np.ndarray | None, values: np.ndarray) -> None:
@@ -205,12 +220,15 @@ def prepare_system(op: SystemOperator, u: VectorField,
     still read ``u``.
 
     A grid whose working set would outgrow the cache runs in row bands
-    (:func:`_apply_in_bands`), bitwise equal to the whole-grid pass that
-    every smaller grid makes.  Such a grid prepares each band's views as
-    it runs the band, which costs little beside the band's arithmetic;
-    holding them all would keep about 13 KB per band alive."""
+    (:func:`_prepare_bands`), bitwise equal to the whole-grid pass that
+    every smaller grid makes.  Either way every view and step is prepared
+    here, once: a banded K holds one plan per band height (two at most)
+    and a few copy and scaling steps per band."""
     if u.grid != op.grid:
         raise ValueError("displacement lives on a different grid")
+    if u.values.size == 0:
+        raise ValueError("displacement stack (loads, 2, n, n) has an empty "
+                         "load axis; it needs loads >= 1")
     if out is not None and np.may_share_memory(out, u.values):
         raise ValueError("out must not share memory with u")
     _check_out(out, u.values)
@@ -219,12 +237,15 @@ def prepare_system(op: SystemOperator, u: VectorField,
     if out is None:
         out = np.empty(u.values.shape)
     product = VectorField(op.grid, out)
+    h = op.grid.pixel_size
     if bands > 1:
-        return sequence([step(_apply_in_bands, op, u.values, out, bands)],
-                        product)
+        return sequence(_prepare_bands(
+            op, out, bands, lambda nodal, strain, planes: [
+                step(fem.prepare_sym_gradient(nodal, h, strain, planes))],
+            u.values), product)
     strain, planes = _workspace(op, lead)
-    return sequence([step(fem.prepare_sym_gradient(
-                         u.values, op.grid.pixel_size, strain, planes)),
+    return sequence([step(fem.prepare_sym_gradient(u.values, h, strain,
+                                                   planes)),
                      *_weighted_stress_adjoint(op, strain, planes, op._factor,
                                                out)], product)
 
@@ -235,27 +256,46 @@ def apply_system(op: SystemOperator, u: VectorField,
     return prepare_system(op, u, out)()
 
 
-def assemble_rhs(op: SystemOperator, eps_bar) -> VectorField:
-    """Right-hand side ``f = -B^T W C(rho) E`` for a macroscopic strain.
-
-    ``eps_bar`` is a Mandel vector broadcast to every quadrature point, or a
-    ``(B, 3)`` array of them, ``B >= 1``, which gives the stack of the
-    ``B`` right-hand sides.  The result has zero mean per component.
-    """
+def _macroscopic_strain(eps_bar, ndim: int) -> np.ndarray:
+    """``eps_bar`` as a float64 Mandel vector, or for ``ndim = 2`` also a
+    ``(B, 3)`` stack of them, ``B >= 1``; any other shape, an empty stack
+    and a non-finite entry raise ``ValueError``."""
     eps_bar = np.asarray(eps_bar, dtype=np.float64)
-    if eps_bar.shape[-1:] != (MANDEL_DIM,) or eps_bar.ndim > 2:
-        raise ValueError(f"macroscopic strain must have shape ({MANDEL_DIM},) "
-                         f"or (loads, {MANDEL_DIM})")
+    if eps_bar.shape[-1:] != (MANDEL_DIM,) or eps_bar.ndim > ndim:
+        stack = f" or (loads, {MANDEL_DIM})" if ndim == 2 else ""
+        raise ValueError(f"macroscopic strain must have shape ({MANDEL_DIM},)"
+                         + stack)
     if eps_bar.size == 0:
         raise ValueError(f"macroscopic strain stack (loads, {MANDEL_DIM}) has "
                          "an empty load axis; it needs loads >= 1")
     if not np.all(np.isfinite(eps_bar)):
         raise ValueError("macroscopic strain must be finite")
+    return eps_bar
+
+
+def assemble_rhs(op: SystemOperator, eps_bar) -> VectorField:
+    """Right-hand side ``f = -B^T W C(rho) E`` for a macroscopic strain.
+
+    ``eps_bar`` is a Mandel vector broadcast to every quadrature point, or a
+    ``(B, 3)`` array of them, ``B >= 1``, which gives the stack of the
+    ``B`` right-hand sides.  The result has zero mean per component.  On a
+    grid that K cuts into row bands, it is built in the same bands, with
+    the strain pass replaced by the constant ``eps_bar``.
+    """
+    eps_bar = _macroscopic_strain(eps_bar, 2)
     lead = eps_bar.shape[:-1]
-    strain, planes = _workspace(op, lead)
-    strain[...] = np.moveaxis(eps_bar, -1, 0)[:, None, ..., None, None]
-    f = np.empty(lead + (2, op.grid.n, op.grid.n))
-    sequence(_weighted_stress_adjoint(op, strain, planes, op._factor, f))()
+    n = op.grid.n
+    eps = np.moveaxis(eps_bar, -1, 0)[:, None, ..., None, None]
+    f = np.empty(lead + (2, n, n))
+    bands = _band_count(n, lead[0] if lead else 1)
+    if bands > 1:
+        steps = _prepare_bands(op, f, bands, lambda nodal, strain, planes: [
+            step(setitem, strain, Ellipsis, eps)])
+    else:
+        strain, planes = _workspace(op, lead)
+        steps = [step(setitem, strain, Ellipsis, eps),
+                 *_weighted_stress_adjoint(op, strain, planes, op._factor, f)]
+    sequence(steps)()
     np.negative(f, out=f)
     return VectorField(op.grid, f)
 
@@ -270,17 +310,25 @@ def total_strain(u: VectorField, eps_bar) -> QuadField:
 def homogenized_stress(op: SystemOperator, u: VectorField, eps_bar) -> np.ndarray:
     """Volume-averaged stress of the equilibrated cell, a Mandel vector.
 
-    The total strain and then the stress ``rho C0 eps`` are built in the
-    operator's strain buffer, with the operations of
+    The total strain and then the stress ``rho C0 eps`` are built in one
+    strain buffer, with the operations of
     ``cell_average(stress(rho, C0, total_strain(u, eps_bar)))`` and bitwise
-    its result, without a field-sized temporary.
+    its result.  Where K takes the grid whole, that buffer is the
+    operator's workspace and the call makes no field-sized temporary.
+    Where K cuts the grid into row bands, the operator holds no whole-grid
+    buffer, and the call takes its own, freed on return.
     """
     if u.grid != op.grid or u.values.ndim != 3:
         raise ValueError("displacement must be one field on the operator's "
                          "grid")
-    strain, planes = _workspace(op, ())
+    eps_bar = _macroscopic_strain(eps_bar, 1)
+    n = op.grid.n
+    if _band_count(n, 1) > 1:
+        strain, planes = np.empty((MANDEL_DIM, 2, n, n)), np.empty((2, n, n))
+    else:
+        strain, planes = _workspace(op, ())
     fem.prepare_sym_gradient(u.values, op.grid.pixel_size, strain, planes)()
-    strain += np.asarray(eps_bar, dtype=np.float64)[:, None, None, None]
+    strain += eps_bar[:, None, None, None]
     prepare_stiffness_product(op.material, strain, planes)()
     strain *= op.density.values
     return fem.cell_average(QuadField(op.grid, strain))

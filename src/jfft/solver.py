@@ -37,9 +37,12 @@ The loop prepares its layers once per active stack, and again only when
 loads leave it: K from the direction into the work buffer, the
 preconditioner from the residual into it, the Green norm of the residual
 and the per-load dots (see :mod:`jfft.grid`).  Each iteration then runs
-only their NumPy calls.  The prepared layers hold views of these four
-fields and of the operators' workspaces, tens of KB and no field, so the
-four fields per load above are still all that a solve allocates.
+only their NumPy calls; a K in row bands, too, is prepared here, as one
+plan per band height and a few steps per band.  The prepared layers hold
+views of these four fields and of the operators' workspaces, tens of KB
+and no field, so the four fields per load above are still all that a
+solve allocates.  On a grid that K cuts into bands, the operator's
+workspace is one band, not the grid.
 """
 
 from __future__ import annotations

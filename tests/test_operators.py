@@ -320,7 +320,7 @@ def test_banded_kernel_makes_no_field_sized_temporary(bands, solid_material):
     u = VectorField(op.grid, rng.normal(size=(2, n, n)))
     out = np.empty((2, n, n))
     apply_system(op, u, out=out)
-    sizes = op._strain.size, op._planes.size
+    size = op._work.size
     bands.count = 0
     tracemalloc.start()
     try:
@@ -330,5 +330,156 @@ def test_banded_kernel_makes_no_field_sized_temporary(bands, solid_material):
         tracemalloc.stop()
     assert bands.count > 1
     assert peak < n * n * 8
-    assert (op._strain.size, op._planes.size) == sizes == (6 * n * n,
-                                                           2 * n * n)
+    # the workspace is one band: 49 rows of 11 planes, against the 8
+    # planes of 512 rows a whole-grid pass takes
+    assert op._work.size == size == band_workspace_size(n, 1, bands.count)
+
+
+def band_workspace_size(n, loads, count):
+    """Entries of the workspace of the tallest of ``count`` row bands, halo
+    rows included: strain, scratch and nodal planes per load, and one
+    factor plane."""
+    return (10 * loads + 1) * (-(-n // count) + 2) * n
+
+
+@pytest.mark.parametrize("n", [8, 512])
+def test_system_rejects_an_empty_load_axis(n, solid_material):
+    # the Green layers take a (0, 2, n, n) stack; K names its empty load
+    # axis instead of failing in the band rule
+    op = random_operator(n, np.random.default_rng(n), solid_material)
+    empty = VectorField(op.grid, np.empty((0, 2, n, n)))
+    with pytest.raises(ValueError, match="empty load axis"):
+        apply_system(op, empty)
+    with pytest.raises(ValueError, match="empty load axis"):
+        operators.prepare_system(op, empty, np.empty((0, 2, n, n)))
+
+
+@pytest.mark.parametrize("eps_bar, message", [
+    (np.array([np.nan, 0.0, 0.0]), "finite"),
+    (np.array([1.0, np.inf, 0.0]), "finite"),
+    (1.0, "shape"),
+    (np.ones((1, 3)), "shape"),
+    (np.ones(2), "shape"),
+    (np.ones((0, 3)), "shape"),
+])
+def test_homogenized_stress_rejects_bad_strain(eps_bar, message,
+                                               solid_material):
+    op = random_operator(4, np.random.default_rng(17), solid_material)
+    u = VectorField(op.grid, np.zeros((2, 4, 4)))
+    with pytest.raises(ValueError, match=f"macroscopic strain must .*{message}"):
+        homogenized_stress(op, u, eps_bar)
+    # the right-hand side raises the same errors on what it cannot take
+    if np.ndim(eps_bar) != 2 or np.size(eps_bar) == 0:
+        with pytest.raises(ValueError, match="macroscopic strain"):
+            assemble_rhs(op, eps_bar)
+
+
+# the grids, lengths and loads of test_forced_bands_bitwise_equal_reference
+@pytest.mark.parametrize("n, rows", [
+    (2, 1), (3, 1), (8, 1), (9, 1), (9, 2), (32, 1), (32, 5), (32, 7)])
+@pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 1.5)])
+@pytest.mark.parametrize("loads", [1, 3])
+def test_forced_bands_rhs_bitwise_equal_reference(n, rows, lengths, loads,
+                                                  bands, solid_material):
+    rng = np.random.default_rng(950 + n)
+    bands.force(rows)
+    op = random_operator(n, rng, solid_material, lengths)
+    c0, rho = solid_material.stiffness, op.density.values
+    eps_bars = rng.normal(size=(loads, 3))
+    f = assemble_rhs(op, eps_bars[0] if loads == 1 else eps_bars).values
+    count = -(-n // rows)
+    assert bands.adjoints == count > 1 and bands.count == 0
+    assert op._work.size == band_workspace_size(n, loads, count)
+    for j, fj in enumerate(f.reshape((loads, 2, n, n))):
+        assert np.array_equal(fj, reference_rhs(rho, c0, eps_bars[j],
+                                                lengths))
+
+
+def test_banded_rhs_bitwise_equal_reference_at_512(bands, solid_material):
+    n = 512
+    rng = np.random.default_rng(513)
+    op = random_operator(n, rng, solid_material)
+    c0, rho = solid_material.stiffness, op.density.values
+    eps_bars = rng.normal(size=(3, 3))
+    for loads in (1, 3):
+        bands.adjoints = 0
+        f = assemble_rhs(op, eps_bars[0] if loads == 1 else eps_bars[:loads])
+        assert bands.adjoints == operators._band_count(n, loads) > 1
+        for j, fj in enumerate(f.values.reshape((loads, 2, n, n))):
+            assert np.array_equal(fj, reference_rhs(rho, c0, eps_bars[j]))
+    assert bands.count == 0
+    assert op._work.size < 8 * n * n
+
+
+def test_banded_homogenized_stress_bitwise_equal_reference(solid_material):
+    n = 512
+    rng = np.random.default_rng(514)
+    op = random_operator(n, rng, solid_material)
+    u = VectorField(op.grid, rng.normal(size=(2, n, n)))
+    eps_bar = rng.normal(size=3)
+    assert op._work.size == 0
+    apply_system(op, u)
+    size = op._work.size
+    assert 0 < size < 8 * n * n
+    assert np.array_equal(homogenized_stress(op, u, eps_bar),
+                          reference_homogenized_stress(op, u, eps_bar))
+    assert op._work.size == size
+
+
+# a first band of fewer rows than a later one: n = 9 in 5 bands (1 and 2
+# rows), n = 32 in 5 (6 and 7) and n = 512 for one load in 11 (46 and 47)
+@pytest.mark.parametrize("n, rows", [(9, 2), (32, 7), (512, None)])
+@pytest.mark.parametrize("loads", [1, 3])
+def test_fresh_operator_with_taller_later_band_bitwise_equal_reference(
+        n, rows, loads, bands, solid_material):
+    if rows is not None:
+        bands.force(rows)
+    rng = np.random.default_rng(960 + n)
+    op = random_operator(n, rng, solid_material)
+    assert op._work.size == 0
+    c0, rho = solid_material.stiffness, op.density.values
+    count = operators._band_count(n, loads)
+    heights = [(k + 1) * n // count - k * n // count for k in range(count)]
+    assert heights[0] < max(heights)
+    u = rng.normal(size=(loads, 2, n, n))
+    out = np.empty(u.shape)
+    size = band_workspace_size(n, loads, count)
+    tracemalloc.start()
+    try:
+        ku = apply_system(op, VectorField(op.grid, u[0] if loads == 1 else u),
+                          out=out[0] if loads == 1 else out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bands.count == count
+    # one workspace, of the tallest band, and no buffer of a shorter band
+    # left behind in the plans: 2.2 MB at n = 512, well above the slack for
+    # the plans and NumPy's ufunc buffers (87 KB at n = 32 for three loads)
+    assert op._work.size == size
+    assert peak < 8 * size + 128 * 1024
+    for j, kj in enumerate(ku.values.reshape(u.shape)):
+        assert np.array_equal(kj, reference_apply_k(u[j], rho, c0))
+
+
+# whole grid, and forced bands whose workspace grows 2.8-fold for three
+# loads
+@pytest.mark.parametrize("rows", [None, 5])
+def test_k_prepared_before_a_larger_stack_grows_the_workspace(
+        rows, bands, solid_material):
+    n = 32
+    if rows is not None:
+        bands.force(rows)
+    rng = np.random.default_rng(970)
+    op = random_operator(n, rng, solid_material)
+    c0, rho = solid_material.stiffness, op.density.values
+    u = VectorField(op.grid, np.empty((2, n, n)))
+    run = operators.prepare_system(op, u, np.empty((2, n, n)))
+    size = op._work.size
+    stack = rng.normal(size=(3, 2, n, n))
+    ku = apply_system(op, VectorField(op.grid, stack)).values
+    assert op._work.size > size
+    for j in range(3):
+        assert np.array_equal(ku[j], reference_apply_k(stack[j], rho, c0))
+    for j in range(3):
+        u.values[...] = stack[j]
+        assert np.array_equal(run().values, ku[j])

@@ -135,9 +135,9 @@ def test_prepared_whole_grid_k_holds_under_32_kb(loads, bands,
 
 
 @LOADS
-def test_banded_k_holds_one_band_of_views_at_a_time(loads, bands,
-                                                    solid_material):
-    # a whole-grid K's views, which are as many as one band's
+def test_banded_k_holds_two_band_plans_and_a_few_steps_per_band(
+        loads, bands, solid_material):
+    # a whole-grid K's plan, which is as large as one band height's
     small = k_cell(32, loads, solid_material)
     plan, _ = held_and_peak(lambda: prepare_system(*small))
     op, u, out = k_cell(512, loads, solid_material)
@@ -147,6 +147,9 @@ def test_banded_k_holds_one_band_of_views_at_a_time(loads, bands,
     _, peak = held_and_peak(run)
     count = operators._band_count(512, loads)
     assert bands.count == count >= 11
-    # the prepared K holds no band; a run never holds two bands' views
-    assert held < plan, (plan, held)
-    assert peak < 2 * plan < count * plan, (plan, held, peak)
+    # one plan per band height, of which there are two, and its copy and
+    # scaling steps per band: 33 KB for 11 bands and 47 KB for 35 bands
+    # measured, 0.4-0.6 KB per band beyond the two plans, where one plan
+    # per band would hold 13-14 KB per band; a run prepares nothing
+    assert held < 2 * plan + count * 1024 < count * plan, (plan, held)
+    assert peak < 4 * 1024, (plan, held, peak)
