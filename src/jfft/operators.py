@@ -23,29 +23,31 @@ class SystemOperator:
     The operator is symmetric positive semi-definite with the two rigid
     translations as its null space; it is never assembled as a matrix.  It
     owns the workspace of :func:`apply_system`, :func:`assemble_rhs` and
-    :func:`homogenized_stress`: the per-pixel factor ``w * rho`` and one
-    flat buffer, grown to what the largest call so far needed, so an
-    application allocates only the field it returns, and nothing when the
-    caller passes ``out=``.
+    :func:`homogenized_stress`: the per-pixel factor ``w * rho`` and two
+    flat buffers, a strain buffer and a scratch buffer, each grown to what
+    the largest call so far needed, so an application allocates only the
+    field it returns, and nothing when the caller passes ``out=``.
 
     On a grid that K takes whole for one load, construction sizes the
-    buffer for one load, which every call there needs, and a call on ``B``
-    loads works in its leading ``(3, 2, B, n, n)`` strain and
-    ``(2, B, n, n)`` scratch entries (:func:`_workspace`): component-major
-    and C-contiguous, so that each plane of a stack is one block and one
+    buffers for one load, which every call there needs, and a call on
+    ``B`` loads works in their leading ``(3, 2, B, n, n)`` and
+    ``(2, B, n, n)`` entries (:func:`_workspace`): component-major and
+    C-contiguous, so that each plane of a stack is one block and one
     load's strain is a plain ``(3, 2, n, n)`` array whatever stack grew
-    the buffer.  On a grid that K cuts into row bands, the buffer starts
+    the buffers.  On a grid that K cuts into row bands, the buffers start
     empty, and K and the right-hand side work in the buffers of one band
-    of ``r`` rows (:func:`_band_workspace`): ``(3, 2, B, r, n)`` strain,
-    ``(2, B, r, n)`` scratch, ``(B, 2, r, n)`` nodal rows and ``(r, n)``
-    factor rows, so no buffer of the operator spans the grid.
+    of ``r`` rows (:func:`_band_workspace`): ``(3, 2, B, r, n)`` strain and
+    ``(B, 2, r, n)`` nodal rows from the strain buffer, ``(2, B, r, n)``
+    scratch and ``(r, n)`` factor rows from the scratch buffer, so no
+    buffer of the operator spans the grid.
     """
 
     grid: Grid
     density: ScalarField
     material: MaterialModel
     _factor: np.ndarray = field(init=False, repr=False, compare=False)
-    _work: np.ndarray = field(init=False, repr=False, compare=False)
+    _strain: np.ndarray = field(init=False, repr=False, compare=False)
+    _planes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.density.grid != self.grid:
@@ -56,18 +58,20 @@ class SystemOperator:
             raise ValueError("negative density")
         object.__setattr__(self, "_factor",
                            self.grid.quad_weight * self.density.values)
-        object.__setattr__(self, "_work", np.empty(0))
+        object.__setattr__(self, "_strain", np.empty(0))
+        object.__setattr__(self, "_planes", np.empty(0))
         if _band_count(self.grid.n, 1) == 1:
             _workspace(self, ())
 
 
-def _grown(op: SystemOperator, size: int) -> np.ndarray:
-    """The operator's flat workspace, replaced by one of ``size`` entries
-    when it holds fewer.  Steps prepared on the old buffer keep it alive
-    and still run on it."""
-    if op._work.size < size:
-        object.__setattr__(op, "_work", np.empty(size))
-    return op._work
+def _grown(op: SystemOperator, strain: int, planes: int):
+    """The operator's strain and scratch buffers, each replaced by one of
+    ``strain`` or ``planes`` entries when it holds fewer.  Steps prepared
+    on a replaced buffer keep it alive and still run on it."""
+    for name, size in (("_strain", strain), ("_planes", planes)):
+        if getattr(op, name).size < size:
+            object.__setattr__(op, name, np.empty(size))
+    return op._strain, op._planes
 
 
 def _workspace(op: SystemOperator, lead: tuple[int, ...]):
@@ -77,9 +81,9 @@ def _workspace(op: SystemOperator, lead: tuple[int, ...]):
     n = op.grid.n
     planes_shape = (2,) + lead + (n, n)
     size = math.prod(planes_shape)
-    work = _grown(op, 4 * size)
-    return (work[:3 * size].reshape((MANDEL_DIM,) + planes_shape),
-            work[3 * size:4 * size].reshape(planes_shape))
+    strain, planes = _grown(op, 3 * size, size)
+    return (strain[:3 * size].reshape((MANDEL_DIM,) + planes_shape),
+            planes[:size].reshape(planes_shape))
 
 
 def make_operator(density: ScalarField, material: MaterialModel) -> SystemOperator:
@@ -127,15 +131,15 @@ def _band_workspace(op: SystemOperator, lead: tuple[int, ...], rows: int):
     """Buffers of one band of ``rows`` rows, halo rows included, for fields
     with load axes ``lead``: strain ``(3, 2) + lead + (rows, n)``, scratch
     ``(2,) + lead + (rows, n)``, nodal ``lead + (2, rows, n)`` and factor
-    ``(rows, n)``, as C-contiguous views of the operator's workspace."""
+    ``(rows, n)``, as C-contiguous views of the operator's buffers."""
     n = op.grid.n
     plane = math.prod(lead) * rows * n
-    work = _grown(op, 10 * plane + rows * n)
+    strain, planes = _grown(op, 8 * plane, 2 * plane + rows * n)
     shape = lead + (rows, n)
-    return (work[:6 * plane].reshape((MANDEL_DIM, 2) + shape),
-            work[6 * plane:8 * plane].reshape((2,) + shape),
-            work[8 * plane:10 * plane].reshape(lead + (2, rows, n)),
-            work[10 * plane:10 * plane + rows * n].reshape(rows, n))
+    return (strain[:6 * plane].reshape((MANDEL_DIM, 2) + shape),
+            planes[:2 * plane].reshape((2,) + shape),
+            strain[6 * plane:8 * plane].reshape(lead + (2, rows, n)),
+            planes[2 * plane:2 * plane + rows * n].reshape(rows, n))
 
 
 def _band_rows(src: np.ndarray, a: int, b: int, dst: np.ndarray):

@@ -320,7 +320,7 @@ def test_banded_kernel_makes_no_field_sized_temporary(bands, solid_material):
     u = VectorField(op.grid, rng.normal(size=(2, n, n)))
     out = np.empty((2, n, n))
     apply_system(op, u, out=out)
-    size = op._work.size
+    sizes = op._strain.size, op._planes.size
     bands.count = 0
     tracemalloc.start()
     try:
@@ -330,16 +330,22 @@ def test_banded_kernel_makes_no_field_sized_temporary(bands, solid_material):
         tracemalloc.stop()
     assert bands.count > 1
     assert peak < n * n * 8
-    # the workspace is one band: 49 rows of 11 planes, against the 8
-    # planes of 512 rows a whole-grid pass takes
-    assert op._work.size == size == band_workspace_size(n, 1, bands.count)
+    # the workspace is one band of 49 rows, not the (6 n^2, 2 n^2) of a
+    # whole-grid pass
+    assert workspace(op) == sizes == band_workspace(n, 1, bands.count)
 
 
-def band_workspace_size(n, loads, count):
-    """Entries of the workspace of the tallest of ``count`` row bands, halo
-    rows included: strain, scratch and nodal planes per load, and one
-    factor plane."""
-    return (10 * loads + 1) * (-(-n // count) + 2) * n
+def workspace(op):
+    """Entries of the operator's strain and scratch buffers."""
+    return op._strain.size, op._planes.size
+
+
+def band_workspace(n, loads, count):
+    """Entries of the strain and scratch buffers of the tallest of
+    ``count`` row bands, halo rows included: 6 strain and 2 nodal planes
+    per load; 2 scratch planes per load and one factor plane."""
+    rows = -(-n // count) + 2
+    return 8 * loads * rows * n, (2 * loads + 1) * rows * n
 
 
 @pytest.mark.parametrize("n", [8, 512])
@@ -389,7 +395,7 @@ def test_forced_bands_rhs_bitwise_equal_reference(n, rows, lengths, loads,
     f = assemble_rhs(op, eps_bars[0] if loads == 1 else eps_bars).values
     count = -(-n // rows)
     assert bands.adjoints == count > 1 and bands.count == 0
-    assert op._work.size == band_workspace_size(n, loads, count)
+    assert workspace(op) == band_workspace(n, loads, count)
     for j, fj in enumerate(f.reshape((loads, 2, n, n))):
         assert np.array_equal(fj, reference_rhs(rho, c0, eps_bars[j],
                                                 lengths))
@@ -408,7 +414,10 @@ def test_banded_rhs_bitwise_equal_reference_at_512(bands, solid_material):
         for j, fj in enumerate(f.values.reshape((loads, 2, n, n))):
             assert np.array_equal(fj, reference_rhs(rho, c0, eps_bars[j]))
     assert bands.count == 0
-    assert op._work.size < 8 * n * n
+    # each buffer as large as the larger of the two stacks' tallest bands
+    assert workspace(op) == tuple(map(max, *(
+        band_workspace(n, loads, operators._band_count(n, loads))
+        for loads in (1, 3))))
 
 
 def test_banded_homogenized_stress_bitwise_equal_reference(solid_material):
@@ -417,13 +426,13 @@ def test_banded_homogenized_stress_bitwise_equal_reference(solid_material):
     op = random_operator(n, rng, solid_material)
     u = VectorField(op.grid, rng.normal(size=(2, n, n)))
     eps_bar = rng.normal(size=3)
-    assert op._work.size == 0
+    assert workspace(op) == (0, 0)
     apply_system(op, u)
-    size = op._work.size
-    assert 0 < size < 8 * n * n
+    sizes = band_workspace(n, 1, operators._band_count(n, 1))
+    assert workspace(op) == sizes
     assert np.array_equal(homogenized_stress(op, u, eps_bar),
                           reference_homogenized_stress(op, u, eps_bar))
-    assert op._work.size == size
+    assert workspace(op) == sizes
 
 
 # a first band of fewer rows than a later one: n = 9 in 5 bands (1 and 2
@@ -436,14 +445,14 @@ def test_fresh_operator_with_taller_later_band_bitwise_equal_reference(
         bands.force(rows)
     rng = np.random.default_rng(960 + n)
     op = random_operator(n, rng, solid_material)
-    assert op._work.size == 0
+    assert workspace(op) == (0, 0)
     c0, rho = solid_material.stiffness, op.density.values
     count = operators._band_count(n, loads)
     heights = [(k + 1) * n // count - k * n // count for k in range(count)]
     assert heights[0] < max(heights)
     u = rng.normal(size=(loads, 2, n, n))
     out = np.empty(u.shape)
-    size = band_workspace_size(n, loads, count)
+    sizes = band_workspace(n, loads, count)
     tracemalloc.start()
     try:
         ku = apply_system(op, VectorField(op.grid, u[0] if loads == 1 else u),
@@ -455,8 +464,8 @@ def test_fresh_operator_with_taller_later_band_bitwise_equal_reference(
     # one workspace, of the tallest band, and no buffer of a shorter band
     # left behind in the plans: 2.2 MB at n = 512, well above the slack for
     # the plans and NumPy's ufunc buffers (87 KB at n = 32 for three loads)
-    assert op._work.size == size
-    assert peak < 8 * size + 128 * 1024
+    assert workspace(op) == sizes
+    assert peak < 8 * sum(sizes) + 128 * 1024
     for j, kj in enumerate(ku.values.reshape(u.shape)):
         assert np.array_equal(kj, reference_apply_k(u[j], rho, c0))
 
@@ -474,10 +483,10 @@ def test_k_prepared_before_a_larger_stack_grows_the_workspace(
     c0, rho = solid_material.stiffness, op.density.values
     u = VectorField(op.grid, np.empty((2, n, n)))
     run = operators.prepare_system(op, u, np.empty((2, n, n)))
-    size = op._work.size
+    sizes = workspace(op)
     stack = rng.normal(size=(3, 2, n, n))
     ku = apply_system(op, VectorField(op.grid, stack)).values
-    assert op._work.size > size
+    assert all(new > old for new, old in zip(workspace(op), sizes))
     for j in range(3):
         assert np.array_equal(ku[j], reference_apply_k(stack[j], rho, c0))
     for j in range(3):

@@ -334,7 +334,7 @@ def test_banded_solve_holds_one_band_of_operator_workspace(solid_material):
     peak, reports = _traced_peak(solve)
     field, plane = 2 * n * n * 8, n * n * 8
     count = operators._band_count(n, 1)
-    band = (10 + 1) * (-(-n // count) + 2) * n * 8
+    band = (8 + 2 + 1) * (-(-n // count) + 2) * n * 8
     solution = reports[0].solution.values.nbytes
     # 44 KB above the sum measured on numpy 2.4
     assert peak <= 4 * field + plane + band + solution + 256 * 1024, (
