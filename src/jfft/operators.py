@@ -79,11 +79,12 @@ def _workspace(op: SystemOperator, lead: tuple[int, ...]):
     ``(2,) + lead + (n, n)`` for fields with load axes ``lead`` (``()`` or
     ``(B,)``), as C-contiguous views of the operator's workspace."""
     n = op.grid.n
+    strain_shape = (MANDEL_DIM, 2) + lead + (n, n)
     planes_shape = (2,) + lead + (n, n)
-    size = math.prod(planes_shape)
-    strain, planes = _grown(op, 3 * size, size)
-    return (strain[:3 * size].reshape((MANDEL_DIM,) + planes_shape),
-            planes[:size].reshape(planes_shape))
+    strain, planes = _grown(op, math.prod(strain_shape),
+                            math.prod(planes_shape))
+    return (strain[:math.prod(strain_shape)].reshape(strain_shape),
+            planes[:math.prod(planes_shape)].reshape(planes_shape))
 
 
 def make_operator(density: ScalarField, material: MaterialModel) -> SystemOperator:
