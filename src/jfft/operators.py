@@ -68,9 +68,10 @@ def _grown(op: SystemOperator, strain: int, planes: int):
     """The operator's strain and scratch buffers, each replaced by one of
     ``strain`` or ``planes`` entries when it holds fewer.  Steps prepared
     on a replaced buffer keep it alive and still run on it."""
-    for name, size in (("_strain", strain), ("_planes", planes)):
-        if getattr(op, name).size < size:
-            object.__setattr__(op, name, np.empty(size))
+    if op._strain.size < strain:
+        object.__setattr__(op, "_strain", np.empty(strain))
+    if op._planes.size < planes:
+        object.__setattr__(op, "_planes", np.empty(planes))
     return op._strain, op._planes
 
 
