@@ -307,9 +307,12 @@ def assemble_rhs(op: SystemOperator, eps_bar) -> VectorField:
 
 
 def total_strain(u: VectorField, eps_bar) -> QuadField:
-    """Macroscopic strain plus the fluctuation gradient, at quadrature points."""
+    """Macroscopic strain plus the fluctuation gradient, at quadrature
+    points.  ``eps_bar`` is one finite Mandel vector; anything else raises
+    the ``ValueError`` of :func:`homogenized_stress`."""
+    eps_bar = _macroscopic_strain(eps_bar, 1)
     eps = fem.sym_gradient(u)
-    eps.values += np.asarray(eps_bar, dtype=np.float64)[:, None, None, None]
+    eps.values += eps_bar[:, None, None, None]
     return eps
 
 

@@ -38,49 +38,57 @@ class GreenOperator:
     their dtype is ``complex128``, the spectrum's, so that each block
     product is a plain complex multiply.
     The operator owns the workspace of :func:`apply_green` and
-    :func:`green_norm2`: a spectrum buffer and a scratch spectrum per load
-    of the largest stack transformed so far (none until the first
-    application, so a fresh operator pickles as its planes alone), so that
-    an application allocates only the field it returns, and nothing when
-    the caller passes ``out=``.  Both are component-major,
-    ``(2, loads, n, n//2 + 1)``, so that the block rows run on one
-    contiguous block per component.
+    :func:`green_norm2`: three spectral planes per load of the largest
+    stack transformed so far, ``(3, loads, n, n//2 + 1)`` (none until the
+    first application, so a fresh operator pickles as its planes alone).
+    Planes 1 and 2 receive the forward FFT and plane 0 is scratch; the
+    Green application borrows its output field as a fourth plane, so an
+    application allocates only the field it returns, and nothing when the
+    caller passes ``out=``.  Each plane is one contiguous block of its
+    loads, so the block rows run on whole planes.
     """
 
     grid: Grid
     g11: np.ndarray
     g12: np.ndarray
     g22: np.ndarray
-    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
-    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
+    _spectral_planes: np.ndarray = field(init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         _grow_spectra(self, 0)
 
 
 def _grow_spectra(green: GreenOperator, loads: int) -> None:
-    d, n, m = spectral_shape(green.grid)
-    shape = (d, loads, n, m)
-    object.__setattr__(green, "_spectrum", np.empty(shape, dtype=np.complex128))
-    object.__setattr__(green, "_scratch", np.empty(shape, dtype=np.complex128))
+    shape = (3, loads) + spectral_shape(green.grid)[1:]
+    object.__setattr__(green, "_spectral_planes",
+                       np.empty(shape, dtype=np.complex128))
 
 
-def _spectra(green: GreenOperator, lead: tuple[int, ...]):
-    """Spectrum buffer and scratch spectrum ``(2,) + lead + (n, n//2 + 1)``
-    for fields with load axes ``lead`` (``()`` or ``(B,)``), as views of the
+def _spectra(green: GreenOperator, lead: tuple[int, ...]) -> np.ndarray:
+    """The three spectral planes ``(3,) + lead + (n, n//2 + 1)`` for fields
+    with load axes ``lead`` (``()`` or ``(B,)``), as a view of the
     operator's workspace."""
     loads = lead[0] if lead else 1
-    if green._spectrum.shape[1] < loads:
+    if green._spectral_planes.shape[1] < loads:
         _grow_spectra(green, loads)
-    if lead:
-        return green._spectrum[:, :loads], green._scratch[:, :loads]
-    return green._spectrum[:, 0], green._scratch[:, 0]
+    planes = green._spectral_planes
+    return planes[:, :loads] if lead else planes[:, 0]
 
 
 def _load_major(spectrum: np.ndarray) -> np.ndarray:
-    """The ``(..., 2, n, m)`` view of a component-major spectrum, the
+    """The ``(..., 2, n, m)`` view of two component-major planes, the
     layout of :func:`fft_forward` and :func:`fft_inverse`."""
     return spectrum.swapaxes(0, -3)
+
+
+def _borrowed_plane(out: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A complex plane of ``shape`` (``lead + (n, n//2 + 1)``) in the
+    leading entries of each load of the C-contiguous field ``out``: a
+    load's ``2 n^2`` doubles hold the plane's ``n (n + 2)`` or fewer."""
+    entries = 2 * shape[-2] * shape[-1]
+    flat = out.reshape(shape[:-2] + (-1,))
+    return flat[..., :entries].view(np.complex128).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -110,8 +118,18 @@ def assemble_green(grid: Grid, material_ref: MaterialModel) -> GreenOperator:
     The blocks are real symmetric up to rounding: the off-diagonal entry is
     taken as ``b = (Re k12 + Re k21) / 2``, and each block is
     pseudo-inverted in closed form by :func:`_invert_blocks`, on whole
-    ``(n, n//2 + 1)`` planes.
+    ``(n, n//2 + 1)`` planes.  Only the real parts of the two spectra are
+    kept, and only ``a``, ``d`` and ``b`` reach the inversion.
     """
+    return GreenOperator(grid, *(plane.astype(np.complex128) for plane
+                                 in _invert_blocks(*_reference_blocks(
+                                     grid, material_ref))))
+
+
+def _reference_blocks(grid: Grid, material_ref: MaterialModel):
+    """``a = Re k11``, ``d = Re k22`` and ``b = (Re k12 + Re k21) / 2``,
+    the real planes of the Fourier blocks of ``K_ref``, for
+    :func:`assemble_green`."""
     h1, h2 = grid.pixel_size
     # scaling by four is exact: the patch has the grid's pixel size and
     # quadrature weight, so its response is the grid's bit for bit
@@ -125,15 +143,14 @@ def assemble_green(grid: Grid, material_ref: MaterialModel) -> GreenOperator:
         impulse.values[beta, 0, 0] = 1.0
         response = VectorField.zeros(grid)
         response.values[stencil] = apply_system(ref_op, impulse).values[stencil]
-        columns.append(fft_forward(response))
+        columns.append(fft_forward(response).real.copy())
     (k11, k21), (k12, k22) = columns
-    a, d = k11.real.copy(), k22.real.copy()
-    b = 0.5 * (k12.real + k21.real)
+    a, d = k11.copy(), k22.copy()
+    b = 0.5 * (k12 + k21)
     # rigid translations: the zero-frequency block is zero by construction,
     # up to the rounding of the column sums, and maps to zero
     a[0, 0] = d[0, 0] = b[0, 0] = 0.0
-    return GreenOperator(grid, *(plane.astype(np.complex128)
-                                 for plane in _invert_blocks(a, d, b)))
+    return a, d, b
 
 
 def _invert_blocks(a: np.ndarray, d: np.ndarray, b: np.ndarray):
@@ -177,19 +194,26 @@ def _check_residual(part, r: VectorField) -> None:
 
 def _green_steps(green: GreenOperator, r: VectorField,
                  out: np.ndarray) -> list:
-    """Steps of the Green application from ``r`` into ``out``."""
-    spectrum, z = _spectra(green, r.values.shape[:-3])
-    (s1, s2), (z1, z2) = spectrum, z
-    return [step(fft_forward, r, _load_major(spectrum)),
+    """Steps of the Green application from ``r`` into ``out``.
+
+    The forward FFT fills planes 1 and 2 (``s1``, ``s2``); the block rows
+    ``z1 = g11 s1 + g12 s2`` and ``z2 = g12 s1 + g22 s2`` go to planes 0
+    and 1, with the first plane of ``out`` as scratch ``w``: ``out`` is
+    free once the forward FFT has read ``r``, which it may alias, and
+    until the inverse FFT of planes 0 and 1 writes it."""
+    spectra = _spectra(green, r.values.shape[:-3])
+    z1, s1, s2 = spectra
+    w = _borrowed_plane(out, z1.shape)
+    return [step(fft_forward, r, _load_major(spectra[1:])),
+            step(np.multiply, green.g12, s2, w),
             step(np.multiply, green.g11, s1, z1),
-            step(np.multiply, green.g12, s2, z2),
-            step(np.add, z1, z2, z1),
-            # the first component is read for the last time: it becomes
-            # scratch
-            step(np.multiply, green.g12, s1, z2),
+            step(np.add, z1, w, z1),
+            # the first component is read for the last time: it becomes z2
+            step(np.multiply, green.g12, s1, w),
             step(np.multiply, green.g22, s2, s1),
-            step(np.add, z2, s1, z2),
-            step(prepare_fft_inverse(_load_major(z), green.grid, out))]
+            step(np.add, w, s1, s1),
+            step(prepare_fft_inverse(_load_major(spectra[:2]), green.grid,
+                                     out))]
 
 
 def _result(r: VectorField, out: np.ndarray | None) -> VectorField:
@@ -234,6 +258,9 @@ def prepare_green_norm2(green: GreenOperator, r: VectorField):
     images, the k2 = 0 column and, for even ``n``, the Nyquist column only
     for themselves: those columns of ``t`` are halved and the sum doubled.
     Two :func:`~jfft.grid.dot` calls per load, on the (re, im) float views.
+    ``t2`` is built in the scratch plane and summed first; then ``t1``
+    takes its place, with ``g11 s1`` built in ``s2``, which is read no
+    more.
 
     The run returns a float for one field; for a stack, a list with one
     value per load, each summed over that load's own planes as it would be
@@ -241,34 +268,29 @@ def prepare_green_norm2(green: GreenOperator, r: VectorField):
     """
     _check_residual(green, r)
     n = green.grid.n
-    spectrum, t = _spectra(green, r.values.shape[:-3])
-    (s1, s2), (t1, t2) = spectrum, t
-    k2_zero = t[..., 0]
-    steps = [step(fft_forward, r, _load_major(spectrum)),
-             step(np.multiply, green.g12, s2, t2),
-             step(np.multiply, t2, 2.0, t2),
-             step(np.multiply, green.g11, s1, t1),
-             step(np.add, t1, t2, t1),
-             step(np.multiply, green.g22, s2, t2),
-             step(np.multiply, k2_zero, 0.5, k2_zero)]
-    if n % 2 == 0:
-        nyquist = t[..., -1]
-        steps.append(step(np.multiply, nyquist, 0.5, nyquist))
-    form = sequence(steps)
-    # the (n, 2m) float planes per component and load, summed apart: a
-    # load's two planes are adjacent only while the workspace holds one load
-    m2 = 2 * spectrum.shape[-1]
-    s, t = (a.view(np.float64).reshape(Grid.d, -1, n, m2) for a in (spectrum, t))
-    planes = tuple(zip(s[0], s[1], t[0], t[1]))
+    spectra = _spectra(green, r.values.shape[:-3])
+    t, s1, s2 = spectra
+    edges = [t[..., 0]] + ([t[..., -1]] if n % 2 == 0 else [])
+    halve = [step(np.multiply, edge, 0.5, edge) for edge in edges]
+    build_t2 = sequence([step(fft_forward, r, _load_major(spectra[1:])),
+                         step(np.multiply, green.g22, s2, t), *halve])
+    build_t1 = sequence([step(np.multiply, green.g12, s2, t),
+                         step(np.multiply, t, 2.0, t),
+                         step(np.multiply, green.g11, s1, s2),
+                         step(np.add, s2, t, t), *halve])
+    # per load, the (n, 2m) float views of t, s1 and s2, summed apart
+    m2 = 2 * spectra.shape[-1]
+    planes = tuple(zip(*(a.view(np.float64).reshape(-1, n, m2)
+                         for a in spectra)))
     cells = n ** 2
     stacked = r.values.ndim == 4
 
     def run():
-        form()
-        # per load, a1 and a2 are the float views of s1 and s2, b1 and b2
-        # those of t1 and t2
-        totals = [2.0 * (dot(a1, b1) + dot(a2, b2)) / cells
-                  for a1, a2, b1, b2 in planes]
+        build_t2()
+        second = [dot(a2, b) for b, a1, a2 in planes]
+        build_t1()
+        totals = [2.0 * (dot(a1, b) + d2) / cells
+                  for (b, a1, a2), d2 in zip(planes, second)]
         return totals if stacked else totals[0]
 
     return run

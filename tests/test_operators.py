@@ -6,7 +6,7 @@ import pytest
 from jfft import operators
 from jfft.grid import ScalarField, VectorField, make_grid
 from jfft.operators import (apply_system, assemble_rhs, homogenized_stress,
-                            make_operator)
+                            make_operator, total_strain)
 
 from oracles import (dense_k, dense_rhs, reference_apply_k,
                      reference_homogenized_stress, reference_rhs, vec_flat)
@@ -378,6 +378,19 @@ def test_homogenized_stress_rejects_bad_strain(eps_bar, message,
     if np.ndim(eps_bar) != 2 or np.size(eps_bar) == 0:
         with pytest.raises(ValueError, match="macroscopic strain"):
             assemble_rhs(op, eps_bar)
+
+
+@pytest.mark.parametrize("eps_bar, message", [
+    (np.array([np.nan, 0.0, 0.0]), "finite"),
+    (1.0, "shape"),
+    (np.ones((1, 3)), "shape"),
+])
+def test_total_strain_rejects_bad_strain(eps_bar, message):
+    # it returned a strain with NaN in it, raised IndexError and a NumPy
+    # broadcast error for these three
+    u = VectorField(make_grid(4), np.zeros((2, 4, 4)))
+    with pytest.raises(ValueError, match=f"macroscopic strain must .*{message}"):
+        total_strain(u, eps_bar)
 
 
 # the grids, lengths and loads of test_forced_bands_bitwise_equal_reference

@@ -313,6 +313,40 @@ def test_solve_allocates_four_fields_per_load(kind, loads, solid_material):
     assert abs(peaks[1] - peaks[0]) <= 16 * 1024
 
 
+@pytest.mark.parametrize("kind", ["none", "green", "jacobi", "green-jacobi"])
+@pytest.mark.parametrize("loads", [1, 3])
+def test_first_solve_holds_three_spectral_planes_per_load(kind, loads,
+                                                          solid_material):
+    # the first stacked solve on fresh operators grows their workspaces
+    # inside the trace: the four fields per load, three spectral planes per
+    # load (every kind measures the Green norm) and K's workspace, where a
+    # stack outgrows the one load it was built for; a fourth spectral plane
+    # would add 130 KB per load
+    n = 128
+    rng = np.random.default_rng(92)
+    rho = ScalarField(make_grid(n), rng.uniform(0.01, 1.0, (n, n)))
+    # the right-hand side on a twin operator, so that the solve's is fresh
+    rhs = assemble_rhs(make_operator(rho, solid_material),
+                       rng.normal(size=(loads, 3)))
+    op = make_operator(rho, solid_material)
+    green = assemble_green(op.grid, solid_material)
+    pre = build_preconditioner(kind, op, green)
+    built = (op._strain, op._planes)
+    peak, reports = _traced_peak(
+        lambda: pcg_stack(op, rhs, pre, green, max_iter=2))
+    field = 2 * n * n * 8
+    planes = 3 * loads * n * (n // 2 + 1) * 16
+    workspace = sum(buffer.nbytes for buffer in (op._strain, op._planes)
+                    if not any(buffer is old for old in built))
+    # copies of x when more than one load stops at once
+    solutions = sum(r.solution.values.nbytes for r in reports
+                    if r.solution.values.flags.owndata)
+    # 20 to 27 KB above the sum measured on numpy 2.4.6
+    assert peak <= (4 * loads * field + planes + workspace + solutions
+                    + 64 * 1024), (
+        (peak - 4 * loads * field - planes - workspace - solutions) / 1024)
+
+
 def test_banded_solve_holds_one_band_of_operator_workspace(solid_material):
     # at n = 512 K runs in row bands: building the operator, the
     # right-hand side and the solve hold the four fields, the w rho plane,
