@@ -12,6 +12,7 @@ to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,12 +84,13 @@ def _load_major(spectrum: np.ndarray) -> np.ndarray:
 
 
 def _borrowed_plane(out: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A complex plane of ``shape`` (``lead + (n, n//2 + 1)``) in the
-    leading entries of each load of the C-contiguous field ``out``: a
-    load's ``2 n^2`` doubles hold the plane's ``n (n + 2)`` or fewer."""
-    entries = 2 * shape[-2] * shape[-1]
-    flat = out.reshape(shape[:-2] + (-1,))
-    return flat[..., :entries].view(np.complex128).reshape(shape)
+    """A C-contiguous complex plane of ``shape`` (``lead + (n, n//2 + 1)``)
+    in the leading entries of the C-contiguous field ``out``, which holds
+    ``2 n^2`` doubles per load against the plane's ``n (n + 2)`` at most.
+    One block, not a piece of each load's field, keeps the block product
+    on NumPy's contiguous loops."""
+    entries = 2 * math.prod(shape)
+    return out.reshape(-1)[:entries].view(np.complex128).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -198,9 +200,9 @@ def _green_steps(green: GreenOperator, r: VectorField,
 
     The forward FFT fills planes 1 and 2 (``s1``, ``s2``); the block rows
     ``z1 = g11 s1 + g12 s2`` and ``z2 = g12 s1 + g22 s2`` go to planes 0
-    and 1, with the first plane of ``out`` as scratch ``w``: ``out`` is
-    free once the forward FFT has read ``r``, which it may alias, and
-    until the inverse FFT of planes 0 and 1 writes it."""
+    and 1, with the leading entries of ``out`` as a fourth plane ``w``:
+    ``out`` is free once the forward FFT has read ``r``, which it may
+    alias, and until the inverse FFT of planes 0 and 1 writes it."""
     spectra = _spectra(green, r.values.shape[:-3])
     z1, s1, s2 = spectra
     w = _borrowed_plane(out, z1.shape)
@@ -235,7 +237,8 @@ def prepare_green(green: GreenOperator, r: VectorField,
     of results, each bitwise equal to its load's result alone.  ``out``,
     when given, is a C-contiguous float64 array of ``r``'s shape that
     receives (and backs) the result; it may be ``r.values`` itself, since
-    the forward FFT reads all of ``r`` before the inverse FFT writes.
+    the forward FFT reads all of ``r`` before the block product borrows
+    the output as scratch and the inverse FFT writes it.
     """
     _check_residual(green, r)
     z = _result(r, out)
@@ -270,17 +273,18 @@ def prepare_green_norm2(green: GreenOperator, r: VectorField):
     n = green.grid.n
     spectra = _spectra(green, r.values.shape[:-3])
     t, s1, s2 = spectra
-    edges = [t[..., 0]] + ([t[..., -1]] if n % 2 == 0 else [])
-    halve = [step(np.multiply, edge, 0.5, edge) for edge in edges]
+    # the k2 = 0 column and, for even n, the Nyquist column, one view
+    m = spectra.shape[-1]
+    edges = t[..., ::m - 1] if n % 2 == 0 else t[..., :1]
+    halve = step(np.multiply, edges, 0.5, edges)
     build_t2 = sequence([step(fft_forward, r, _load_major(spectra[1:])),
-                         step(np.multiply, green.g22, s2, t), *halve])
+                         step(np.multiply, green.g22, s2, t), halve])
     build_t1 = sequence([step(np.multiply, green.g12, s2, t),
                          step(np.multiply, t, 2.0, t),
                          step(np.multiply, green.g11, s1, s2),
-                         step(np.add, s2, t, t), *halve])
+                         step(np.add, s2, t, t), halve])
     # per load, the (n, 2m) float views of t, s1 and s2, summed apart
-    m2 = 2 * spectra.shape[-1]
-    planes = tuple(zip(*(a.view(np.float64).reshape(-1, n, m2)
+    planes = tuple(zip(*(a.view(np.float64).reshape(-1, n, 2 * m)
                          for a in spectra)))
     cells = n ** 2
     stacked = r.values.ndim == 4
