@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -76,6 +77,8 @@ def _get(cfg: dict, key: str, kinds, default=None, required=False):
     if kinds is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"key {key!r}: expected an integer, got {value!r}")
+        if abs(value) > sys.maxsize:
+            raise ConfigError(f"key {key!r}: integer beyond +-{sys.maxsize}")
         return value
     if not isinstance(value, kinds):
         raise ConfigError(f"key {key!r}: unexpected type {type(value).__name__}")
@@ -90,6 +93,8 @@ def _contrast(value, key: str) -> float:
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or (isinstance(value, float) and np.isnan(value))):
         raise ConfigError(f"key {key!r}: bad contrast {value!r}")
+    if isinstance(value, int) and not finite_number(value):
+        raise ConfigError(f"key {key!r}: contrast beyond the float range")
     if value < 1.0:
         raise ConfigError(f"key {key!r}: contrast must be >= 1, got {value}")
     return float(value)

@@ -33,7 +33,14 @@ Conventions used throughout the package:
   its inputs, carves its workspace and slices every view it will use, and
   returns a zero-argument callable, built by :func:`sequence`, that makes
   only the NumPy calls; run again, it recomputes from whatever its input
-  buffers hold by then.  Each one-shot function is its ``prepare_*(...)()``.
+  buffers hold by then.  A one-shot function is its ``prepare_*(...)()``,
+  and only these remain, for their callers outside the PCG loop:
+  ``fem.sym_gradient`` (topology optimization's total strains),
+  ``operators.apply_system`` (the Green assembly's impulse responses),
+  and ``fem.sym_gradient_adjoint``, ``material.stress``,
+  ``preconditioners.apply_green``, ``apply_jacobi`` and
+  ``apply_green_jacobi``, which the benchmark in ``bench/`` times layer
+  by layer.
 """
 
 from __future__ import annotations
@@ -114,10 +121,6 @@ class ScalarField:
         self.values = _as_float_array(self.values, (n, n), "scalar field")
 
     @classmethod
-    def zeros(cls, grid: Grid) -> "ScalarField":
-        return cls(grid, np.zeros((grid.n, grid.n)))
-
-    @classmethod
     def full(cls, grid: Grid, value: float) -> "ScalarField":
         return cls(grid, np.full((grid.n, grid.n), float(value)))
 
@@ -162,10 +165,6 @@ class QuadField:
         n = self.grid.n
         self.values = _as_float_array(
             self.values, (MANDEL_DIM, 2, n, n), "quadrature field")
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "QuadField":
-        return cls(grid, np.zeros((MANDEL_DIM, 2, grid.n, grid.n)))
 
 
 def step(f, *args):
@@ -234,12 +233,6 @@ def prepare_fft_inverse(spectrum: np.ndarray, grid: Grid,
                                   out=spectrum)),
                      step(partial(np.fft.irfft, spectrum, n=grid.n, axis=-1,
                                   out=out))], VectorField(grid, out))
-
-
-def fft_inverse(spectrum: np.ndarray, grid: Grid,
-                out: np.ndarray | None = None) -> VectorField:
-    """The inverse FFT once: :func:`prepare_fft_inverse`, run once."""
-    return prepare_fft_inverse(spectrum, grid, out)()
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:

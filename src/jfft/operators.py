@@ -306,23 +306,13 @@ def assemble_rhs(op: SystemOperator, eps_bar) -> VectorField:
     return VectorField(op.grid, f)
 
 
-def total_strain(u: VectorField, eps_bar) -> QuadField:
-    """Macroscopic strain plus the fluctuation gradient, at quadrature
-    points.  ``eps_bar`` is one finite Mandel vector; anything else raises
-    the ``ValueError`` of :func:`homogenized_stress`."""
-    eps_bar = _macroscopic_strain(eps_bar, 1)
-    eps = fem.sym_gradient(u)
-    eps.values += eps_bar[:, None, None, None]
-    return eps
-
-
 def homogenized_stress(op: SystemOperator, u: VectorField, eps_bar) -> np.ndarray:
     """Volume-averaged stress of the equilibrated cell, a Mandel vector.
 
-    The total strain and then the stress ``rho C0 eps`` are built in one
-    strain buffer, with the operations of
-    ``cell_average(stress(rho, C0, total_strain(u, eps_bar)))`` and bitwise
-    its result.  Where K takes the grid whole, that buffer is the
+    The total strain ``sym_gradient(u) + eps_bar`` and then the stress
+    ``rho C0 eps`` are built in one strain buffer, with the operations of
+    :func:`~jfft.material.stress` and :func:`~jfft.fem.cell_average` and
+    bitwise their result.  Where K takes the grid whole, that buffer is the
     operator's workspace and the call makes no field-sized temporary.
     Where K cuts the grid into row bands, the operator holds no whole-grid
     buffer, and the call takes its own, freed on return.

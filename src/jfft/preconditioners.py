@@ -38,10 +38,11 @@ class GreenOperator:
     ``g12`` and ``g22`` of shape ``(n, n//2 + 1)``.  Their values are real,
     their dtype is ``complex128``, the spectrum's, so that each block
     product is a plain complex multiply.
-    The operator owns the workspace of :func:`apply_green` and
-    :func:`green_norm2`: three spectral planes per load of the largest
-    stack transformed so far, ``(3, loads, n, n//2 + 1)`` (none until the
-    first application, so a fresh operator pickles as its planes alone).
+    The operator owns the workspace of :func:`prepare_green` and
+    :func:`prepare_green_norm2`: three spectral planes per load of the
+    largest stack transformed so far, ``(3, loads, n, n//2 + 1)`` (none
+    until the first application, so a fresh operator pickles as its planes
+    alone).
     Planes 1 and 2 receive the forward FFT and plane 0 is scratch; the
     Green application borrows its output field as a fourth plane, so an
     application allocates only the field it returns, and nothing when the
@@ -79,7 +80,7 @@ def _spectra(green: GreenOperator, lead: tuple[int, ...]) -> np.ndarray:
 
 def _load_major(spectrum: np.ndarray) -> np.ndarray:
     """The ``(..., 2, n, m)`` view of two component-major planes, the
-    layout of :func:`fft_forward` and :func:`fft_inverse`."""
+    layout of :func:`fft_forward` and :func:`prepare_fft_inverse`."""
     return spectrum.swapaxes(0, -3)
 
 
@@ -300,11 +301,6 @@ def prepare_green_norm2(green: GreenOperator, r: VectorField):
     return run
 
 
-def green_norm2(green: GreenOperator, r: VectorField) -> float | list[float]:
-    """``<r, G r>`` once: :func:`prepare_green_norm2`, run once."""
-    return prepare_green_norm2(green, r)()
-
-
 def assemble_jacobi(op: SystemOperator) -> JacobiDiagonal:
     """``diag(K)`` in closed form, without applying ``K``.
 
@@ -409,11 +405,6 @@ class Preconditioner:
         if self.kind == "jacobi":
             return prepare_jacobi(self.jacobi, r, out)
         return prepare_green_jacobi(self.jacobi, self.green, r, out)
-
-    def apply(self, r: VectorField,
-              out: np.ndarray | None = None) -> VectorField:
-        """``z = M r`` once: :meth:`prepare`, run once."""
-        return self.prepare(r, out)()
 
 
 def build_preconditioner(kind: str, op: SystemOperator,

@@ -5,10 +5,10 @@ Iteration counts are comparable across preconditioners because every run
 terminates on the same functional, the squared Green norm of the residual
 ``<r, G r>``.  The Green-preconditioned run reuses its own preconditioned
 residual for this check; all other preconditioners evaluate it by Parseval's
-identity (:func:`~jfft.preconditioners.green_norm2`), one forward FFT of the
-residual per iteration and no inverse FFT.  The functional feeds only the
-stopping test, not the recurrence.  Reported ``iterations`` is the number of
-search direction updates; the check at k = 0 runs before any update.
+identity (:func:`~jfft.preconditioners.prepare_green_norm2`), one forward FFT
+of the residual per iteration and no inverse FFT.  The functional feeds only
+the stopping test, not the recurrence.  Reported ``iterations`` is the number
+of search direction updates; the check at k = 0 runs before any update.
 
 One loop, :func:`pcg_stack`, solves a stack of right-hand sides that share
 the operator, the preconditioner and the Green operator: the Green-

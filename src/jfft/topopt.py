@@ -22,7 +22,8 @@ import numpy as np
 
 from .grid import MANDEL_DIM, Grid, ScalarField, dot, make_grid
 from .material import MaterialModel, isotropic_material
-from .operators import SystemOperator, assemble_rhs, make_operator, total_strain
+from .fem import sym_gradient
+from .operators import SystemOperator, assemble_rhs, make_operator
 from .preconditioners import GreenOperator, assemble_green, build_preconditioner
 from .solver import (CONVERGED, DEFAULT_ETA_CG, DEFAULT_LAMBDA0,
                      DEFAULT_MAX_ITER, DEFAULT_MU0, SolveReport,
@@ -136,8 +137,9 @@ def _solve_load_cases(problem: TopOptProblem, rho: ScalarField,
     """
     op = make_operator(rho, problem.material)
     reports = _solve_loads(problem, op, preconditioner)
-    strains = np.stack([total_strain(report.solution, load).values
-                        for report, load in zip(reports, _LOADS)])
+    strains = np.stack([sym_gradient(report.solution).values
+                        for report in reports])
+    strains += _LOADS[:, :, None, None, None]
     return strains, [report.iterations for report in reports]
 
 

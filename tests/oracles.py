@@ -351,7 +351,7 @@ def reference_pcg(op, rhs, preconditioner, green, eta=1e-6, max_iter=999):
     values)."""
     from jfft.grid import VectorField, dot
     from jfft.operators import apply_system
-    from jfft.preconditioners import green_norm2
+    from jfft.preconditioners import prepare_green_norm2
     from jfft.solver import SolverAbortError
 
     reuse_green = preconditioner.kind == "green" and preconditioner.green is green
@@ -363,11 +363,11 @@ def reference_pcg(op, rhs, preconditioner, green, eta=1e-6, max_iter=999):
 
     def green_norm(r, z):
         return checked(dot(r.values, z.values) if reuse_green
-                       else green_norm2(green, r))
+                       else prepare_green_norm2(green, r)())
 
     x = np.zeros_like(rhs.values)
     r = VectorField(rhs.grid, rhs.values.copy())
-    z = preconditioner.apply(r)
+    z = preconditioner.prepare(r)()
     history = [green_norm(r, z)]
     if history[-1] <= eta:
         return 0, history, "converged", x
@@ -383,7 +383,7 @@ def reference_pcg(op, rhs, preconditioner, green, eta=1e-6, max_iter=999):
         x += p * alpha
         r.values -= kp * alpha
         iterations += 1
-        z = preconditioner.apply(r)
+        z = preconditioner.prepare(r)()
         history.append(green_norm(r, z))
         if history[-1] <= eta:
             terminated = "converged"
@@ -396,13 +396,22 @@ def reference_pcg(op, rhs, preconditioner, green, eta=1e-6, max_iter=999):
     return iterations, history, terminated, x
 
 
+def total_strain(u, eps_bar):
+    """Macroscopic Mandel strain ``eps_bar`` plus the fluctuation gradient
+    of ``u``, at quadrature points, as a new field."""
+    from jfft.fem import sym_gradient
+
+    eps = sym_gradient(u)
+    eps.values += np.asarray(eps_bar, dtype=np.float64)[:, None, None, None]
+    return eps
+
+
 def reference_homogenized_stress(op, u, eps_bar):
     """Volume-averaged stress from fresh arrays: the total strain, the
     stress of the production material law and the cell average, each a
     new field."""
     from jfft.fem import cell_average
     from jfft.material import stress
-    from jfft.operators import total_strain
 
     return cell_average(stress(op.density, op.material,
                                total_strain(u, eps_bar)))
@@ -413,7 +422,7 @@ def reference_solve_load_cases(problem, rho, preconditioner):
     :func:`reference_pcg`; the same returns as
     ``jfft.topopt._solve_load_cases``."""
     from jfft.grid import VectorField
-    from jfft.operators import assemble_rhs, make_operator, total_strain
+    from jfft.operators import assemble_rhs, make_operator
     from jfft.preconditioners import build_preconditioner
     from jfft.solver import SolverAbortError
 

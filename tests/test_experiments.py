@@ -447,6 +447,24 @@ def test_cli_rejects_non_finite_and_boolean_numbers(tmp_path, key, value):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("command, key, cfg", [
+    ("solve", "n", {"n": 10 ** 400, "geometry": {
+        "kind": "cosine", "p": 8, "chi_tot": 100.0}}),
+    ("solve", "geometry.chi_tot", {"n": 8, "geometry": {
+        "kind": "cosine", "p": 8, "chi_tot": 10 ** 400}}),
+    ("laminate-sweep", "contrasts", {"p_values": [4], "n_values": [4],
+                                     "contrasts": [10 ** 400]}),
+    ("topopt", "lbfgs_memory", {"n": 8, "lbfgs_memory": 10 ** 400}),
+], ids=["n-huge", "chi_tot-huge", "contrasts-huge", "lbfgs_memory-huge"])
+def test_cli_rejects_integers_beyond_native_range(tmp_path, capsys, command,
+                                                 key, cfg):
+    # each raised OverflowError, so the CLI exited 1 with a traceback
+    path = write_config(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"key {key!r}" in capsys.readouterr().err
+
+
 def solve_from_file(tmp_path):
     path = write_config(tmp_path / "cfg.json", {
         "n": 8, "geometry": {"kind": "from-file", "path": "rho"}})
@@ -473,7 +491,8 @@ def test_cli_rejects_quad_density_file(tmp_path):
     # field files hold scalar and vector fields only; a file of the former
     # quadrature kind (six planes) is an unknown kind
     with pytest.raises(TypeError):
-        save_field(tmp_path / "rho", QuadField.zeros(make_grid(8)))
+        save_field(tmp_path / "rho",
+                   QuadField(make_grid(8), np.zeros((3, 2, 8, 8))))
     save_field(tmp_path / "rho", ScalarField.full(make_grid(8), 1.0))
     header = json.loads((tmp_path / "rho.json").read_text())
     header["kind"] = "quad"

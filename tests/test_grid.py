@@ -5,7 +5,7 @@ import pytest
 
 from jfft import microstructures as micro
 from jfft.grid import (QuadField, ScalarField, VectorField, dot, fft_forward,
-                       fft_inverse, load_field, make_grid, save_field,
+                       load_field, make_grid, prepare_fft_inverse, save_field,
                        spectral_shape)
 from jfft.operators import apply_system, assemble_rhs, make_operator
 from jfft.preconditioners import (apply_green, assemble_green,
@@ -53,7 +53,7 @@ def test_fft_round_trip():
     rng = np.random.default_rng(1)
     grid = make_grid(16)
     u = VectorField(grid, rng.normal(size=(2, 16, 16)))
-    back = fft_inverse(fft_forward(u), grid)
+    back = prepare_fft_inverse(fft_forward(u), grid)()
     assert np.abs(back.values - u.values).max() <= 1e-13 * np.abs(u.values).max()
 
 
@@ -79,7 +79,7 @@ def test_fft_seam_bitwise_equal_numpy_nd_transforms(n, loads):
     spec = fft_forward(u)
     assert np.array_equal(spec, np.fft.rfftn(u.values, axes=(-2, -1)))
     expected = np.fft.irfftn(spec, s=(n, n), axes=(-2, -1))
-    assert np.array_equal(fft_inverse(spec, grid).values, expected)
+    assert np.array_equal(prepare_fft_inverse(spec, grid)().values, expected)
 
 
 @pytest.mark.parametrize("n", [8, 9, 32])
@@ -88,14 +88,14 @@ def test_fft_inverse_into_buffer_bitwise_equal_allocating_call(n, loads):
     rng = np.random.default_rng(90 + n)
     grid = make_grid(n)
     spec = fft_forward(VectorField(grid, rng.normal(size=loads + (2, n, n))))
-    expected = fft_inverse(spec.copy(), grid).values
+    expected = prepare_fft_inverse(spec.copy(), grid)().values
     out = np.full(loads + (2, n, n), np.nan)
-    assert fft_inverse(spec, grid, out=out).values is out
+    assert prepare_fft_inverse(spec, grid, out=out)().values is out
     assert np.array_equal(out, expected)
 
 
 def test_repeated_green_applications_equal_and_unshared(solid_material):
-    # fft_inverse overwrites the spectrum it is given; apply_green hands it
+    # the inverse FFT overwrites the spectrum it is given; apply_green hands it
     # the operator's scratch, so a second call sees no trace of the first
     rng = np.random.default_rng(11)
     grid = make_grid(16)
@@ -151,7 +151,8 @@ def test_dot_matches_fsum_oracle_on_sweep_fields(n, solid_material):
     r = assemble_rhs(op, np.ones(3)).values
     pairs = [(r, r)]
     for kind in ("green", "jacobi", "green-jacobi"):
-        z = build_preconditioner(kind, op, green).apply(VectorField(op.grid, r))
+        pre = build_preconditioner(kind, op, green)
+        z = pre.prepare(VectorField(op.grid, r))()
         pairs += [(r, z.values), (z.values, apply_system(op, z).values)]
     for a, b in pairs:
         exact, scale = fsum_dot(a, b), fsum_dot(np.abs(a), np.abs(b))

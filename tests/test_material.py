@@ -44,7 +44,7 @@ def test_stress_uniform_unit_strain(solid_material):
 def test_stress_void_is_zero(solid_material):
     grid = make_grid(4)
     eps = QuadField(grid, np.random.default_rng(0).normal(size=(3, 2, 4, 4)))
-    sig = stress(ScalarField.zeros(grid), solid_material, eps)
+    sig = stress(ScalarField(grid, np.zeros((4, 4))), solid_material, eps)
     assert np.abs(sig.values).max() == 0.0
 
 
@@ -96,5 +96,6 @@ def test_energy_identity(solid_material):
     eps = QuadField(grid, rng.normal(size=(3, 2, 4, 4)))
     sig = stress(rho, solid_material, eps)
     assert float(np.vdot(eps.values, sig.values)) > 0.0
-    zero = stress(rho, solid_material, QuadField.zeros(grid))
+    zero = stress(rho, solid_material,
+                  QuadField(grid, np.zeros((3, 2, 4, 4))))
     assert float(np.vdot(zero.values, zero.values)) == 0.0

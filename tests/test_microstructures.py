@@ -63,7 +63,7 @@ def test_gaussian_filter_preserves_constants():
 
 def test_gaussian_filter_impulse_patch():
     grid = make_grid(8)
-    rho = ScalarField.zeros(grid)
+    rho = ScalarField(grid, np.zeros((8, 8)))
     rho.values[4, 4] = 16.0
     filtered = micro.gaussian_filter(rho)
     patch = filtered.values[3:6, 3:6]
