@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fem import sym_gradient
 from .grid import MANDEL_DIM, Grid, ScalarField, dot, make_grid
 from .material import MaterialModel, isotropic_material
-from .fem import sym_gradient
 from .operators import SystemOperator, assemble_rhs, make_operator
 from .preconditioners import GreenOperator, assemble_green, build_preconditioner
 from .solver import (CONVERGED, DEFAULT_ETA_CG, DEFAULT_LAMBDA0,

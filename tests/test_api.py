@@ -4,6 +4,7 @@ docstring cross-references of its modules."""
 import importlib
 import inspect
 import re
+from functools import reduce
 from pathlib import Path
 
 import jfft
@@ -37,24 +38,16 @@ def test_package_exports_exactly_the_documented_names():
 
 def _resolves(target: str, module) -> bool:
     """``target`` is an attribute path from ``module``, from a class of
-    ``module``, or from a module of the package (``jfft.<module>.<name>``
-    also names one)."""
-    head, *rest = target.split(".")
-    if head == "jfft" and rest:
-        head, *rest = rest
-        starts = [MODULES.get(head)]
+    ``module`` or from a module of the package, or starts at ``jfft``."""
+    path = target.split(".")
+    if path[0] == "jfft":
+        starts, path = [jfft], path[1:]
     else:
-        classes = [value for value in vars(module).values()
-                   if inspect.isclass(value)]
-        starts = [module, *classes, *MODULES.values()]
-        rest = [head, *rest]
-    for start in starts:
-        value = start
-        for name in rest:
-            value = getattr(value, name, None)
-        if start is not None and value is not None:
-            return True
-    return False
+        starts = [module, *MODULES.values(),
+                  *(value for value in vars(module).values()
+                    if inspect.isclass(value))]
+    return any(reduce(lambda value, name: getattr(value, name, None),
+                      path, start) is not None for start in starts)
 
 
 def test_docstring_cross_references_resolve():
