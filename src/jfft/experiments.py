@@ -53,6 +53,8 @@ def load_config(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer of more digits than Python parses
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top-level value must be an object")
     cfg["_config_dir"] = str(path.parent)

@@ -465,6 +465,14 @@ def test_cli_rejects_integers_beyond_native_range(tmp_path, capsys, command,
     assert f"key {key!r}" in capsys.readouterr().err
 
 
+def test_cli_rejects_integer_beyond_the_parser_digit_limit(tmp_path):
+    # json.load raises a plain ValueError above 4,300 digits
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n": 1' + "0" * 5000 + "}")
+    assert main(["solve", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 def solve_from_file(tmp_path):
     path = write_config(tmp_path / "cfg.json", {
         "n": 8, "geometry": {"kind": "from-file", "path": "rho"}})
