@@ -37,10 +37,11 @@ Conventions used throughout the package:
   and only these remain, for their callers outside the PCG loop:
   ``fem.sym_gradient`` (topology optimization's total strains),
   ``operators.apply_system`` (the Green assembly's impulse responses),
-  and ``fem.sym_gradient_adjoint``, ``material.stress``,
-  ``preconditioners.apply_green``, ``apply_jacobi`` and
-  ``apply_green_jacobi``, which the benchmark in ``bench/`` times layer
-  by layer.
+  and ``fem.sym_gradient_adjoint``, ``material.stress`` and the
+  preconditioner one-shots ``preconditioners.apply_green``,
+  ``apply_jacobi`` and ``apply_green_jacobi``, each
+  ``Preconditioner(kind, ...).prepare(r, out)()``, which the benchmark in
+  ``bench/`` times layer by layer.
 """
 
 from __future__ import annotations

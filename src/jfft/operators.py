@@ -92,20 +92,6 @@ def make_operator(density: ScalarField, material: MaterialModel) -> SystemOperat
     return SystemOperator(density.grid, density, material)
 
 
-def _weighted_stress_adjoint(op: SystemOperator, sig: np.ndarray,
-                             planes: np.ndarray, factor: np.ndarray,
-                             out: np.ndarray) -> list:
-    """Steps of ``B^T W rho C0`` applied to the strain held in the
-    workspace buffer ``sig``, with the per-pixel ``factor`` ``w * rho`` of
-    its rows, into ``out``."""
-    # W * rho * C0 * eps, fused: the uniform weight and the pixel density are
-    # a single scale factor per pixel.
-    return [step(prepare_stiffness_product(op.material, sig, planes)),
-            step(np.multiply, sig, factor, sig),
-            step(fem.prepare_sym_gradient_adjoint(sig, op.grid.pixel_size,
-                                                  out, planes))]
-
-
 #: Nodes of each load that one band may span, halo rows included.  A band
 #: works on about 12 planes of doubles per load, so 27306 nodes make a
 #: 2.5 MB working set, which stays in a core's L2 cache while the stencil
@@ -201,6 +187,29 @@ def _prepare_bands(op: SystemOperator, out: np.ndarray, bands: int,
     return steps
 
 
+def _prepare_k(op: SystemOperator, out: np.ndarray, strain_steps,
+               u: np.ndarray | None = None) -> list:
+    """Steps of ``B^T W rho C0`` into ``out``, applied to the strain that
+    ``strain_steps(nodal, strain, planes)`` writes into a strain buffer,
+    from the nodal values ``u`` when given: in row bands
+    (:func:`_prepare_bands`) where :func:`_band_count` gives more than
+    one, else on the whole grid, in the operator's workspace and from ``u``
+    itself.  K and the right-hand side differ only in their strain
+    steps."""
+    lead = out.shape[:-3]
+    bands = _band_count(op.grid.n, lead[0] if lead else 1)
+    if bands > 1:
+        return _prepare_bands(op, out, bands, strain_steps, u)
+    strain, planes = _workspace(op, lead)
+    # W * rho * C0 * eps, fused: the uniform weight and the pixel density are
+    # a single scale factor per pixel.
+    return [*strain_steps(u, strain, planes),
+            step(prepare_stiffness_product(op.material, strain, planes)),
+            step(np.multiply, strain, op._factor, strain),
+            step(fem.prepare_sym_gradient_adjoint(strain, op.grid.pixel_size,
+                                                  out, planes))]
+
+
 def _check_out(out: np.ndarray | None, values: np.ndarray) -> None:
     """Reject an ``out`` whose shape is not that of the input ``values``,
     into which NumPy would otherwise broadcast, and one that is not a
@@ -238,22 +247,12 @@ def prepare_system(op: SystemOperator, u: VectorField,
     if out is not None and np.may_share_memory(out, u.values):
         raise ValueError("out must not share memory with u")
     _check_out(out, u.values)
-    lead = u.values.shape[:-3]
-    bands = _band_count(op.grid.n, lead[0] if lead else 1)
     if out is None:
         out = np.empty(u.values.shape)
-    product = VectorField(op.grid, out)
     h = op.grid.pixel_size
-    if bands > 1:
-        return sequence(_prepare_bands(
-            op, out, bands, lambda nodal, strain, planes: [
-                step(fem.prepare_sym_gradient(nodal, h, strain, planes))],
-            u.values), product)
-    strain, planes = _workspace(op, lead)
-    return sequence([step(fem.prepare_sym_gradient(u.values, h, strain,
-                                                   planes)),
-                     *_weighted_stress_adjoint(op, strain, planes, op._factor,
-                                               out)], product)
+    return sequence(_prepare_k(op, out, lambda nodal, strain, planes: [
+        step(fem.prepare_sym_gradient(nodal, h, strain, planes))], u.values),
+        VectorField(op.grid, out))
 
 
 def apply_system(op: SystemOperator, u: VectorField,
@@ -293,15 +292,8 @@ def assemble_rhs(op: SystemOperator, eps_bar) -> VectorField:
     n = op.grid.n
     eps = np.moveaxis(eps_bar, -1, 0)[:, None, ..., None, None]
     f = np.empty(lead + (2, n, n))
-    bands = _band_count(n, lead[0] if lead else 1)
-    if bands > 1:
-        steps = _prepare_bands(op, f, bands, lambda nodal, strain, planes: [
-            step(setitem, strain, Ellipsis, eps)])
-    else:
-        strain, planes = _workspace(op, lead)
-        steps = [step(setitem, strain, Ellipsis, eps),
-                 *_weighted_stress_adjoint(op, strain, planes, op._factor, f)]
-    sequence(steps)()
+    sequence(_prepare_k(op, f, lambda nodal, strain, planes: [
+        step(setitem, strain, Ellipsis, eps)]))()
     np.negative(f, out=f)
     return VectorField(op.grid, f)
 

@@ -23,6 +23,9 @@ from .material import MaterialModel
 from .operators import SystemOperator, _check_out, apply_system, make_operator
 
 PRECONDITIONER_KINDS = ("none", "green", "jacobi", "green-jacobi")
+#: The kinds that hold a Green operator, and those that hold a Jacobi diagonal.
+_GREEN_KINDS = ("green", "green-jacobi")
+_JACOBI_KINDS = ("jacobi", "green-jacobi")
 
 #: Eigenvalues at or below this fraction of a block's largest eigenvalue
 #: are treated as zero when pseudo-inverting.
@@ -38,11 +41,11 @@ class GreenOperator:
     ``g12`` and ``g22`` of shape ``(n, n//2 + 1)``.  Their values are real,
     their dtype is ``complex128``, the spectrum's, so that each block
     product is a plain complex multiply.
-    The operator owns the workspace of :func:`prepare_green` and
-    :func:`prepare_green_norm2`: three spectral planes per load of the
-    largest stack transformed so far, ``(3, loads, n, n//2 + 1)`` (none
-    until the first application, so a fresh operator pickles as its planes
-    alone).
+    The operator owns the workspace of its application in
+    :meth:`Preconditioner.prepare` and of :func:`prepare_green_norm2`:
+    three spectral planes per load of the largest stack transformed so far,
+    ``(3, loads, n, n//2 + 1)`` (none until the first application, so a
+    fresh operator pickles as its planes alone).
     Planes 1 and 2 receive the forward FFT and plane 0 is scratch; the
     Green application borrows its output field as a fourth plane, so an
     application allocates only the field it returns, and nothing when the
@@ -219,39 +222,6 @@ def _green_steps(green: GreenOperator, r: VectorField,
                                      out))]
 
 
-def _result(r: VectorField, out: np.ndarray | None) -> VectorField:
-    """The field a preconditioner writes: ``out`` checked against ``r``,
-    or a new array of ``r``'s shape."""
-    _check_out(out, r.values)
-    return VectorField(r.grid, np.empty(r.values.shape) if out is None
-                       else out)
-
-
-def prepare_green(green: GreenOperator, r: VectorField,
-                  out: np.ndarray | None = None):
-    """The Green operator, inverse FFT of block times forward FFT, as a
-    zero-argument callable that applies it to whatever ``r.values`` holds
-    when run and returns the result.
-
-    Symmetric positive semi-definite; the output has zero mean per
-    component.  Cost O(n^2 log n).  A stack ``r`` gives the stack
-    of results, each bitwise equal to its load's result alone.  ``out``,
-    when given, is a C-contiguous float64 array of ``r``'s shape that
-    receives (and backs) the result; it may be ``r.values`` itself, since
-    the forward FFT reads all of ``r`` before the block product borrows
-    the output as scratch and the inverse FFT writes it.
-    """
-    _check_residual(green, r)
-    z = _result(r, out)
-    return sequence(_green_steps(green, r, z.values), z)
-
-
-def apply_green(green: GreenOperator, r: VectorField,
-                out: np.ndarray | None = None) -> VectorField:
-    """The Green operator once: :func:`prepare_green`, run once."""
-    return prepare_green(green, r, out)()
-
-
 def prepare_green_norm2(green: GreenOperator, r: VectorField):
     """``<r, G r>`` of whatever ``r.values`` holds when run, by Parseval's
     identity, without the inverse FFT: with ``s`` the forward FFT of ``r``
@@ -336,50 +306,11 @@ def assemble_jacobi(op: SystemOperator) -> JacobiDiagonal:
     return JacobiDiagonal(grid, diag)
 
 
-def prepare_jacobi(jacobi: JacobiDiagonal, r: VectorField,
-                   out: np.ndarray | None = None):
-    """Entrywise multiply by ``1/diag(K)``, by ``1/sqrt(diag(K))`` twice,
-    as a zero-argument callable like :func:`prepare_green`; ``out`` as
-    there."""
-    _check_residual(jacobi, r)
-    z = _result(r, out)
-    d = jacobi.inv_sqrt
-    return sequence([step(np.multiply, d, r.values, z.values),
-                     step(np.multiply, z.values, d, z.values)], z)
-
-
-def apply_jacobi(jacobi: JacobiDiagonal, r: VectorField,
-                 out: np.ndarray | None = None) -> VectorField:
-    """The Jacobi scaling once: :func:`prepare_jacobi`, run once."""
-    return prepare_jacobi(jacobi, r, out)()
-
-
-def prepare_green_jacobi(jacobi: JacobiDiagonal, green: GreenOperator,
-                         r: VectorField, out: np.ndarray | None = None):
-    """Symmetric composition ``J^(1/2) G J^(1/2) r`` as a zero-argument
-    callable like :func:`prepare_green`; ``out`` as there.  ``J^(1/2) r``
-    is written into the result and the Green application runs from it into
-    it, so no temporary field is made."""
-    _check_residual(jacobi, r)
-    z = _result(r, out)
-    _check_residual(green, z)
-    d = jacobi.inv_sqrt
-    return sequence([step(np.multiply, d, r.values, z.values),
-                     *_green_steps(green, z, z.values),
-                     step(np.multiply, z.values, d, z.values)], z)
-
-
-def apply_green_jacobi(jacobi: JacobiDiagonal, green: GreenOperator,
-                       r: VectorField,
-                       out: np.ndarray | None = None) -> VectorField:
-    """The Green-Jacobi composition once: :func:`prepare_green_jacobi`, run
-    once."""
-    return prepare_green_jacobi(jacobi, green, r, out)()
-
-
 @dataclass(frozen=True)
 class Preconditioner:
-    """Tagged preconditioner variant with its assembled state."""
+    """Tagged preconditioner variant with its assembled state: a Green
+    operator for ``green`` and ``green-jacobi``, a Jacobi diagonal for
+    ``jacobi`` and ``green-jacobi``, and no other part."""
 
     kind: str
     green: GreenOperator | None = None
@@ -389,27 +320,70 @@ class Preconditioner:
         if self.kind not in PRECONDITIONER_KINDS:
             raise ValueError(f"unknown preconditioner {self.kind!r}; "
                              f"choose one of {PRECONDITIONER_KINDS}")
-        if self.kind in ("green", "green-jacobi") and self.green is None:
-            raise ValueError(f"{self.kind!r} needs an assembled Green operator")
-        if self.kind in ("jacobi", "green-jacobi") and self.jacobi is None:
-            raise ValueError(f"{self.kind!r} needs an assembled Jacobi diagonal")
+        for part, name, kinds in ((self.green, "Green operator", _GREEN_KINDS),
+                                  (self.jacobi, "Jacobi diagonal",
+                                   _JACOBI_KINDS)):
+            if part is None and self.kind in kinds:
+                raise ValueError(f"{self.kind!r} needs an assembled {name}")
+            if part is not None and self.kind not in kinds:
+                raise ValueError(f"{self.kind!r} takes no {name}")
 
     def prepare(self, r: VectorField, out: np.ndarray | None = None):
-        """``z = M r`` as a zero-argument callable like
-        :func:`prepare_green`; ``out`` as there."""
+        """``z = M r`` as a zero-argument callable that applies ``M`` to
+        whatever ``r.values`` holds when run and returns the result.
+
+        ``M = D G D``, symmetric positive semi-definite: ``D`` scales by the
+        Jacobi diagonal's ``1/sqrt(diag(K))`` and ``G`` is the Green
+        operator, inverse FFT of block times forward FFT (cost
+        O(n^2 log n), output of zero mean per component); a part the
+        preconditioner does not hold is the identity, and ``none`` copies
+        ``r``.  ``D r`` is written into the result and ``G`` runs from it
+        into it, so no temporary field is made.  A stack ``r`` gives the
+        stack of results, each bitwise equal to its load's result alone.
+        ``out``, when given, is a C-contiguous float64 array of ``r``'s
+        shape that receives (and backs) the result; it may be ``r.values``
+        itself, since the forward FFT reads all of ``r`` before the block
+        product borrows the output as scratch and the inverse FFT writes
+        it.
+        """
+        for part in (self.green, self.jacobi):
+            if part is not None:
+                _check_residual(part, r)
+        _check_out(out, r.values)
+        z = VectorField(r.grid, np.empty(r.values.shape) if out is None
+                        else out)
         if self.kind == "none":
-            z = _result(r, out)
             return sequence([step(np.copyto, z.values, r.values)], z)
-        if self.kind == "green":
-            return prepare_green(self.green, r, out)
-        if self.kind == "jacobi":
-            return prepare_jacobi(self.jacobi, r, out)
-        return prepare_green_jacobi(self.jacobi, self.green, r, out)
+        d = None if self.jacobi is None else self.jacobi.inv_sqrt
+        steps = [] if d is None else [step(np.multiply, d, r.values, z.values)]
+        if self.green is not None:
+            steps += _green_steps(self.green, r if d is None else z, z.values)
+        if d is not None:
+            steps.append(step(np.multiply, z.values, d, z.values))
+        return sequence(steps, z)
+
+
+# one-shot applications, which the benchmark in ``bench/`` times by name
+def apply_green(green: GreenOperator, r: VectorField,
+                out: np.ndarray | None = None) -> VectorField:
+    return Preconditioner("green", green=green).prepare(r, out)()
+
+
+def apply_jacobi(jacobi: JacobiDiagonal, r: VectorField,
+                 out: np.ndarray | None = None) -> VectorField:
+    return Preconditioner("jacobi", jacobi=jacobi).prepare(r, out)()
+
+
+def apply_green_jacobi(jacobi: JacobiDiagonal, green: GreenOperator,
+                       r: VectorField,
+                       out: np.ndarray | None = None) -> VectorField:
+    return Preconditioner("green-jacobi", green=green,
+                          jacobi=jacobi).prepare(r, out)()
 
 
 def build_preconditioner(kind: str, op: SystemOperator,
                          green: GreenOperator) -> Preconditioner:
     """Assemble whatever state the requested preconditioner kind needs."""
-    jacobi = assemble_jacobi(op) if kind in ("jacobi", "green-jacobi") else None
-    used_green = green if kind in ("green", "green-jacobi") else None
+    jacobi = assemble_jacobi(op) if kind in _JACOBI_KINDS else None
+    used_green = green if kind in _GREEN_KINDS else None
     return Preconditioner(kind, green=used_green, jacobi=jacobi)

@@ -57,3 +57,15 @@ def test_docstring_cross_references_resolve():
             if not _resolves(target, module):
                 unresolved.append(f"{stem}: {target}")
     assert not unresolved
+
+
+#: A layer the README names: a backticked ``prepare_*`` or ``apply_*``
+#: function, or a class's ``prepare`` method.
+LAYER = re.compile(r"`((?:\w+\.)*(?:prepare|apply)_\w+|\w+\.prepare)`")
+
+
+def test_readme_layer_names_resolve():
+    readme = (SRC.parents[1] / "README.md").read_text()
+    names = LAYER.findall(readme)
+    assert "Preconditioner.prepare" in names
+    assert [name for name in names if not _resolves(name, jfft)] == []

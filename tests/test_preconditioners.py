@@ -705,3 +705,16 @@ def test_preconditioner_validation(solid_material):
         Preconditioner("green")
     with pytest.raises(ValueError, match="Jacobi"):
         Preconditioner("jacobi")
+    # a part the kind does not use was dropped without notice; the D G D
+    # builder would apply it
+    grid = make_grid(4)
+    green = assemble_green(grid, solid_material)
+    jacobi = assemble_jacobi(make_operator(ScalarField.full(grid, 1.0),
+                                           solid_material))
+    for kind, parts, name in [
+            ("none", {"green": green}, "Green"),
+            ("none", {"jacobi": jacobi}, "Jacobi"),
+            ("jacobi", {"green": green, "jacobi": jacobi}, "Green"),
+            ("green", {"green": green, "jacobi": jacobi}, "Jacobi")]:
+        with pytest.raises(ValueError, match=f"takes no {name}"):
+            Preconditioner(kind, **parts)
