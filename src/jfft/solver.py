@@ -164,8 +164,8 @@ def pcg_stack(op: SystemOperator, rhs: VectorField,
         Used for the termination functional ``<r, G r>`` regardless of the
         preconditioner in use.
     eta, max_iter : float, int
-        A load stops when its squared Green norm drops to ``eta``, or at the
-        cap.
+        A load stops when its squared Green norm drops to ``eta``, a finite
+        number > 0, or at the cap, ``max_iter >= 0``.
 
     Returns one report per load, in stack order; a load's ``wall_time``
     runs from the start of the stack to the moment it stopped.
@@ -182,6 +182,10 @@ def pcg_stack(op: SystemOperator, rhs: VectorField,
                          "right-hand sides")
     if rhs.grid != op.grid:
         raise ValueError("right-hand side lives on a different grid")
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be a finite number > 0, got {eta!r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
     for part in (green, preconditioner.green, preconditioner.jacobi):
         if part is not None and part.grid != op.grid:
             raise ValueError(f"{type(part).__name__} lives on a different "

@@ -19,6 +19,7 @@ from jfft.preconditioners import (Preconditioner, apply_green,
                                   build_preconditioner)
 from jfft.solver import (CONVERGED, ITERATION_CAP, SolverAbortError, pcg,
                          pcg_stack, solve_cell)
+from jfft.topopt import TopOptConfig, lbfgs_minimize
 
 from oracles import reference_pcg
 
@@ -101,6 +102,29 @@ def test_nan_rhs_aborts(solid_material):
     bad.values[0, 0, 0] = np.nan
     with pytest.raises(SolverAbortError):
         pcg(op, bad, build_preconditioner("green", op, green), green)
+
+
+@pytest.mark.parametrize("solver", ["pcg", "solve_cell", "topopt"])
+@pytest.mark.parametrize("stop,name", [
+    ({"eta": np.nan}, "eta"), ({"eta": -1.0}, "eta"), ({"eta": 0.0}, "eta"),
+    ({"eta": np.inf}, "eta"), ({"max_iter": -3}, "max_iter")],
+    ids=["eta-nan", "eta-negative", "eta-zero", "eta-inf", "max_iter-negative"])
+def test_unusable_stopping_parameters_rejected(solver, stop, name,
+                                               solid_material):
+    # NaN and negative tolerances ran to the iteration cap, an infinite one
+    # stopped at once with a zero solution, and so did a negative cap
+    op, green = laminate_problem(8, 10.0, solid_material)
+    with pytest.raises(ValueError, match=name):
+        if solver == "pcg":
+            pcg(op, assemble_rhs(op, np.ones(3)),
+                build_preconditioner("green", op, green), green, **stop)
+        elif solver == "solve_cell":
+            solve_cell(op.density, np.ones(3), "green", solid_material,
+                       **stop)
+        else:
+            keys = {"eta": "eta_cg", "max_iter": "max_iter"}
+            lbfgs_minimize(TopOptConfig(
+                n=8, max_outer=2, **{keys[k]: v for k, v in stop.items()}))
 
 
 def test_green_norm_is_measured_for_every_preconditioner(solid_material):
