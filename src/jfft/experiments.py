@@ -128,6 +128,12 @@ def _preconditioner_name(name, key: str) -> str:
     return name
 
 
+def _kinds(cfg: dict, key: str, default: list) -> list[str]:
+    """The preconditioner names listed under ``key``, checked."""
+    return [_preconditioner_name(k, key)
+            for k in _get(cfg, key, list, default=default)]
+
+
 def _solver_opts(cfg: dict) -> tuple[float, int]:
     eta = _get(cfg, "eta_cg", float, default=DEFAULT_ETA_CG)
     cap = _get(cfg, "max_iter", int, default=DEFAULT_MAX_ITER)
@@ -319,9 +325,7 @@ def _run_sweep(family: str, cfg: dict, out_dir: Path, workers: int) -> list[dict
                  for c in _get(cfg, "contrasts", list, required=True)]
     if family == "laminate" and any(np.isinf(c) for c in contrasts):
         raise ConfigError("key 'contrasts': laminate contrast must be finite")
-    kinds = [_preconditioner_name(k, "preconditioners") for k in
-             _get(cfg, "preconditioners", list,
-                  default=["green", "jacobi", "green-jacobi"])]
+    kinds = _kinds(cfg, "preconditioners", ["green", "jacobi", "green-jacobi"])
     material = _material(cfg)
     eta, cap = _solver_opts(cfg)
     eps_bar = tuple(_eps_bar(cfg))
@@ -378,9 +382,7 @@ def run_motivate(cfg: dict, out_dir: Path) -> list[dict]:
     max_steps = _get(cfg, "max_steps", int, default=100_000)
     if stride < 1:
         raise ConfigError("key 'stride': must be >= 1")
-    kinds = [_preconditioner_name(k, "preconditioners") for k in
-             _get(cfg, "preconditioners", list,
-                  default=["green", "green-jacobi"])]
+    kinds = _kinds(cfg, "preconditioners", ["green", "green-jacobi"])
     material = _material(cfg)
     eta, cap = _solver_opts(cfg)
     eps_bar = _eps_bar(cfg)
@@ -427,8 +429,7 @@ _TOPOPT_KEYS = {"eta_pf": float, "k_target": float, "mu_target": float,
 
 
 def _topopt_config(cfg: dict) -> tuple[TopOptConfig, int]:
-    measure = _get(cfg, "measure", list, default=[])
-    kinds = tuple(_preconditioner_name(k, "measure") for k in measure)
+    kinds = tuple(_kinds(cfg, "measure", []))
     material = _material(cfg)
     eta, cap = _solver_opts(cfg)
     n = _get(cfg, "n", int, required=True)
@@ -508,9 +509,7 @@ def run_smooth_vs_sharp(cfg: dict, out_dir: Path) -> dict:
     contrasts = [_contrast(c, "contrasts")
                  for c in _get(cfg, "contrasts", list,
                                default=[1e2, 1e5, 1e8])]
-    kinds = [_preconditioner_name(k, "preconditioners") for k in
-             _get(cfg, "preconditioners", list,
-                  default=["green", "green-jacobi"])]
+    kinds = _kinds(cfg, "preconditioners", ["green", "green-jacobi"])
     material = _material(cfg)
     eta, cap = _solver_opts(cfg)
     eps_bar = _eps_bar(cfg)
