@@ -23,7 +23,7 @@ from .material import MaterialModel
 from .operators import SystemOperator, _check_out, apply_system, make_operator
 
 PRECONDITIONER_KINDS = ("none", "green", "jacobi", "green-jacobi")
-#: The kinds that hold a Green operator, and those that hold a Jacobi diagonal.
+#: Kinds holding a Green operator, and kinds holding a Jacobi diagonal.
 _GREEN_KINDS = ("green", "green-jacobi")
 _JACOBI_KINDS = ("jacobi", "green-jacobi")
 
