@@ -705,8 +705,8 @@ def test_preconditioner_validation(solid_material):
         Preconditioner("green")
     with pytest.raises(ValueError, match="Jacobi"):
         Preconditioner("jacobi")
-    # a part the kind does not use was dropped without notice; the D G D
-    # builder would apply it
+    # a part the kind does not use was dropped without notice; prepare,
+    # which reads which parts are present, would apply it
     grid = make_grid(4)
     green = assemble_green(grid, solid_material)
     jacobi = assemble_jacobi(make_operator(ScalarField.full(grid, 1.0),
