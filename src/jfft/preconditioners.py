@@ -103,11 +103,25 @@ class JacobiDiagonal:
     the closed form of :func:`assemble_jacobi`.
 
     Zero diagonal entries (voids covering a node's whole stencil) are
-    replaced by one before inversion.
+    replaced by one before inversion.  ``inv_sqrt`` has shape ``(2, n, n)``
+    on the grid, dtype float64 and finite, positive entries; its two
+    component planes may be one plane in memory, as a broadcast view.
     """
 
     grid: Grid
-    inv_sqrt: np.ndarray  # (2, n, n), finite and > 0
+    inv_sqrt: np.ndarray
+
+    def __post_init__(self):
+        d = self.inv_sqrt
+        shape = (Grid.d, self.grid.n, self.grid.n)
+        if not isinstance(d, np.ndarray) or d.shape != shape:
+            raise ValueError(f"inv_sqrt must have shape {shape}, got "
+                             f"{np.shape(d)}")
+        if d.dtype != np.float64:
+            raise ValueError(f"inv_sqrt must be float64, got {d.dtype}")
+        # NaN fails the comparison, so the minimum catches it
+        if not (d.min() > 0.0 and np.isfinite(d.max())):
+            raise ValueError("inv_sqrt has non-finite or non-positive entries")
 
 
 def assemble_green(grid: Grid, material_ref: MaterialModel) -> GreenOperator:
@@ -285,25 +299,30 @@ def assemble_jacobi(op: SystemOperator) -> JacobiDiagonal:
 
     with ``w`` the quadrature weight, ``(h1, h2)`` the pixel size and ``S``
     the sum of the densities of those four pixels.  Any grid size works.
+    When the two scales of ``S`` are equal as doubles (isotropic material
+    on square pixels), the two components share one plane: ``inv_sqrt`` is
+    then a read-only broadcast of it, and the diagonal holds half a field.
     """
     grid = op.grid
     h1, h2 = grid.pixel_size
     c = op.material.stiffness
     w = grid.quad_weight
     rho = op.density.values
-    # S into diag[0], with diag[1] as scratch; one temporary plane at a time
-    diag = np.empty((Grid.d,) + rho.shape)
-    np.add(rho, np.roll(rho, 1, axis=0), out=diag[1])
-    np.add(diag[1], np.roll(diag[1], 1, axis=1), out=diag[0])
-    np.multiply(diag[0], w * (c[1, 1] / h2 ** 2 + c[2, 2] / (2.0 * h1 ** 2)),
-                out=diag[1])
-    diag[0] *= w * (c[0, 0] / h1 ** 2 + c[2, 2] / (2.0 * h2 ** 2))
+    scales = (w * (c[0, 0] / h1 ** 2 + c[2, 2] / (2.0 * h2 ** 2)),
+              w * (c[1, 1] / h2 ** 2 + c[2, 2] / (2.0 * h1 ** 2)))
+    planes = 1 if scales[0] == scales[1] else Grid.d
+    # S into diag[0]; one temporary plane at a time
+    diag = np.empty((planes,) + rho.shape)
+    np.add(rho, np.roll(rho, 1, axis=0), out=diag[0])
+    np.add(diag[0], np.roll(diag[0], 1, axis=1), out=diag[0])
+    for k in reversed(range(planes)):
+        np.multiply(diag[0], scales[k], out=diag[k])
     if np.any(diag < 0.0) or not np.all(np.isfinite(diag)):
         raise ValueError("Jacobi diagonal has negative or non-finite entries")
     diag[diag == 0.0] = 1.0
     np.sqrt(diag, out=diag)
     np.divide(1.0, diag, out=diag)
-    return JacobiDiagonal(grid, diag)
+    return JacobiDiagonal(grid, np.broadcast_to(diag, (Grid.d,) + rho.shape))
 
 
 @dataclass(frozen=True)
@@ -338,8 +357,11 @@ class Preconditioner:
         O(n^2 log n), output of zero mean per component); a part the
         preconditioner does not hold is the identity, and ``none`` copies
         ``r``.  ``D r`` is written into the result and ``G`` runs from it
-        into it, so no temporary field is made.  A stack ``r`` gives the
-        stack of results, each bitwise equal to its load's result alone.
+        into it, so no temporary field is made.  ``D`` multiplies one
+        component plane at a time, which keeps a diagonal whose two planes
+        are one (see :func:`assemble_jacobi`) on NumPy's contiguous loops.
+        A stack ``r`` gives the stack of results, each bitwise equal to its
+        load's result alone.
         ``out``, when given, is a C-contiguous float64 array of ``r``'s
         shape that receives (and backs) the result; it may be ``r.values``
         itself, since the forward FFT reads all of ``r`` before the block
@@ -354,13 +376,16 @@ class Preconditioner:
                         else out)
         if self.kind == "none":
             return sequence([step(np.copyto, z.values, r.values)], z)
-        d = None if self.jacobi is None else self.jacobi.inv_sqrt
-        steps = [] if d is None else [step(np.multiply, d, r.values, z.values)]
+        steps, scale_out = [], []
+        if self.jacobi is not None:
+            planes = [(d, r.values[..., k, :, :], z.values[..., k, :, :])
+                      for k, d in enumerate(self.jacobi.inv_sqrt)]
+            steps = [step(np.multiply, d, rk, zk) for d, rk, zk in planes]
+            scale_out = [step(np.multiply, zk, d, zk) for d, _, zk in planes]
         if self.green is not None:
-            steps += _green_steps(self.green, r if d is None else z, z.values)
-        if d is not None:
-            steps.append(step(np.multiply, z.values, d, z.values))
-        return sequence(steps, z)
+            steps += _green_steps(self.green, r if self.jacobi is None else z,
+                                  z.values)
+        return sequence(steps + scale_out, z)
 
 
 # one-shot applications, which the benchmark in ``bench/`` times by name

@@ -639,6 +639,111 @@ def test_jacobi_identity_when_diagonal_is_one(solid_material):
     assert np.array_equal(apply_jacobi(jac, r).values, r.values)
 
 
+@pytest.mark.parametrize("inv_sqrt, match", [
+    (np.ones((8, 8)), "shape"),
+    (np.ones((1, 8, 8)), "shape"),
+    (np.ones((2, 4, 4)), "shape"),
+    (np.ones((2, 8, 8), dtype=np.int64), "float64"),
+    (np.ones((2, 8, 8), dtype=np.float32), "float64"),
+    (np.full((2, 8, 8), np.nan), "non-finite"),
+    (np.where(np.arange(128).reshape(2, 8, 8) == 77, np.nan, 1.0),
+     "non-finite"),
+    (np.full((2, 8, 8), np.inf), "non-finite"),
+    (-np.ones((2, 8, 8)), "non-positive"),
+    (np.zeros((2, 8, 8)), "non-positive")],
+    ids=["one-plane", "one-component", "other-grid", "int64", "float32",
+         "all-nan", "one-nan", "inf", "negative", "zero"])
+def test_jacobi_diagonal_rejects_malformed_inv_sqrt(inv_sqrt, match):
+    # each was accepted: a single plane was broadcast over the components,
+    # and pcg reported convergence with the negative diagonal
+    with pytest.raises(ValueError, match=f"inv_sqrt .*{match}"):
+        precond_mod.JacobiDiagonal(make_grid(8), inv_sqrt)
+
+
+def test_jacobi_diagonal_accepts_a_shared_plane():
+    plane = np.full((8, 8), 0.5)
+    shared = np.broadcast_to(plane, (2, 8, 8))
+    jac = precond_mod.JacobiDiagonal(make_grid(8), shared)
+    assert jac.inv_sqrt is shared
+
+
+def _two_plane_inv_sqrt(op):
+    """The closed form of ``diag(K)^(-1/2)`` with one plane per component,
+    operation for operation as it was built before the planes could be
+    shared."""
+    h1, h2 = op.grid.pixel_size
+    c, w = op.material.stiffness, op.grid.quad_weight
+    rho = op.density.values
+    total = rho + np.roll(rho, 1, axis=0)
+    total = total + np.roll(total, 1, axis=1)
+    diag = np.stack([
+        total * (w * (c[0, 0] / h1 ** 2 + c[2, 2] / (2.0 * h2 ** 2))),
+        total * (w * (c[1, 1] / h2 ** 2 + c[2, 2] / (2.0 * h1 ** 2)))])
+    diag[diag == 0.0] = 1.0
+    return 1.0 / np.sqrt(diag)
+
+
+@pytest.mark.parametrize("n, lengths, shared", [
+    (8, (1.0, 1.0), True), (9, (1.0, 1.0), True), (32, (1.0, 1.0), True),
+    (16, (1.0, 1.5), False), (16, (2.0, 0.5), False)])
+def test_jacobi_planes_shared_on_square_pixels(n, lengths, shared,
+                                               solid_material):
+    rng = np.random.default_rng(23)
+    values = rng.uniform(0.0, 1.0, (n, n))
+    values[:3, :3] = 0.0  # a void node, whose entries become one
+    op = make_operator(ScalarField(make_grid(n, lengths), values),
+                       solid_material)
+    inv_sqrt = assemble_jacobi(op).inv_sqrt
+    assert inv_sqrt.shape == (2, n, n) and inv_sqrt.dtype == np.float64
+    assert np.array_equal(inv_sqrt, _two_plane_inv_sqrt(op))
+    assert np.shares_memory(inv_sqrt[0], inv_sqrt[1]) == shared
+    assert not inv_sqrt.flags.writeable
+
+
+@pytest.mark.parametrize("lengths, planes", [((1.0, 1.0), 1),
+                                             ((1.0, 1.5), 2)])
+def test_jacobi_holds_one_plane_per_distinct_scale(lengths, planes,
+                                                   solid_material):
+    n = 256
+    rho = np.random.default_rng(24).uniform(0.01, 1.0, (n, n))
+    op = make_operator(ScalarField(make_grid(n, lengths), rho),
+                       solid_material)
+    plane = n * n * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        jac = assemble_jacobi(op)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held -= before
+    assert planes * plane <= held <= planes * plane + 4096, held
+    # S is summed in place: one rolled copy is the only temporary plane
+    assert peak - before <= (planes + 1) * plane + 64 * 1024, peak - before
+    assert jac.inv_sqrt.shape == (2, n, n)
+
+
+def test_prepared_jacobi_scaling_allocates_nothing(solid_material):
+    # one multiply per component plane: the whole-field multiply by the
+    # (2, n, n) diagonal allocated a 49 KB iterator buffer for this stack
+    rng = np.random.default_rng(25)
+    n, loads = 32, 3
+    op = make_operator(ScalarField(make_grid(n),
+                                   rng.uniform(0.01, 1.0, (n, n))),
+                       solid_material)
+    pre = build_preconditioner("jacobi", op, None)
+    r = VectorField(op.grid, rng.normal(size=(loads, 2, n, n)))
+    run = pre.prepare(r, np.empty(r.values.shape))
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024, peak
+
+
 # ---------------------------------------------------------------------------
 # Green-Jacobi composition
 # ---------------------------------------------------------------------------
