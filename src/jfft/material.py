@@ -43,6 +43,9 @@ def isotropic_material(lambda0: float, mu0: float) -> MaterialModel:
     phase is ``lambda + 2 mu / 3``.
     """
     lam, mu = float(lambda0), float(mu0)
+    for name, value in (("lambda", lam), ("mu", mu)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if mu <= 0.0 or lam + mu <= 0.0:
         raise ValueError(
             f"stiffness not positive definite (lambda={lam}, mu={mu})")

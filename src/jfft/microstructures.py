@@ -21,6 +21,8 @@ def _sample_coords(p: int) -> tuple[np.ndarray, np.ndarray]:
 def _soft_phase(chi_tot: float) -> float:
     """Density ``1/chi_tot`` of the soft phase, zero at infinite contrast."""
     chi = float(chi_tot)
+    if np.isnan(chi):
+        raise ValueError("total phase contrast is NaN")
     if chi < 1.0:
         raise ValueError(f"total phase contrast must be >= 1, got {chi}")
     return 0.0 if np.isinf(chi) else 1.0 / chi
@@ -30,10 +32,8 @@ def laminate_density(p: int, chi_tot: float) -> ScalarField:
     """Linearly graded laminate, ``chi_tot`` at x1 = 0 down to 1 at the last
     sampling point ``x1 = 1 - 1/p``."""
     chi = float(chi_tot)
-    if not np.isfinite(chi):
+    if _soft_phase(chi) == 0.0:
         raise ValueError("the laminate profile is undefined for infinite contrast")
-    if chi < 1.0:
-        raise ValueError(f"total phase contrast must be >= 1, got {chi}")
     grid = make_grid(p)
     x1, _ = _sample_coords(p)
     dx1 = 1.0 / p

@@ -61,14 +61,20 @@ class TopOptConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"grid needs n >= 2 nodes per direction, got {self.n}")
-        if self.eta_pf <= 0.0:
-            raise ValueError("interface parameter must be positive")
+        if not 0.0 < self.eta_pf < np.inf:
+            raise ValueError(f"interface parameter eta_pf must be finite and "
+                             f"positive, got {self.eta_pf}")
         if self.lbfgs_memory < 1:
             raise ValueError("L-BFGS memory must be at least 1")
         if self.max_outer < 0:
             raise ValueError(f"max_outer must be >= 0, got {self.max_outer}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        try:
+            isotropic_material(self.lambda0, self.mu0)
+        except ValueError as exc:
+            raise ValueError(f"solid phase lambda0={self.lambda0}, "
+                             f"mu0={self.mu0}: {exc}") from None
         try:
             target_stiffness(self.k_target, self.mu_target)
         except ValueError as exc:

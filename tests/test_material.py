@@ -31,6 +31,17 @@ def test_rejects_indefinite_parameters():
         isotropic_material(-1.0, 0.5)
 
 
+@pytest.mark.parametrize("lam, mu, name", [(np.nan, 0.5, "lambda"),
+                                            (np.inf, 0.5, "lambda"),
+                                            (-np.inf, 0.5, "lambda"),
+                                            (2 / 3, np.nan, "mu"),
+                                            (2 / 3, np.inf, "mu")])
+def test_rejects_non_finite_parameters(lam, mu, name):
+    # NaN fails both positivity tests, so it used to pass them
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        isotropic_material(lam, mu)
+
+
 def test_stress_uniform_unit_strain(solid_material):
     grid = make_grid(4)
     rho = ScalarField.full(grid, 1.0)

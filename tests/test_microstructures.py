@@ -25,6 +25,15 @@ def test_laminate_rejects_infinite_contrast():
         micro.laminate_density(8, 0.5)
 
 
+@pytest.mark.parametrize("geometry", [micro.cosine_density,
+                                      micro.laminate_density])
+def test_generators_reject_nan_contrast(geometry):
+    # NaN passed the ">= 1" test: the cosine field came out all NaN and the
+    # laminate reported infinite contrast
+    with pytest.raises(ValueError, match="contrast is NaN"):
+        geometry(8, np.nan)
+
+
 def test_cosine_four_pixel_pattern_with_voids():
     rho = micro.cosine_density(4, np.inf)
     values = rho.values.ravel()

@@ -236,6 +236,19 @@ def test_lbfgs_records_measured_preconditioners():
         assert all(len(v) == 3 for v in counts.values())
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("eta_pf", np.inf, "eta_pf"), ("eta_pf", np.nan, "eta_pf"),
+    ("eta_pf", -1.0, "eta_pf"), ("lambda0", np.nan, "lambda0"),
+    ("lambda0", np.inf, "lambda0"), ("mu0", np.nan, "mu0"),
+    ("mu0", np.inf, "mu0"), ("k_target", np.nan, "k_target"),
+    ("mu_target", np.inf, "mu_target")])
+def test_config_rejects_non_finite_parameters(field, value, match):
+    # these ran and failed later: eta_pf=inf ended with an infinite
+    # objective, the others as a non-finite density or Jacobi diagonal
+    with pytest.raises(ValueError, match=match):
+        TopOptConfig(n=8, max_outer=2, **{field: value})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TopOptConfig(n=8, eta_pf=0.0)
