@@ -660,13 +660,6 @@ def test_jacobi_diagonal_rejects_malformed_inv_sqrt(inv_sqrt, match):
         precond_mod.JacobiDiagonal(make_grid(8), inv_sqrt)
 
 
-def test_jacobi_diagonal_accepts_a_shared_plane():
-    plane = np.full((8, 8), 0.5)
-    shared = np.broadcast_to(plane, (2, 8, 8))
-    jac = precond_mod.JacobiDiagonal(make_grid(8), shared)
-    assert jac.inv_sqrt is shared
-
-
 def _two_plane_inv_sqrt(op):
     """The closed form of ``diag(K)^(-1/2)`` with one plane per component,
     operation for operation as it was built before the planes could be
