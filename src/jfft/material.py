@@ -11,50 +11,50 @@ from .grid import QuadField, ScalarField, sequence, step
 
 @dataclass(frozen=True)
 class MaterialModel:
-    """Base stiffness of the solid phase; local stiffness is ``rho * C0``.
+    """Isotropic solid phase of finite Lame parameters that make ``C0``
+    positive definite; local stiffness is ``rho * C0``.
 
-    ``C0`` has the isotropic Mandel pattern of :func:`isotropic_material`
-    (no coupling between normal and shear components), which
-    :func:`prepare_stiffness_product` relies on.
-    """
-
-    lambda0: float
-    mu0: float
-    stiffness: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.stiffness, dtype=np.float64)
-        if c.shape != (3, 3) or np.any(c[:2, 2] != 0.0) or np.any(c[2, :2] != 0.0):
-            raise ValueError("stiffness must be a 3x3 Mandel matrix without "
-                             "normal-shear coupling")
-        object.__setattr__(self, "stiffness", c)
-
-
-def isotropic_material(lambda0: float, mu0: float) -> MaterialModel:
-    """Isotropic Mandel stiffness from the Lame parameters.
-
-    In 2D Mandel components the matrix is::
+    ``stiffness`` is the read-only ``C0`` in 2D Mandel components, built
+    from ``lambda0`` and ``mu0``::
 
         [[lambda + 2 mu, lambda,        0    ]
          [lambda,        lambda + 2 mu, 0    ]
          [0,             0,             2 mu ]]
 
-    Parameters follow the 3D convention, i.e. the bulk modulus of the solid
-    phase is ``lambda + 2 mu / 3``.
+    It has no coupling between normal and shear components, which
+    :func:`prepare_stiffness_product` relies on.  Parameters follow the 3D
+    convention, i.e. the bulk modulus of the solid phase is
+    ``lambda + 2 mu / 3``.
     """
-    lam, mu = float(lambda0), float(mu0)
-    for name, value in (("lambda", lam), ("mu", mu)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if mu <= 0.0 or lam + mu <= 0.0:
-        raise ValueError(
-            f"stiffness not positive definite (lambda={lam}, mu={mu})")
-    c = np.array([
-        [lam + 2.0 * mu, lam, 0.0],
-        [lam, lam + 2.0 * mu, 0.0],
-        [0.0, 0.0, 2.0 * mu],
-    ])
-    return MaterialModel(lam, mu, c)
+
+    lambda0: float
+    mu0: float
+    stiffness: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lam, mu = float(self.lambda0), float(self.mu0)
+        for name, value in (("lambda", lam), ("mu", mu)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if mu <= 0.0 or lam + mu <= 0.0:
+            raise ValueError(
+                f"stiffness not positive definite (lambda={lam}, mu={mu})")
+        c = np.array([
+            [lam + 2.0 * mu, lam, 0.0],
+            [lam, lam + 2.0 * mu, 0.0],
+            [0.0, 0.0, 2.0 * mu],
+        ])
+        c.flags.writeable = False
+        object.__setattr__(self, "stiffness", c)
+
+    def __reduce__(self):
+        # rebuilt from the parameters, so a copy's matrix is read-only too
+        return MaterialModel, (self.lambda0, self.mu0)
+
+
+def isotropic_material(lambda0: float, mu0: float) -> MaterialModel:
+    """The solid phase of Lame parameters ``lambda0`` and ``mu0``."""
+    return MaterialModel(lambda0, mu0)
 
 
 def prepare_stiffness_product(material: MaterialModel, eps: np.ndarray,

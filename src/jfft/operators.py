@@ -18,7 +18,7 @@ from .material import MaterialModel, prepare_stiffness_product
 @dataclass(frozen=True)
 class SystemOperator:
     """Bundles everything needed to apply the stiffness action of one cell
-    problem: grid, pixel densities and base material.
+    problem: pixel densities and base material; the grid is the density's.
 
     The operator is symmetric positive semi-definite with the two rigid
     translations as its null space; it is never assembled as a matrix.  It
@@ -42,16 +42,17 @@ class SystemOperator:
     buffer of the operator spans the grid.
     """
 
-    grid: Grid
     density: ScalarField
     material: MaterialModel
     _factor: np.ndarray = field(init=False, repr=False, compare=False)
     _strain: np.ndarray = field(init=False, repr=False, compare=False)
     _planes: np.ndarray = field(init=False, repr=False, compare=False)
 
+    @property
+    def grid(self) -> Grid:
+        return self.density.grid
+
     def __post_init__(self):
-        if self.density.grid != self.grid:
-            raise ValueError("density grid mismatch")
         if not np.all(np.isfinite(self.density.values)):
             raise ValueError("non-finite density")
         if np.any(self.density.values < 0.0):
@@ -89,7 +90,7 @@ def _workspace(op: SystemOperator, lead: tuple[int, ...]):
 
 
 def make_operator(density: ScalarField, material: MaterialModel) -> SystemOperator:
-    return SystemOperator(density.grid, density, material)
+    return SystemOperator(density, material)
 
 
 #: Nodes of each load that one band may span, halo rows included.  A band

@@ -23,9 +23,6 @@ from .material import MaterialModel
 from .operators import SystemOperator, _check_out, apply_system, make_operator
 
 PRECONDITIONER_KINDS = ("none", "green", "jacobi", "green-jacobi")
-#: Kinds holding a Green operator, and kinds holding a Jacobi diagonal.
-_GREEN_KINDS = ("green", "green-jacobi")
-_JACOBI_KINDS = ("jacobi", "green-jacobi")
 
 #: Eigenvalues at or below this fraction of a block's largest eigenvalue
 #: are treated as zero when pseudo-inverting.
@@ -327,25 +324,20 @@ def assemble_jacobi(op: SystemOperator) -> JacobiDiagonal:
 
 @dataclass(frozen=True)
 class Preconditioner:
-    """Tagged preconditioner variant with its assembled state: a Green
-    operator for ``green`` and ``green-jacobi``, a Jacobi diagonal for
-    ``jacobi`` and ``green-jacobi``, and no other part."""
+    """``M = D G D`` with its assembled parts: a Green operator ``G``, a
+    Jacobi diagonal ``D``, both, or neither; :attr:`kind` names which."""
 
-    kind: str
     green: GreenOperator | None = None
     jacobi: JacobiDiagonal | None = None
 
-    def __post_init__(self):
-        if self.kind not in PRECONDITIONER_KINDS:
-            raise ValueError(f"unknown preconditioner {self.kind!r}; "
-                             f"choose one of {PRECONDITIONER_KINDS}")
-        for part, name, kinds in ((self.green, "Green operator", _GREEN_KINDS),
-                                  (self.jacobi, "Jacobi diagonal",
-                                   _JACOBI_KINDS)):
-            if part is None and self.kind in kinds:
-                raise ValueError(f"{self.kind!r} needs an assembled {name}")
-            if part is not None and self.kind not in kinds:
-                raise ValueError(f"{self.kind!r} takes no {name}")
+    @property
+    def kind(self) -> str:
+        """``"green"``, ``"jacobi"``, ``"green-jacobi"`` or ``"none"``, by
+        the parts held."""
+        parts = [name for name, part in (("green", self.green),
+                                         ("jacobi", self.jacobi))
+                 if part is not None]
+        return "-".join(parts) or "none"
 
     def prepare(self, r: VectorField, out: np.ndarray | None = None):
         """``z = M r`` as a zero-argument callable that applies ``M`` to
@@ -391,24 +383,29 @@ class Preconditioner:
 # one-shot applications, which the benchmark in ``bench/`` times by name
 def apply_green(green: GreenOperator, r: VectorField,
                 out: np.ndarray | None = None) -> VectorField:
-    return Preconditioner("green", green=green).prepare(r, out)()
+    return Preconditioner(green=green).prepare(r, out)()
 
 
 def apply_jacobi(jacobi: JacobiDiagonal, r: VectorField,
                  out: np.ndarray | None = None) -> VectorField:
-    return Preconditioner("jacobi", jacobi=jacobi).prepare(r, out)()
+    return Preconditioner(jacobi=jacobi).prepare(r, out)()
 
 
 def apply_green_jacobi(jacobi: JacobiDiagonal, green: GreenOperator,
                        r: VectorField,
                        out: np.ndarray | None = None) -> VectorField:
-    return Preconditioner("green-jacobi", green=green,
-                          jacobi=jacobi).prepare(r, out)()
+    return Preconditioner(green, jacobi).prepare(r, out)()
 
 
 def build_preconditioner(kind: str, op: SystemOperator,
-                         green: GreenOperator) -> Preconditioner:
-    """Assemble whatever state the requested preconditioner kind needs."""
-    jacobi = assemble_jacobi(op) if kind in _JACOBI_KINDS else None
-    used_green = green if kind in _GREEN_KINDS else None
-    return Preconditioner(kind, green=used_green, jacobi=jacobi)
+                         green: GreenOperator | None) -> Preconditioner:
+    """The preconditioner of the kind named, with its Jacobi diagonal
+    assembled from ``op`` and ``green`` as its Green operator when the kind
+    takes them."""
+    if kind not in PRECONDITIONER_KINDS:
+        raise ValueError(f"unknown preconditioner {kind!r}; "
+                         f"choose one of {PRECONDITIONER_KINDS}")
+    if "green" in kind and green is None:
+        raise ValueError(f"{kind!r} needs an assembled Green operator")
+    return Preconditioner(green if "green" in kind else None,
+                          assemble_jacobi(op) if "jacobi" in kind else None)

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,8 @@ def test_rejects_indefinite_parameters():
         isotropic_material(0.1, 0.0)
     with pytest.raises(ValueError):
         isotropic_material(-1.0, 0.5)
+    with pytest.raises(ValueError, match="positive definite"):
+        MaterialModel(-1.0, 0.5)
 
 
 @pytest.mark.parametrize("lam, mu, name", [(np.nan, 0.5, "lambda"),
@@ -40,6 +45,36 @@ def test_rejects_non_finite_parameters(lam, mu, name):
     # NaN fails both positivity tests, so it used to pass them
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         isotropic_material(lam, mu)
+
+
+@pytest.mark.parametrize("lam, mu", [(2 / 3, 0.5), (0.0, 0.5), (-0.3, 0.4),
+                                     (1e6, 1e-3)])
+def test_stiffness_is_built_from_the_lame_parameters(lam, mu):
+    # the matrix isotropic_material built and passed in beside lambda and mu
+    expected = np.array([
+        [lam + 2.0 * mu, lam, 0.0],
+        [lam, lam + 2.0 * mu, 0.0],
+        [0.0, 0.0, 2.0 * mu],
+    ])
+    mat = MaterialModel(lam, mu)
+    assert np.array_equal(mat.stiffness, expected)
+    assert mat.stiffness.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        mat.stiffness[0, 0] = 0.0
+    assert [f.name for f in dataclasses.fields(MaterialModel) if f.init] \
+        == ["lambda0", "mu0"]
+    back = pickle.loads(pickle.dumps(mat))
+    assert back == mat and np.array_equal(back.stiffness, expected)
+    assert not back.stiffness.flags.writeable
+
+
+def test_materials_of_equal_parameters_compare_equal():
+    # with the matrix compared as a field, == raised "truth value of an
+    # array is ambiguous"
+    a, b = isotropic_material(1.0, 1.0), isotropic_material(1.0, 1.0)
+    assert a == b and hash(a) == hash(b)
+    assert a != isotropic_material(1.0, 2.0)
+    assert len({a, b, isotropic_material(0.0, 1.0)}) == 2
 
 
 def test_stress_uniform_unit_strain(solid_material):
@@ -57,14 +92,6 @@ def test_stress_void_is_zero(solid_material):
     eps = QuadField(grid, np.random.default_rng(0).normal(size=(3, 2, 4, 4)))
     sig = stress(ScalarField(grid, np.zeros((4, 4))), solid_material, eps)
     assert np.abs(sig.values).max() == 0.0
-
-
-def test_rejects_normal_shear_coupling():
-    # the stiffness product is written out for the isotropic Mandel pattern
-    coupled = np.eye(3)
-    coupled[0, 2] = coupled[2, 0] = 0.1
-    with pytest.raises(ValueError):
-        MaterialModel(0.0, 0.5, coupled)
 
 
 def test_stress_linearity_and_pixel_sharing(solid_material):

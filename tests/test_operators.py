@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -122,6 +123,14 @@ def test_rhs_rejects_an_empty_load_axis(n, solid_material):
     # the workspace still serves a stack of one
     assert np.array_equal(assemble_rhs(op, np.ones((1, 3))).values[0],
                           assemble_rhs(op, np.ones(3)).values)
+
+
+def test_operator_grid_is_the_densitys(solid_material):
+    rho = ScalarField.full(make_grid(4, (2.0, 0.5)), 1.0)
+    op = operators.SystemOperator(rho, solid_material)
+    assert op.grid is rho.grid
+    assert [f.name for f in dataclasses.fields(op) if f.init] \
+        == ["density", "material"]
 
 
 def test_operator_rejects_negative_density(solid_material):

@@ -797,22 +797,25 @@ def test_all_preconditioners_positive_definite_on_zero_mean(solid_material):
 
 
 def test_preconditioner_validation(solid_material):
-    with pytest.raises(ValueError, match="unknown preconditioner"):
-        Preconditioner("ilu")
-    with pytest.raises(ValueError, match="Green"):
-        Preconditioner("green")
-    with pytest.raises(ValueError, match="Jacobi"):
-        Preconditioner("jacobi")
-    # a part the kind does not use was dropped without notice; prepare,
-    # which reads which parts are present, would apply it
     grid = make_grid(4)
-    green = assemble_green(grid, solid_material)
-    jacobi = assemble_jacobi(make_operator(ScalarField.full(grid, 1.0),
-                                           solid_material))
-    for kind, parts, name in [
-            ("none", {"green": green}, "Green"),
-            ("none", {"jacobi": jacobi}, "Jacobi"),
-            ("jacobi", {"green": green, "jacobi": jacobi}, "Green"),
-            ("green", {"green": green, "jacobi": jacobi}, "Jacobi")]:
-        with pytest.raises(ValueError, match=f"takes no {name}"):
-            Preconditioner(kind, **parts)
+    op = make_operator(ScalarField.full(grid, 1.0), solid_material)
+    with pytest.raises(ValueError, match="unknown preconditioner 'ilu'; "
+                                         "choose one of"):
+        build_preconditioner("ilu", op, assemble_green(grid, solid_material))
+    # without the check, "green" quietly built plain CG
+    for kind in ("green", "green-jacobi"):
+        with pytest.raises(ValueError, match="needs an assembled Green"):
+            build_preconditioner(kind, op, None)
+
+
+@pytest.mark.parametrize("kind", ["none", "green", "jacobi", "green-jacobi"])
+def test_preconditioner_kind_comes_from_its_parts(kind, solid_material):
+    grid = make_grid(4)
+    op = make_operator(ScalarField.full(grid, 1.0), solid_material)
+    pre = build_preconditioner(kind, op, assemble_green(grid, solid_material))
+    assert pre.kind == kind
+    assert (pre.green is not None) == ("green" in kind)
+    assert (pre.jacobi is not None) == ("jacobi" in kind)
+    assert Preconditioner(pre.green, pre.jacobi).kind == kind
+    assert [f.name for f in dataclasses.fields(Preconditioner)] \
+        == ["green", "jacobi"]

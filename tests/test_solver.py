@@ -288,10 +288,10 @@ def test_foreign_jacobi_diagonal_rejected(solid_material):
     assert pcg(op, rhs, build_preconditioner("jacobi", op, green),
                green).iterations == 24
     foreign = assemble_jacobi(other)
-    for pre in (Preconditioner("jacobi", jacobi=foreign),
-                Preconditioner("green-jacobi", green=green, jacobi=foreign),
-                Preconditioner("green", green=assemble_green(other.grid,
-                                                             solid_material))):
+    for pre in (Preconditioner(jacobi=foreign),
+                Preconditioner(green=green, jacobi=foreign),
+                Preconditioner(green=assemble_green(other.grid,
+                                                    solid_material))):
         with pytest.raises(ValueError, match="grid"):
             pcg(op, rhs, pre, green)
     with pytest.raises(ValueError, match="grid"):
