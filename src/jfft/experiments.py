@@ -429,17 +429,16 @@ _TOPOPT_KEYS = {"eta_pf": float, "k_target": float, "mu_target": float,
 
 
 def _topopt_config(cfg: dict) -> tuple[TopOptConfig, int]:
-    kinds = tuple(_kinds(cfg, "measure", []))
     material = _material(cfg)
     eta, cap = _solver_opts(cfg)
     n = _get(cfg, "n", int, required=True)
     given = {key: _get(cfg, key, kind) for key, kind in _TOPOPT_KEYS.items()
              if key in cfg}
-    if "preconditioner" in given:
-        _preconditioner_name(given["preconditioner"], "preconditioner")
+    measure = tuple(_get(cfg, "measure", list, default=[]))
     try:
         topt = TopOptConfig(n=n, lambda0=material.lambda0, mu0=material.mu0,
-                            measure=kinds, eta_cg=eta, max_iter=cap, **given)
+                            measure=measure, eta_cg=eta, max_iter=cap,
+                            **given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return topt, _get(cfg, "snapshot_stride", int, default=0)

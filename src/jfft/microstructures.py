@@ -63,8 +63,9 @@ def inclusion_density(p: int, rho_soft: float = 1e-4,
     stiff matrix of density one."""
     if not 0.0 < radius_fraction < 0.5:
         raise ValueError(f"radius fraction must be in (0, 0.5), got {radius_fraction}")
-    if rho_soft < 0.0:
-        raise ValueError("negative soft-phase density")
+    if not 0.0 <= rho_soft < np.inf:
+        raise ValueError(f"soft-phase density must be finite and >= 0, "
+                         f"got {rho_soft}")
     grid = make_grid(p)
     x1, x2 = _sample_coords(p)
     inside = (x1 - 0.5) ** 2 + (x2 - 0.5) ** 2 < radius_fraction ** 2

@@ -35,9 +35,9 @@ class GreenOperator:
 
     The real symmetric, positive semi-definite ``2x2`` block at each
     frequency of the half-spectrum is stored as three planes ``g11``,
-    ``g12`` and ``g22`` of shape ``(n, n//2 + 1)``.  Their values are real,
-    their dtype is ``complex128``, the spectrum's, so that each block
-    product is a plain complex multiply.
+    ``g12`` and ``g22`` of shape ``(n, n//2 + 1)``.  Their values are real
+    and finite, their dtype is ``complex128``, the spectrum's, so that each
+    block product is a plain complex multiply.
     The operator owns the workspace of its application in
     :meth:`Preconditioner.prepare` and of :func:`prepare_green_norm2`:
     three spectral planes per load of the largest stack transformed so far,
@@ -58,6 +58,18 @@ class GreenOperator:
                                          compare=False)
 
     def __post_init__(self):
+        shape = spectral_shape(self.grid)[1:]
+        for name in ("g11", "g12", "g22"):
+            g = getattr(self, name)
+            if not isinstance(g, np.ndarray) or g.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got "
+                                 f"{np.shape(g)}")
+            if g.dtype != np.complex128:
+                raise ValueError(f"{name} must be complex128, got {g.dtype}")
+            if not np.isfinite(g).all():
+                raise ValueError(f"{name} has non-finite entries")
+            if g.imag.any():
+                raise ValueError(f"{name} has non-zero imaginary parts")
         _grow_spectra(self, 0)
 
 

@@ -24,7 +24,8 @@ from .fem import sym_gradient
 from .grid import MANDEL_DIM, Grid, ScalarField, dot, make_grid
 from .material import MaterialModel, isotropic_material
 from .operators import SystemOperator, assemble_rhs, make_operator
-from .preconditioners import GreenOperator, assemble_green, build_preconditioner
+from .preconditioners import (PRECONDITIONER_KINDS, GreenOperator,
+                              assemble_green, build_preconditioner)
 from .solver import (CONVERGED, DEFAULT_ETA_CG, DEFAULT_LAMBDA0,
                      DEFAULT_MAX_ITER, DEFAULT_MU0, SolveReport,
                      SolverAbortError, pcg_stack)
@@ -70,6 +71,21 @@ class TopOptConfig:
             raise ValueError(f"max_outer must be >= 0, got {self.max_outer}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.objective_tol < np.inf:
+            raise ValueError(f"objective_tol must be finite and >= 0, got "
+                             f"{self.objective_tol}")
+        if not 0.0 < self.eta_cg < np.inf:
+            raise ValueError(f"eta_cg must be finite and positive, got "
+                             f"{self.eta_cg}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        for name, kinds in (("preconditioner", (self.preconditioner,)),
+                            ("measure", self.measure)):
+            for kind in kinds:
+                if kind not in PRECONDITIONER_KINDS:
+                    raise ValueError(
+                        f"{name}: unknown preconditioner {kind!r}; choose "
+                        f"one of {PRECONDITIONER_KINDS}")
         try:
             isotropic_material(self.lambda0, self.mu0)
         except ValueError as exc:

@@ -69,3 +69,13 @@ def test_readme_layer_names_resolve():
     names = LAYER.findall(readme)
     assert "Preconditioner.prepare" in names
     assert [name for name in names if not _resolves(name, jfft)] == []
+
+
+def test_readme_quick_start_converges():
+    # the first python block under the heading, run as a reader would
+    readme = (SRC.parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["result"].terminated == "converged"

@@ -63,6 +63,15 @@ def test_inclusion_rejects_bad_radius():
         micro.inclusion_density(16, radius_fraction=0.6)
 
 
+@pytest.mark.parametrize("rho_soft", [np.nan, np.inf, -1e-4])
+def test_inclusion_rejects_bad_soft_density(rho_soft):
+    # NaN passed the old "< 0" test and inf was not tested: at p = 8 each
+    # gave 9 NaN or infinite densities
+    with pytest.raises(ValueError, match="soft-phase density"):
+        micro.inclusion_density(8, rho_soft=rho_soft)
+    assert micro.inclusion_density(8, rho_soft=0.0).values.min() == 0.0
+
+
 def test_gaussian_filter_preserves_constants():
     grid = make_grid(8)
     rho = ScalarField.full(grid, 0.77)

@@ -104,6 +104,41 @@ def test_green_conjugate_planes_and_positive_diagonal(n, lengths,
         assert plane[away].real.min() > 0.0
 
 
+def _spoiled(plane, case):
+    """A copy of the n = 8 ``plane`` spoiled as ``case`` names."""
+    if case == "broadcast-row":
+        return plane[:1].copy()
+    if case == "full-spectrum":
+        return np.zeros((8, 8), dtype=np.complex128)
+    if case == "other-grid":
+        return np.zeros((4, 3), dtype=np.complex128)
+    if case == "float64":
+        return plane.real.copy()
+    spoiled = plane.copy()
+    spoiled[3, 2] = {"nan": np.nan, "inf": np.inf,
+                     "imaginary": plane[3, 2] + 1e-3j}[case]
+    return spoiled
+
+
+@pytest.mark.parametrize("name", ["g11", "g12", "g22"])
+@pytest.mark.parametrize("case, match", [
+    ("broadcast-row", "shape"), ("full-spectrum", "shape"),
+    ("other-grid", "shape"), ("float64", "complex128"),
+    ("nan", "non-finite"), ("inf", "non-finite"),
+    ("imaginary", "imaginary")])
+def test_green_operator_rejects_planes_off_its_grid(name, case, match,
+                                                    solid_material):
+    # each was accepted: a (1, 5) plane was broadcast over the rows and
+    # gave finite, wrong results, float64 planes sent every block product
+    # through a buffered cast, and NaN entries gave NaN results
+    grid = make_grid(8)
+    green = assemble_green(grid, solid_material)
+    planes = {key: getattr(green, key) for key in ("g11", "g12", "g22")}
+    planes[name] = _spoiled(planes[name], case)
+    with pytest.raises(ValueError, match=f"{name} .*{match}"):
+        precond_mod.GreenOperator(grid, **planes)
+
+
 @pytest.mark.parametrize("n", [8, 9, 32])
 @pytest.mark.parametrize("lengths", [(1.0, 1.5), (0.3, 7.0)],
                          ids=["1x1.5", "0.3x7"])

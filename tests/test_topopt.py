@@ -249,6 +249,18 @@ def test_config_rejects_non_finite_parameters(field, value, match):
         TopOptConfig(n=8, max_outer=2, **{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("objective_tol", np.nan), ("objective_tol", np.inf),
+    ("objective_tol", -1e-6), ("eta_cg", np.nan), ("eta_cg", np.inf),
+    ("eta_cg", 0.0), ("max_iter", -1), ("max_iter", 0),
+    ("preconditioner", "ilu"), ("measure", ("green", "ilu"))])
+def test_config_rejects_ignored_or_later_failing_values(field, value):
+    # objective_tol=nan turned the convergence test off; the others were
+    # accepted and raised inside the first evaluation
+    with pytest.raises(ValueError, match=field):
+        TopOptConfig(n=8, max_outer=2, **{field: value})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TopOptConfig(n=8, eta_pf=0.0)
