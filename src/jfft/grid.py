@@ -40,8 +40,8 @@ Conventions used throughout the package:
   and ``fem.sym_gradient_adjoint``, ``material.stress`` and the
   preconditioner one-shots ``preconditioners.apply_green``,
   ``apply_jacobi`` and ``apply_green_jacobi``, each
-  ``Preconditioner(green, jacobi).prepare(r, out)()`` on the parts it
-  names, which the benchmark in ``bench/`` times layer by layer.
+  ``Preconditioner(green, jacobi).prepare(r, out)()``, which the benchmark
+  in ``bench/`` times layer by layer.
 """
 
 from __future__ import annotations

@@ -61,15 +61,12 @@ class GreenOperator:
         shape = spectral_shape(self.grid)[1:]
         for name in ("g11", "g12", "g22"):
             g = getattr(self, name)
-            if not isinstance(g, np.ndarray) or g.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got "
-                                 f"{np.shape(g)}")
-            if g.dtype != np.complex128:
-                raise ValueError(f"{name} must be complex128, got {g.dtype}")
-            if not np.isfinite(g).all():
-                raise ValueError(f"{name} has non-finite entries")
-            if g.imag.any():
-                raise ValueError(f"{name} has non-zero imaginary parts")
+            dtype = getattr(g, "dtype", None)
+            if np.shape(g) != shape or dtype != np.complex128:
+                raise ValueError(f"{name} must be a complex128 plane of shape "
+                                 f"{shape}, got {dtype} {np.shape(g)}")
+            if not np.isfinite(g).all() or g.imag.any():
+                raise ValueError(f"{name} must hold real, finite values")
         _grow_spectra(self, 0)
 
 
