@@ -8,15 +8,15 @@ termination test, so the counts are directly comparable.
 
 import numpy as np
 
-from jfft import (assemble_green, assemble_rhs, build_preconditioner,
-                  homogenized_stress, isotropic_material, make_operator, pcg)
+from jfft import (MaterialModel, SystemOperator, assemble_green, assemble_rhs,
+                  build_preconditioner, homogenized_stress, pcg)
 from jfft.microstructures import cosine_density, refine_to_grid
 
 n = 64
-material = isotropic_material(2.0 / 3.0, 0.5)
+material = MaterialModel(2.0 / 3.0, 0.5)
 rho = refine_to_grid(cosine_density(16, 1e4), n)
 
-op = make_operator(rho, material)
+op = SystemOperator(rho, material)
 green = assemble_green(op.grid, material)
 eps_bar = np.array([1.0, 1.0, 1.0])
 rhs = assemble_rhs(op, eps_bar)

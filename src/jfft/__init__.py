@@ -4,9 +4,8 @@ conjugate gradients, plus the experiment harness built on them."""
 
 from .grid import (Grid, ScalarField, VectorField, load_field, make_grid,
                    save_field)
-from .material import MaterialModel, isotropic_material
-from .operators import (SystemOperator, assemble_rhs, homogenized_stress,
-                        make_operator)
+from .material import MaterialModel
+from .operators import SystemOperator, assemble_rhs, homogenized_stress
 from .preconditioners import (GreenOperator, Preconditioner, assemble_green,
                               build_preconditioner)
 from .solver import (CONVERGED, ITERATION_CAP, SolveReport, SolverAbortError,

@@ -8,19 +8,19 @@ files carry a schema-version comment in their first line.
 
 from __future__ import annotations
 
+import concurrent.futures  # the process pool loads on first use
 import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import microstructures as micro
 from .grid import ScalarField, finite_number, load_field, make_grid, save_field
-from .material import MaterialModel, isotropic_material
-from .operators import homogenized_stress, make_operator
+from .material import MaterialModel
+from .operators import SystemOperator, homogenized_stress
 from .preconditioners import PRECONDITIONER_KINDS, assemble_green
 from .solver import (DEFAULT_ETA_CG, DEFAULT_LAMBDA0, DEFAULT_MAX_ITER,
                      DEFAULT_MU0, SolveReport, solve_cell)
@@ -107,7 +107,7 @@ def _material(cfg: dict) -> MaterialModel:
     lam = _get(mat, "lambda0", float, default=DEFAULT_LAMBDA0)
     mu = _get(mat, "mu0", float, default=DEFAULT_MU0)
     try:
-        return isotropic_material(lam, mu)
+        return MaterialModel(lam, mu)
     except ValueError as exc:
         raise ConfigError(f"key 'material': {exc}") from exc
 
@@ -259,7 +259,7 @@ def run_solve(cfg: dict, out_dir: Path) -> tuple[SolveReport, np.ndarray]:
     eps_bar = _eps_bar(cfg)
 
     report = solve_cell(rho, eps_bar, kind, material, eta=eta, max_iter=cap)
-    sigma = homogenized_stress(make_operator(rho, material), report.solution,
+    sigma = homogenized_stress(SystemOperator(rho, material), report.solution,
                                eps_bar)
 
     save_field(out_dir / "solution", report.solution)
@@ -342,7 +342,7 @@ def _run_sweep(family: str, cfg: dict, out_dir: Path, workers: int) -> list[dict
     # the pool forks all its workers at the first submit
     workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(cell) for cell in cells]

@@ -42,6 +42,10 @@ Conventions used throughout the package:
   ``apply_jacobi`` and ``apply_green_jacobi``, each
   ``Preconditioner(green, jacobi).prepare(r, out)()``, which the benchmark
   in ``bench/`` times layer by layer.
+* ``bench/`` is the only caller of the two one-line bindings to the
+  classes ``SystemOperator`` and ``MaterialModel`` in their modules.
+  Classes that hold arrays compare and hash by identity; ``Grid``,
+  ``MaterialModel`` and ``TopOptConfig`` compare by value.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ def _as_float_array(values, shape, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass
+@dataclass(eq=False)
 class ScalarField:
     """One real value per pixel (densities), shape ``(n, n)``."""
 
@@ -126,7 +130,7 @@ class ScalarField:
         return cls(grid, np.full((grid.n, grid.n), float(value)))
 
 
-@dataclass
+@dataclass(eq=False)
 class VectorField:
     """Nodal displacement-like field, one ``(n, n)`` plane per component,
     shape ``(2, n, n)``.  A stack of ``B`` such fields, one per load case,
@@ -152,7 +156,7 @@ class VectorField:
         return self.values.mean(axis=(-2, -1))
 
 
-@dataclass
+@dataclass(eq=False)
 class QuadField:
     """Mandel-vector field at quadrature points, shape ``(3, 2, n, n)``.
 

@@ -52,9 +52,8 @@ class MaterialModel:
         return MaterialModel, (self.lambda0, self.mu0)
 
 
-def isotropic_material(lambda0: float, mu0: float) -> MaterialModel:
-    """The solid phase of Lame parameters ``lambda0`` and ``mu0``."""
-    return MaterialModel(lambda0, mu0)
+# the name ``bench/`` calls; it goes when the benchmark calls the class
+isotropic_material = MaterialModel
 
 
 def prepare_stiffness_product(material: MaterialModel, eps: np.ndarray,

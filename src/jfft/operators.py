@@ -15,7 +15,7 @@ from .grid import (MANDEL_DIM, Grid, QuadField, ScalarField, VectorField,
 from .material import MaterialModel, prepare_stiffness_product
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemOperator:
     """Bundles everything needed to apply the stiffness action of one cell
     problem: pixel densities and base material; the grid is the density's.
@@ -44,9 +44,9 @@ class SystemOperator:
 
     density: ScalarField
     material: MaterialModel
-    _factor: np.ndarray = field(init=False, repr=False, compare=False)
-    _strain: np.ndarray = field(init=False, repr=False, compare=False)
-    _planes: np.ndarray = field(init=False, repr=False, compare=False)
+    _factor: np.ndarray = field(init=False, repr=False)
+    _strain: np.ndarray = field(init=False, repr=False)
+    _planes: np.ndarray = field(init=False, repr=False)
 
     @property
     def grid(self) -> Grid:
@@ -89,8 +89,8 @@ def _workspace(op: SystemOperator, lead: tuple[int, ...]):
             planes[:math.prod(planes_shape)].reshape(planes_shape))
 
 
-def make_operator(density: ScalarField, material: MaterialModel) -> SystemOperator:
-    return SystemOperator(density, material)
+# the name ``bench/`` calls; it goes when the benchmark calls the class
+make_operator = SystemOperator
 
 
 #: Nodes of each load that one band may span, halo rows included.  A band

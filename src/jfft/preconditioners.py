@@ -20,7 +20,7 @@ import numpy as np
 from .grid import (Grid, ScalarField, VectorField, dot, fft_forward,
                    prepare_fft_inverse, sequence, spectral_shape, step)
 from .material import MaterialModel
-from .operators import SystemOperator, _check_out, apply_system, make_operator
+from .operators import SystemOperator, _check_out, apply_system
 
 PRECONDITIONER_KINDS = ("none", "green", "jacobi", "green-jacobi")
 
@@ -29,7 +29,7 @@ PRECONDITIONER_KINDS = ("none", "green", "jacobi", "green-jacobi")
 _EIG_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GreenOperator:
     """Per-frequency pseudo-inverse blocks of the reference operator.
 
@@ -54,8 +54,7 @@ class GreenOperator:
     g11: np.ndarray
     g12: np.ndarray
     g22: np.ndarray
-    _spectral_planes: np.ndarray = field(init=False, repr=False,
-                                         compare=False)
+    _spectral_planes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         shape = spectral_shape(self.grid)[1:]
@@ -103,7 +102,7 @@ def _borrowed_plane(out: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return out.reshape(-1)[:entries].view(np.complex128).reshape(shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JacobiDiagonal:
     """Reciprocal square roots of ``diag(K)``, one per displacement DOF, from
     the closed form of :func:`assemble_jacobi`.
@@ -160,7 +159,7 @@ def _reference_blocks(grid: Grid, material_ref: MaterialModel):
     # scaling by four is exact: the patch has the grid's pixel size and
     # quadrature weight, so its response is the grid's bit for bit
     patch = grid if grid.n <= 4 else Grid(4, (4.0 * h1, 4.0 * h2))
-    ref_op = make_operator(ScalarField.full(patch, 1.0), material_ref)
+    ref_op = SystemOperator(ScalarField.full(patch, 1.0), material_ref)
     near = np.array([-1, 0, 1])
     stencil = (slice(None), near[:, None], near)
     columns = []
@@ -256,9 +255,8 @@ def prepare_green_norm2(green: GreenOperator, r: VectorField):
     takes its place, with ``g11 s1`` built in ``s2``, which is read no
     more.
 
-    The run returns a float for one field; for a stack, a list with one
-    value per load, each summed over that load's own planes as it would be
-    alone.
+    The run returns a list with one value per load, one for a plain field,
+    each summed over that load's own planes as it would be alone.
     """
     _check_residual(green, r)
     n = green.grid.n
@@ -278,15 +276,13 @@ def prepare_green_norm2(green: GreenOperator, r: VectorField):
     planes = tuple(zip(*(a.view(np.float64).reshape(-1, n, 2 * m)
                          for a in spectra)))
     cells = n ** 2
-    stacked = r.values.ndim == 4
 
     def run():
         build_t2()
         second = [dot(a2, b) for b, a1, a2 in planes]
         build_t1()
-        totals = [2.0 * (dot(a1, b) + d2) / cells
-                  for (b, a1, a2), d2 in zip(planes, second)]
-        return totals if stacked else totals[0]
+        return [2.0 * (dot(a1, b) + d2) / cells
+                for (b, a1, a2), d2 in zip(planes, second)]
 
     return run
 
@@ -331,7 +327,7 @@ def assemble_jacobi(op: SystemOperator) -> JacobiDiagonal:
     return JacobiDiagonal(grid, np.broadcast_to(diag, (Grid.d,) + rho.shape))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Preconditioner:
     """``M = D G D`` with its assembled parts: a Green operator ``G``, a
     Jacobi diagonal ``D``, both, or neither; :attr:`kind` names which."""

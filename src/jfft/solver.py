@@ -55,8 +55,7 @@ import numpy as np
 
 from .grid import Grid, ScalarField, VectorField, dot
 from .material import MaterialModel
-from .operators import (SystemOperator, assemble_rhs, make_operator,
-                        prepare_system)
+from .operators import SystemOperator, assemble_rhs, prepare_system
 from .preconditioners import (GreenOperator, Preconditioner, assemble_green,
                               build_preconditioner, prepare_green_norm2)
 
@@ -78,7 +77,7 @@ class SolverAbortError(RuntimeError):
     """The PCG recurrence produced a non-finite or non-positive quantity."""
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveReport:
     """Outcome of one linear solve.
 
@@ -113,8 +112,7 @@ def _as_field(grid: Grid, rows: np.ndarray) -> VectorField:
     Green-Jacobi iteration on a cosine cell the plain field measured 7%
     faster at n = 32 and 1-12% faster at n = 128 and 512, within the
     spread between runs there (prepared layers, 10 alternated solves,
-    2-core virtual machine).  On a plain field the prepared Green norm
-    returns a float, which the loop wraps."""
+    2-core virtual machine)."""
     return VectorField(grid, rows[0] if len(rows) == 1 else rows)
 
 
@@ -215,15 +213,17 @@ def pcg_stack(op: SystemOperator, rhs: VectorField,
 
     def prepare(b: int):
         """Views of rows [:b] and the layers prepared on them: the
-        preconditioner and K into the work rows, the Green norm of the
-        residual rows and the per-load dots."""
+        preconditioner and K into the work rows, the per-load dots, and the
+        termination functional, which is the ``<r, z>`` dots for Green and
+        the Green norm of the residual rows otherwise."""
         rs, ps, ws = r[:b], p[:b], w[:b]
         residual, direction = _as_field(grid, rs), _as_field(grid, ps)
         work = _as_field(grid, ws).values
-        norm = None if reuse_green else prepare_green_norm2(green, residual)
+        rz_dots = _prepare_dots(rs, ws)
+        norm = rz_dots if reuse_green else prepare_green_norm2(green, residual)
         return (x[:b], rs, ps, ws, preconditioner.prepare(residual, work),
-                prepare_system(op, direction, work), norm,
-                _prepare_dots(rs, ws), _prepare_dots(ps, ws))
+                prepare_system(op, direction, work), norm, rz_dots,
+                _prepare_dots(ps, ws))
 
     iterations = 0
     b = len(active)
@@ -231,12 +231,7 @@ def pcg_stack(op: SystemOperator, rhs: VectorField,
     precondition()
     while True:
         # ws holds z
-        if reuse_green:
-            gnorm2 = rz_dots()
-        else:
-            gnorm2 = norm()
-            gnorm2 = gnorm2 if b > 1 else [gnorm2]
-        _checked(gnorm2, "residual Green norm")
+        gnorm2 = _checked(norm(), "residual Green norm")
         for load, value in zip(active, gnorm2):
             histories[load].append(value)
         done = [value <= eta for value in gnorm2]
@@ -297,7 +292,7 @@ def solve_cell(rho: ScalarField, eps_bar, kind: str, material: MaterialModel,
     equilibrium problem.  A pre-assembled ``green`` operator (reference
     material = ``material``) can be passed in to amortize sweeps.
     """
-    op = make_operator(rho, material)
+    op = SystemOperator(rho, material)
     if green is None:
         green = assemble_green(op.grid, material)
     precond = build_preconditioner(kind, op, green)

@@ -22,8 +22,8 @@ import numpy as np
 
 from .fem import sym_gradient
 from .grid import MANDEL_DIM, Grid, ScalarField, dot, make_grid
-from .material import MaterialModel, isotropic_material
-from .operators import SystemOperator, assemble_rhs, make_operator
+from .material import MaterialModel
+from .operators import SystemOperator, assemble_rhs
 from .preconditioners import (PRECONDITIONER_KINDS, GreenOperator,
                               assemble_green, build_preconditioner)
 from .solver import (CONVERGED, DEFAULT_ETA_CG, DEFAULT_LAMBDA0,
@@ -87,7 +87,7 @@ class TopOptConfig:
                         f"{name}: unknown preconditioner {kind!r}; choose "
                         f"one of {PRECONDITIONER_KINDS}")
         try:
-            isotropic_material(self.lambda0, self.mu0)
+            MaterialModel(self.lambda0, self.mu0)
         except ValueError as exc:
             raise ValueError(f"solid phase lambda0={self.lambda0}, "
                              f"mu0={self.mu0}: {exc}") from None
@@ -111,10 +111,10 @@ class OptHistory:
 
 def target_stiffness(k_target: float, mu_target: float) -> MaterialModel:
     """Target Mandel stiffness from bulk and shear moduli (3D convention)."""
-    return isotropic_material(k_target - 2.0 * mu_target / 3.0, mu_target)
+    return MaterialModel(k_target - 2.0 * mu_target / 3.0, mu_target)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TopOptProblem:
     cfg: TopOptConfig
     grid: Grid
@@ -125,7 +125,7 @@ class TopOptProblem:
 
 def make_problem(cfg: TopOptConfig) -> TopOptProblem:
     grid = make_grid(cfg.n)
-    material = isotropic_material(cfg.lambda0, cfg.mu0)
+    material = MaterialModel(cfg.lambda0, cfg.mu0)
     green = assemble_green(grid, material)
     c_target = target_stiffness(cfg.k_target, cfg.mu_target).stiffness
     targets = np.stack([c_target @ e for e in np.eye(MANDEL_DIM)])
@@ -157,7 +157,7 @@ def _solve_load_cases(problem: TopOptProblem, rho: ScalarField,
     Returns the per-load total strains (3, 3, 2, n, n) and the PCG
     iteration counts.
     """
-    op = make_operator(rho, problem.material)
+    op = SystemOperator(rho, problem.material)
     reports = _solve_loads(problem, op, preconditioner)
     strains = np.stack([sym_gradient(report.solution).values
                         for report in reports])
@@ -201,7 +201,7 @@ def _phase_field_parts(cfg: TopOptConfig, grid: Grid, rho: np.ndarray):
     return f_grad + f_well, g_grad + g_well
 
 
-@dataclass
+@dataclass(eq=False)
 class Evaluation:
     value: float
     stress_part: float
@@ -260,7 +260,7 @@ def evaluate(problem: TopOptProblem, rho: np.ndarray) -> Evaluation:
 def _measured_counts(problem: TopOptProblem, rho: np.ndarray,
                      kinds) -> dict[str, list[int]]:
     """Per-load PCG counts of each preconditioner kind at one iterate."""
-    op = make_operator(_clamped_density(problem, rho), problem.material)
+    op = SystemOperator(_clamped_density(problem, rho), problem.material)
     return {kind: [report.iterations
                    for report in _solve_loads(problem, op, kind)]
             for kind in kinds}

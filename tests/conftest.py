@@ -6,13 +6,13 @@ import pytest
 # make the oracle module importable from any test
 sys.path.insert(0, str(Path(__file__).parent))
 
-from jfft.material import isotropic_material
+from jfft.material import MaterialModel
 
 
 @pytest.fixture(scope="session")
 def solid_material():
     """Solid-phase parameters used throughout the experiments."""
-    return isotropic_material(2.0 / 3.0, 0.5)
+    return MaterialModel(2.0 / 3.0, 0.5)
 
 
 @pytest.fixture

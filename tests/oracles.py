@@ -263,9 +263,9 @@ def eigh_green_blocks(grid, material, cutoff=1e-12):
     largest one count as zero, and the zero-frequency block is zero.
     """
     from jfft.grid import ScalarField, VectorField, fft_forward
-    from jfft.operators import apply_system, make_operator
+    from jfft.operators import SystemOperator, apply_system
 
-    ref_op = make_operator(ScalarField.full(grid, 1.0), material)
+    ref_op = SystemOperator(ScalarField.full(grid, 1.0), material)
     n = grid.n
     khat = np.empty((n, n // 2 + 1, 2, 2), dtype=np.complex128)
     for beta in range(2):
@@ -289,9 +289,9 @@ def hermitized_reference_blocks(grid, material):
     of its responses to a unit impulse per displacement component on the
     whole grid, Hermitized, with the zero-frequency block zero."""
     from jfft.grid import ScalarField, VectorField, fft_forward
-    from jfft.operators import apply_system, make_operator
+    from jfft.operators import SystemOperator, apply_system
 
-    ref_op = make_operator(ScalarField.full(grid, 1.0), material)
+    ref_op = SystemOperator(ScalarField.full(grid, 1.0), material)
     n = grid.n
     khat = np.empty((n, n // 2 + 1, 2, 2), dtype=np.complex128)
     for beta in range(2):
@@ -308,10 +308,10 @@ def full_grid_green(grid, material):
     the whole grid, then symmetrized and inverted by the production closed
     form.  The patch assembly must reproduce its blocks bit for bit."""
     from jfft.grid import ScalarField, VectorField, fft_forward
-    from jfft.operators import apply_system, make_operator
+    from jfft.operators import SystemOperator, apply_system
     from jfft.preconditioners import GreenOperator, _invert_blocks
 
-    ref_op = make_operator(ScalarField.full(grid, 1.0), material)
+    ref_op = SystemOperator(ScalarField.full(grid, 1.0), material)
     columns = []
     for beta in range(2):
         impulse = VectorField.zeros(grid)
@@ -363,7 +363,7 @@ def reference_pcg(op, rhs, preconditioner, green, eta=1e-6, max_iter=999):
 
     def green_norm(r, z):
         return checked(dot(r.values, z.values) if reuse_green
-                       else prepare_green_norm2(green, r)())
+                       else prepare_green_norm2(green, r)()[0])
 
     x = np.zeros_like(rhs.values)
     r = VectorField(rhs.grid, rhs.values.copy())
@@ -422,12 +422,12 @@ def reference_solve_load_cases(problem, rho, preconditioner):
     :func:`reference_pcg`; the same returns as
     ``jfft.topopt._solve_load_cases``."""
     from jfft.grid import VectorField
-    from jfft.operators import assemble_rhs, make_operator
+    from jfft.operators import SystemOperator, assemble_rhs
     from jfft.preconditioners import build_preconditioner
     from jfft.solver import SolverAbortError
 
     cfg = problem.cfg
-    op = make_operator(rho, problem.material)
+    op = SystemOperator(rho, problem.material)
     precond = build_preconditioner(preconditioner, op, problem.green)
     n = problem.grid.n
     strains = np.empty((3, 3, 2, n, n))

@@ -18,9 +18,9 @@ import pytest
 
 from jfft import microstructures as micro
 from jfft.grid import ScalarField, VectorField, make_grid, save_field
-from jfft.material import isotropic_material
-from jfft.operators import (apply_system, assemble_rhs, homogenized_stress,
-                            make_operator)
+from jfft.material import MaterialModel
+from jfft.operators import (SystemOperator, apply_system, assemble_rhs,
+                            homogenized_stress)
 from jfft.preconditioners import (apply_green, assemble_green,
                                   assemble_jacobi, build_preconditioner)
 from jfft.solver import CONVERGED, ITERATION_CAP, pcg, solve_cell
@@ -31,7 +31,7 @@ from jfft.experiments import (run_cosine_sweep, run_laminate_sweep,
 
 from oracles import dense_k, green_blocks, impulse_diagonal, vec_flat, vec_unflat
 
-MATERIAL = isotropic_material(2.0 / 3.0, 0.5)
+MATERIAL = MaterialModel(2.0 / 3.0, 0.5)
 SWEEP_SIZES = [2 ** k for k in range(3, 9)]
 
 
@@ -134,7 +134,7 @@ def test_criterion_1_oracle_equivalence():
     for n in (4, 8):
         grid = make_grid(n)
         rho = ScalarField(grid, rng.uniform(0.05, 2.0, (n, n)))
-        op = make_operator(rho, MATERIAL)
+        op = SystemOperator(rho, MATERIAL)
         dense = dense_k(n, rho.values, MATERIAL.stiffness)
         for _ in range(20):
             u = VectorField(grid, rng.normal(size=(2, n, n)))
@@ -172,7 +172,7 @@ def test_criterion_2_green_pseudo_inverse():
         grid = make_grid(n)
         green = assemble_green(grid, MATERIAL)
         zero_block = max(zero_block, np.abs(green_blocks(green)[0, 0]).max())
-        ref_op = make_operator(ScalarField.full(grid, 1.0), MATERIAL)
+        ref_op = SystemOperator(ScalarField.full(grid, 1.0), MATERIAL)
         for _ in range(20):
             v = VectorField(grid, rng.normal(size=(2, n, n)))
             gkv = apply_green(green, apply_system(ref_op, v))
@@ -195,7 +195,7 @@ def test_criterion_3_uniform_medium():
     grid = make_grid(16)
     rho = ScalarField.full(grid, 1.0)
     solve = solve_cell(rho, np.array([1.0, 1.0, 1.0]), "green", MATERIAL)
-    op = make_operator(rho, MATERIAL)
+    op = SystemOperator(rho, MATERIAL)
     sigma = homogenized_stress(op, solve.solution, np.array([1.0, 1.0, 1.0]))
     err = np.abs(sigma - np.array([7.0 / 3.0, 7.0 / 3.0, 1.0])).max()
     passed = err <= 1e-12 and solve.iterations <= 1
@@ -218,7 +218,7 @@ def test_criterion_4_termination_contract(laminate_table):
     # the cap faithfully
     grid = make_grid(32)
     rho = micro.refine_to_grid(micro.laminate_density(16, 1e4), 32)
-    op = make_operator(rho, MATERIAL)
+    op = SystemOperator(rho, MATERIAL)
     green = assemble_green(grid, MATERIAL)
     rhs = assemble_rhs(op, np.array([1.0, 1.0, 1.0]))
     last_ok = True
@@ -443,7 +443,7 @@ def test_trend_laminate_saturation_at_low_contrast(tmp_path):
     green = assemble_green(make_grid(n), MATERIAL)
     bounds = {}
     for p in counts:
-        op = make_operator(
+        op = SystemOperator(
             micro.refine_to_grid(micro.laminate_density(p, chi), n), MATERIAL)
         rhs = assemble_rhs(op, np.array([1.0, 1.0, 1.0]))
         h0 = float(np.vdot(rhs.values, apply_green(green, rhs).values))

@@ -7,7 +7,16 @@ import re
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import jfft
+from jfft import (MaterialModel, Preconditioner, ScalarField, SystemOperator,
+                  TopOptConfig, VectorField, assemble_green, make_grid,
+                  solve_cell)
+from jfft.grid import QuadField
+from jfft.preconditioners import assemble_jacobi
+from jfft.topopt import evaluate, make_problem
 
 SRC = Path(jfft.__file__).parent
 MODULES = {path.stem: importlib.import_module(f"jfft.{path.stem}")
@@ -17,8 +26,7 @@ MODULES = {path.stem: importlib.import_module(f"jfft.{path.stem}")
 PUBLIC = {
     "Grid", "ScalarField", "VectorField", "make_grid", "load_field",
     "save_field",
-    "MaterialModel", "isotropic_material",
-    "SystemOperator", "make_operator", "assemble_rhs", "homogenized_stress",
+    "MaterialModel", "SystemOperator", "assemble_rhs", "homogenized_stress",
     "GreenOperator", "Preconditioner", "assemble_green",
     "build_preconditioner",
     "pcg", "pcg_stack", "solve_cell", "SolveReport", "SolverAbortError",
@@ -79,3 +87,48 @@ def test_readme_quick_start_converges():
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["result"].terminated == "converged"
+
+
+GRID = make_grid(8)
+MATERIAL = MaterialModel(2.0 / 3.0, 0.5)
+DENSITY = ScalarField(GRID, np.linspace(0.1, 1.0, 64).reshape(8, 8))
+PROBLEM = make_problem(TopOptConfig(n=8, preconditioner="green"))
+GREEN = assemble_green(GRID, MATERIAL)
+JACOBI = assemble_jacobi(SystemOperator(DENSITY, MATERIAL))
+
+#: Builders of a fresh instance of each container that holds arrays; some
+#: share their parts between instances, some do not.
+HOLDERS = {
+    "ScalarField": lambda: ScalarField.full(GRID, 1.0),
+    "VectorField": lambda: VectorField.zeros(GRID),
+    "QuadField": lambda: QuadField(GRID, np.zeros((3, 2, 8, 8))),
+    "SystemOperator": lambda: SystemOperator(DENSITY, MATERIAL),
+    "SystemOperator-fresh-density": lambda: SystemOperator(
+        ScalarField.full(GRID, 1.0), MATERIAL),
+    "GreenOperator": lambda: assemble_green(GRID, MATERIAL),
+    "JacobiDiagonal": lambda: assemble_jacobi(SystemOperator(DENSITY,
+                                                             MATERIAL)),
+    "Preconditioner": lambda: Preconditioner(GREEN, JACOBI),
+    "SolveReport": lambda: solve_cell(DENSITY, [1.0, 1.0, 1.0], "green",
+                                      MATERIAL, GREEN),
+    "TopOptProblem": lambda: make_problem(PROBLEM.cfg),
+    "Evaluation": lambda: evaluate(PROBLEM, DENSITY.values),
+}
+
+
+@pytest.mark.parametrize("name", HOLDERS)
+def test_array_holders_compare_by_identity(name):
+    # the generated __eq__ compared arrays and raised "truth value of an
+    # array is ambiguous", and the classes were unhashable
+    a, b = HOLDERS[name](), HOLDERS[name]()
+    assert a is not b and a != b and not a == b
+    assert a == a and not a != a
+    assert len({a, b, a}) == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_grid(8, (1.0, 2.0)),
+    lambda: TopOptConfig(n=8, measure=("green",))])
+def test_value_types_compare_by_value(build):
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)

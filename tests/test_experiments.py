@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -392,7 +393,8 @@ class RecordingPool:
     (100_000, 64, [2]), (100_000, 1, []), (2, 64, [2]), (1, 64, [])])
 def test_sweep_workers_bounded_by_cells_and_cores(tmp_path, monkeypatch,
                                                   threads, cores, workers):
-    monkeypatch.setattr(jfft.experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(jfft.experiments.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(RecordingPool, "requested", [])
     cfg = {"p_values": [4], "n_values": [4, 8], "contrasts": [10.0],
@@ -572,3 +574,17 @@ def test_import_leaves_scipy_unloaded():
                          text=True, check=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": str(SRC)})
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module, unloaded", [
+    ("jfft", ["jfft.cli", "jfft.experiments", "concurrent.futures.process"]),
+    ("jfft.cli", ["concurrent.futures.process"])])
+def test_import_leaves_unused_modules_unloaded(module, unloaded):
+    # the library needs neither the CLI nor the harness, and only a
+    # parallel sweep needs the process pool
+    code = (f"import sys, {module}; "
+            f"print([m for m in {unloaded!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "[]"

@@ -7,7 +7,7 @@ from jfft import microstructures as micro
 from jfft.grid import (QuadField, ScalarField, VectorField, dot, fft_forward,
                        load_field, make_grid, prepare_fft_inverse, save_field,
                        spectral_shape)
-from jfft.operators import apply_system, assemble_rhs, make_operator
+from jfft.operators import SystemOperator, apply_system, assemble_rhs
 from jfft.preconditioners import (apply_green, assemble_green,
                                   build_preconditioner)
 
@@ -146,7 +146,7 @@ DOT_BOUND = 1e-13
 def test_dot_matches_fsum_oracle_on_sweep_fields(n, solid_material):
     # the first residual of a sweep cell and its three preconditioned forms
     rho = micro.refine_to_grid(micro.laminate_density(16, 1e4), n)
-    op = make_operator(rho, solid_material)
+    op = SystemOperator(rho, solid_material)
     green = assemble_green(op.grid, solid_material)
     r = assemble_rhs(op, np.ones(3)).values
     pairs = [(r, r)]

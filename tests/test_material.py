@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from jfft.grid import QuadField, ScalarField, make_grid
-from jfft.material import MaterialModel, isotropic_material, stress
+from jfft.material import MaterialModel, stress
 
 
 def test_solid_phase_stiffness_matrix(solid_material):
@@ -18,7 +18,7 @@ def test_solid_phase_stiffness_matrix(solid_material):
 
 
 def test_zero_lambda_decouples():
-    mat = isotropic_material(0.0, 0.5)
+    mat = MaterialModel(0.0, 0.5)
     assert np.allclose(mat.stiffness, np.eye(3), rtol=0, atol=1e-15)
 
 
@@ -29,9 +29,7 @@ def test_solid_phase_bulk_modulus(solid_material):
 
 def test_rejects_indefinite_parameters():
     with pytest.raises(ValueError):
-        isotropic_material(0.1, 0.0)
-    with pytest.raises(ValueError):
-        isotropic_material(-1.0, 0.5)
+        MaterialModel(0.1, 0.0)
     with pytest.raises(ValueError, match="positive definite"):
         MaterialModel(-1.0, 0.5)
 
@@ -44,13 +42,13 @@ def test_rejects_indefinite_parameters():
 def test_rejects_non_finite_parameters(lam, mu, name):
     # NaN fails both positivity tests, so it used to pass them
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        isotropic_material(lam, mu)
+        MaterialModel(lam, mu)
 
 
 @pytest.mark.parametrize("lam, mu", [(2 / 3, 0.5), (0.0, 0.5), (-0.3, 0.4),
                                      (1e6, 1e-3)])
 def test_stiffness_is_built_from_the_lame_parameters(lam, mu):
-    # the matrix isotropic_material built and passed in beside lambda and mu
+    # the matrix callers once built and passed in beside lambda and mu
     expected = np.array([
         [lam + 2.0 * mu, lam, 0.0],
         [lam, lam + 2.0 * mu, 0.0],
@@ -71,10 +69,10 @@ def test_stiffness_is_built_from_the_lame_parameters(lam, mu):
 def test_materials_of_equal_parameters_compare_equal():
     # with the matrix compared as a field, == raised "truth value of an
     # array is ambiguous"
-    a, b = isotropic_material(1.0, 1.0), isotropic_material(1.0, 1.0)
+    a, b = MaterialModel(1.0, 1.0), MaterialModel(1.0, 1.0)
     assert a == b and hash(a) == hash(b)
-    assert a != isotropic_material(1.0, 2.0)
-    assert len({a, b, isotropic_material(0.0, 1.0)}) == 2
+    assert a != MaterialModel(1.0, 2.0)
+    assert len({a, b, MaterialModel(0.0, 1.0)}) == 2
 
 
 def test_stress_uniform_unit_strain(solid_material):

@@ -6,8 +6,8 @@ import pytest
 
 from jfft import operators
 from jfft.grid import ScalarField, VectorField, make_grid
-from jfft.operators import (apply_system, assemble_rhs, homogenized_stress,
-                            make_operator)
+from jfft.operators import (SystemOperator, apply_system, assemble_rhs,
+                            homogenized_stress)
 
 from oracles import (dense_k, dense_rhs, reference_apply_k,
                      reference_homogenized_stress, reference_rhs, vec_flat)
@@ -16,7 +16,7 @@ from oracles import (dense_k, dense_rhs, reference_apply_k,
 def random_operator(n, rng, material, lengths=(1.0, 1.0)):
     grid = make_grid(n, lengths)
     rho = ScalarField(grid, rng.uniform(0.05, 2.0, (n, n)))
-    return make_operator(rho, material)
+    return SystemOperator(rho, material)
 
 
 def test_translation_null_space_exact(solid_material):
@@ -53,10 +53,10 @@ def test_linearity_in_density(solid_material):
     rng = np.random.default_rng(3)
     grid = make_grid(6)
     u = VectorField(grid, rng.normal(size=(2, 6, 6)))
-    base = apply_system(make_operator(ScalarField.full(grid, 1.0),
-                                      solid_material), u)
-    scaled = apply_system(make_operator(ScalarField.full(grid, 2.5),
-                                        solid_material), u)
+    base = apply_system(SystemOperator(ScalarField.full(grid, 1.0),
+                                       solid_material), u)
+    scaled = apply_system(SystemOperator(ScalarField.full(grid, 2.5),
+                                         solid_material), u)
     assert np.abs(scaled.values - 2.5 * base.values).max() \
         <= 1e-13 * np.abs(scaled.values).max()
 
@@ -70,7 +70,7 @@ def test_size_mismatch_rejected(solid_material):
 
 def test_rhs_uniform_density_is_zero(solid_material):
     grid = make_grid(8)
-    op = make_operator(ScalarField.full(grid, 0.7), solid_material)
+    op = SystemOperator(ScalarField.full(grid, 0.7), solid_material)
     f = assemble_rhs(op, np.array([1.0, 1.0, 1.0]))
     assert np.abs(f.values).max() <= 1e-13
 
@@ -86,7 +86,7 @@ def test_rhs_matches_dense_oracle(solid_material):
     # laminate-like density on the 8x8 grid against the dense assembly
     grid = make_grid(8)
     rho = ScalarField(grid, np.tile(np.linspace(10.0, 1.0, 8)[:, None], (1, 8)))
-    op = make_operator(rho, solid_material)
+    op = SystemOperator(rho, solid_material)
     eps_bar = np.array([1.0, 1.0, 1.0])
     ours = vec_flat(assemble_rhs(op, eps_bar).values)
     ref = dense_rhs(8, rho.values, solid_material.stiffness, eps_bar)
@@ -138,7 +138,7 @@ def test_operator_rejects_negative_density(solid_material):
     rho = ScalarField(grid, np.zeros((4, 4)))
     rho.values[1, 2] = -0.5
     with pytest.raises(ValueError, match="negative"):
-        make_operator(rho, solid_material)
+        SystemOperator(rho, solid_material)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -146,7 +146,7 @@ def test_operator_rejects_non_finite_density(bad, solid_material):
     rho = ScalarField.full(make_grid(4), 1.0)
     rho.values[2, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        make_operator(rho, solid_material)
+        SystemOperator(rho, solid_material)
 
 
 @pytest.mark.parametrize("n", [8, 9, 32])
@@ -173,7 +173,7 @@ def test_stacked_kernels_bitwise_equal_per_load(n, solid_material):
 
 def test_homogenized_stress_uniform(solid_material):
     grid = make_grid(4)
-    op = make_operator(ScalarField.full(grid, 1.0), solid_material)
+    op = SystemOperator(ScalarField.full(grid, 1.0), solid_material)
     sigma = homogenized_stress(op, VectorField.zeros(grid),
                                np.array([1.0, 1.0, 1.0]))
     assert np.allclose(sigma, [7.0 / 3.0, 7.0 / 3.0, 1.0], rtol=0, atol=1e-14)

@@ -11,8 +11,8 @@ import pytest
 from jfft import microstructures as micro
 from jfft import operators
 from jfft.grid import ScalarField, VectorField, make_grid
-from jfft.operators import (apply_system, assemble_rhs, homogenized_stress,
-                            make_operator)
+from jfft.operators import (SystemOperator, apply_system, assemble_rhs,
+                            homogenized_stress)
 from jfft.preconditioners import (Preconditioner, apply_green,
                                   apply_green_jacobi, apply_jacobi,
                                   assemble_green, assemble_jacobi,
@@ -26,7 +26,7 @@ from oracles import reference_pcg
 
 def laminate_problem(n, chi, material):
     rho = micro.refine_to_grid(micro.laminate_density(n, chi), n)
-    op = make_operator(rho, material)
+    op = SystemOperator(rho, material)
     green = assemble_green(op.grid, material)
     return op, green
 
@@ -143,7 +143,7 @@ def test_solve_cell_is_the_rhs_then_pcg_path(solid_material):
     rho = micro.refine_to_grid(micro.laminate_density(8, 100.0), 16)
     eps_bar = np.array([1.0, 1.0, 1.0])
     report = solve_cell(rho, eps_bar, "green", solid_material)
-    op = make_operator(rho, solid_material)
+    op = SystemOperator(rho, solid_material)
     green = assemble_green(op.grid, solid_material)
     direct = pcg(op, assemble_rhs(op, eps_bar),
                  build_preconditioner("green", op, green), green)
@@ -165,7 +165,7 @@ def test_solve_cell_uniform_medium_stress(solid_material):
     rho = ScalarField.full(grid, 1.0)
     eps_bar = np.array([1.0, 1.0, 1.0])
     report = solve_cell(rho, eps_bar, "green", solid_material)
-    op = make_operator(rho, solid_material)
+    op = SystemOperator(rho, solid_material)
     sigma = homogenized_stress(op, report.solution, eps_bar)
     assert np.allclose(sigma, [7.0 / 3.0, 7.0 / 3.0, 1.0], rtol=0, atol=1e-12)
 
@@ -174,7 +174,7 @@ def test_solve_cell_solution_satisfies_tolerance(solid_material):
     rho = micro.refine_to_grid(micro.cosine_density(8, 1e4), 16)
     report = solve_cell(rho, np.array([1.0, 1.0, 1.0]), "green-jacobi",
                         solid_material, eta=1e-6)
-    op = make_operator(rho, solid_material)
+    op = SystemOperator(rho, solid_material)
     green = assemble_green(op.grid, solid_material)
     residual = assemble_rhs(op, np.array([1.0, 1.0, 1.0]))
     residual.values -= apply_system(op, report.solution).values
@@ -188,7 +188,7 @@ def stack_problem(n, kind, material):
     ones, a zero load that stops at k = 0 and a random one."""
     rng = np.random.default_rng(40 + n)
     rho = ScalarField(make_grid(n), rng.uniform(0.01, 1.0, (n, n)))
-    op = make_operator(rho, material)
+    op = SystemOperator(rho, material)
     green = assemble_green(op.grid, material)
     loads = np.vstack([np.eye(3), np.zeros((1, 3)), rng.normal(size=(1, 3))])
     return op, green, build_preconditioner(kind, op, green), loads
@@ -222,8 +222,9 @@ def test_banded_kernel_solves_bitwise_equal_whole_grid(kind, bands,
                                                        solid_material):
     n = 64
     rng = np.random.default_rng(64)
-    op = make_operator(ScalarField(make_grid(n), rng.uniform(0.01, 1.0, (n, n))),
-                       solid_material)
+    op = SystemOperator(
+        ScalarField(make_grid(n), rng.uniform(0.01, 1.0, (n, n))),
+        solid_material)
     green = assemble_green(op.grid, solid_material)
     pre = build_preconditioner(kind, op, green)
     rhs = assemble_rhs(op, rng.normal(size=(3, 3)))
@@ -268,7 +269,7 @@ def test_stack_nan_in_one_load_aborts(solid_material):
         pcg_stack(op, VectorField(op.grid, np.empty((0, 2, 8, 8))), pre, green)
     # the same densities on a cell of other lengths: same n, other grid
     stretched = ScalarField(make_grid(8, (2.0, 0.5)), op.density.values)
-    other = assemble_rhs(make_operator(stretched, solid_material), loads)
+    other = assemble_rhs(SystemOperator(stretched, solid_material), loads)
     with pytest.raises(ValueError, match="grid"):
         pcg_stack(op, other, pre, green)
     with pytest.raises(ValueError, match="grid"):
@@ -280,9 +281,9 @@ def test_foreign_jacobi_diagonal_rejected(solid_material):
     # unit-grid operator, this diagonal used to converge in 32 iterations
     # instead of the 24 of the operator's own, without notice
     rho = np.random.default_rng(0).uniform(0.01, 1.0, (8, 8))
-    op = make_operator(ScalarField(make_grid(8), rho), solid_material)
-    other = make_operator(ScalarField(make_grid(8, (2.0, 0.5)), rho),
-                          solid_material)
+    op = SystemOperator(ScalarField(make_grid(8), rho), solid_material)
+    other = SystemOperator(ScalarField(make_grid(8, (2.0, 0.5)), rho),
+                           solid_material)
     green = assemble_green(op.grid, solid_material)
     rhs = assemble_rhs(op, np.ones(3))
     assert pcg(op, rhs, build_preconditioner("jacobi", op, green),
@@ -317,7 +318,7 @@ def test_solve_allocates_four_fields_per_load(kind, loads, solid_material):
     n = 128
     rng = np.random.default_rng(90)
     rho = ScalarField(make_grid(n), rng.uniform(0.01, 1.0, (n, n)))
-    op = make_operator(rho, solid_material)
+    op = SystemOperator(rho, solid_material)
     green = assemble_green(op.grid, solid_material)
     pre = build_preconditioner(kind, op, green)
     rhs = assemble_rhs(op, rng.normal(size=(loads, 3)))
@@ -350,9 +351,9 @@ def test_first_solve_holds_three_spectral_planes_per_load(kind, loads,
     rng = np.random.default_rng(92)
     rho = ScalarField(make_grid(n), rng.uniform(0.01, 1.0, (n, n)))
     # the right-hand side on a twin operator, so that the solve's is fresh
-    rhs = assemble_rhs(make_operator(rho, solid_material),
+    rhs = assemble_rhs(SystemOperator(rho, solid_material),
                        rng.normal(size=(loads, 3)))
-    op = make_operator(rho, solid_material)
+    op = SystemOperator(rho, solid_material)
     green = assemble_green(op.grid, solid_material)
     pre = build_preconditioner(kind, op, green)
     built = (op._strain, op._planes)
@@ -384,7 +385,7 @@ def _banded_solve_excess(kind, material):
     apply_green(green, VectorField.zeros(rho.grid))
 
     def solve():
-        op = make_operator(rho, material)
+        op = SystemOperator(rho, material)
         return pcg_stack(op, assemble_rhs(op, rng.normal(size=(1, 3))),
                          build_preconditioner(kind, op, green), green,
                          max_iter=2)
@@ -421,12 +422,12 @@ import numpy as np
 from jfft import microstructures as micro
 from jfft import operators
 from jfft.grid import dot
-from jfft.material import isotropic_material
+from jfft.material import MaterialModel
 from jfft.solver import solve_cell
 from jfft.topopt import _two_loop_direction
 
 rho = micro.refine_to_grid(micro.laminate_density(16, 1e4), 128)
-report = solve_cell(rho, np.ones(3), "jacobi", isotropic_material(2 / 3, 0.5))
+report = solve_cell(rho, np.ones(3), "jacobi", MaterialModel(2 / 3, 0.5))
 rng = np.random.default_rng(7)
 memory = []
 for _ in range(10):
