@@ -52,7 +52,7 @@ class MaterialModel:
         return MaterialModel, (self.lambda0, self.mu0)
 
 
-# the name ``bench/`` calls; it goes when the benchmark calls the class
+# ``bench/`` is the only caller of this name; it goes with benchmark v2
 isotropic_material = MaterialModel
 
 

@@ -89,7 +89,7 @@ def _workspace(op: SystemOperator, lead: tuple[int, ...]):
             planes[:math.prod(planes_shape)].reshape(planes_shape))
 
 
-# the name ``bench/`` calls; it goes when the benchmark calls the class
+# ``bench/`` is the only caller of this name; it goes with benchmark v2
 make_operator = SystemOperator
 
 
