@@ -61,14 +61,22 @@ def _lines(shape: tuple[int, int], axis: int) -> tuple[int, slice, slice]:
     return 1, slice(0, None, n), slice(n - 1, None, n)
 
 
+def is_power_of_two(x: float) -> bool:
+    """Whether ``x`` is a power of two whose reciprocal is finite: then
+    ``1 / x`` is exact, and scaling by ``x`` or by ``1 / x`` is exact
+    wherever the scaled value is neither subnormal nor overflows.  Zero,
+    negative numbers, infinities, NaN and the powers of two below
+    ``2^-1023``, whose reciprocals overflow, are not."""
+    return math.frexp(x)[0] == 0.5 and math.isfinite(1.0 / x)
+
+
 def _scale_by_inverse(out: np.ndarray, h: float):
     """The step ``out /= h`` in place, as ``out *= 1 / h`` when ``1 / h`` is
     exact.  For a power of two ``h`` whose reciprocal is finite, quotient
     and product are one real number, which both round alike, subnormals,
     infinities and NaNs included; any other ``h`` divides."""
-    inverse = 1.0 / h
-    if math.frexp(h)[0] == 0.5 and math.isfinite(inverse):
-        return step(np.multiply, out, inverse, out)
+    if is_power_of_two(h):
+        return step(np.multiply, out, 1.0 / h, out)
     return step(np.true_divide, out, h, out)
 
 

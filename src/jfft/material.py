@@ -56,17 +56,18 @@ class MaterialModel:
 isotropic_material = MaterialModel
 
 
-def prepare_stiffness_product(material: MaterialModel, eps: np.ndarray,
+def prepare_stiffness_product(c: np.ndarray, eps: np.ndarray,
                               planes: np.ndarray):
-    """Overwrite Mandel planes ``eps`` (3, 2, ..., n, n) with ``C0 eps``,
-    as often as run.
+    """Overwrite Mandel planes ``eps`` (3, 2, ..., n, n) with ``c eps``,
+    as often as run, for a 3x3 Mandel matrix ``c`` of the isotropic
+    pattern: the ``stiffness`` ``C0`` of a :class:`MaterialModel`, or a
+    scalar multiple of it, such as the ``w C0`` that K uses on a grid whose
+    quadrature weight ``w`` is a power of two.
 
-    Written out for the isotropic pattern: ``c00 e0 + c01 e1``,
-    ``c10 e0 + c11 e1`` and ``c22 e2``, triangle by triangle, with
-    ``planes`` (2, ..., n, n) as scratch.  The axes marked ``...`` are load
-    axes.
+    Written out for that pattern: ``c00 e0 + c01 e1``, ``c10 e0 + c11 e1``
+    and ``c22 e2``, triangle by triangle, with ``planes`` (2, ..., n, n) as
+    scratch.  The axes marked ``...`` are load axes.
     """
-    c = material.stiffness
     c0_of_e0, c1_of_e0 = planes
     steps = []
     for t in range(2):
@@ -90,7 +91,7 @@ def stress(rho: ScalarField, material: MaterialModel, eps: QuadField) -> QuadFie
     if rho.grid != eps.grid:
         raise ValueError("density and strain live on different grids")
     sig = eps.values.copy()
-    prepare_stiffness_product(material, sig,
+    prepare_stiffness_product(material.stiffness, sig,
                               np.empty((2,) + sig.shape[2:]))()
     sig *= rho.values
     return QuadField(eps.grid, sig)

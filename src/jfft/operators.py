@@ -22,11 +22,23 @@ class SystemOperator:
 
     The operator is symmetric positive semi-definite with the two rigid
     translations as its null space; it is never assembled as a matrix.  It
-    owns the workspace of :func:`apply_system`, :func:`assemble_rhs` and
-    :func:`homogenized_stress`: the per-pixel factor ``w * rho`` and two
-    flat buffers, a strain buffer and a scratch buffer, each grown to what
-    the largest call so far needed, so an application allocates only the
-    field it returns, and nothing when the caller passes ``out=``.
+    does not copy its density: construction validates ``density.values``
+    and marks it read-only, so a later write into it raises instead of
+    reaching K, the Jacobi diagonal or the stress unvalidated.
+
+    K scales ``C0 eps`` by the quadrature weight ``w`` and the pixel
+    density, and the operator fixes once how: when ``w`` is a power of two
+    (:func:`~jfft.fem.is_power_of_two`), as on every cell of ``2^k`` pixels
+    over sides of ``2^j``, by the matrix ``w C0`` and the density itself;
+    otherwise by ``C0`` and a per-pixel factor ``w * rho`` of its own.
+    Scaling by a power of two is exact wherever no product is subnormal,
+    so both give K bitwise, and only the second holds an ``(n, n)`` plane.
+
+    It owns the workspace of :func:`apply_system`, :func:`assemble_rhs`
+    and :func:`homogenized_stress`: two flat buffers, a strain buffer and a
+    scratch buffer, each grown to what the largest call so far needed, so
+    an application allocates only the field it returns, and nothing when
+    the caller passes ``out=``.
 
     On a grid that K takes whole for one load, construction sizes the
     buffers for one load, which every call there needs, and a call on
@@ -44,6 +56,7 @@ class SystemOperator:
 
     density: ScalarField
     material: MaterialModel
+    _stiffness: np.ndarray = field(init=False, repr=False)
     _factor: np.ndarray = field(init=False, repr=False)
     _strain: np.ndarray = field(init=False, repr=False)
     _planes: np.ndarray = field(init=False, repr=False)
@@ -53,12 +66,21 @@ class SystemOperator:
         return self.density.grid
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.density.values)):
+        rho = self.density.values
+        # min and max pass a NaN on and, unlike a mask, take no plane
+        low, high = rho.min(), rho.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("non-finite density")
-        if np.any(self.density.values < 0.0):
+        if low < 0.0:
             raise ValueError("negative density")
-        object.__setattr__(self, "_factor",
-                           self.grid.quad_weight * self.density.values)
+        rho.flags.writeable = False
+        w, c = self.grid.quad_weight, self.material.stiffness
+        if fem.is_power_of_two(w):
+            stiffness, factor = w * c, rho
+        else:
+            stiffness, factor = c, w * rho
+        object.__setattr__(self, "_stiffness", stiffness)
+        object.__setattr__(self, "_factor", factor)
         object.__setattr__(self, "_strain", np.empty(0))
         object.__setattr__(self, "_planes", np.empty(0))
         if _band_count(self.grid.n, 1) == 1:
@@ -149,16 +171,16 @@ def _prepare_bands(op: SystemOperator, out: np.ndarray, bands: int,
 
     A band of output rows ``[a, b)`` works on the ``b - a + 2`` rows
     ``[a - 1, b]``.  It copies them from ``u`` into its nodal buffer, runs
-    the strain steps and the material product, scales by its rows of
-    ``w * rho`` (a view inside the grid, gathered at its edges) and runs
-    the adjoint into the nodal buffer.  Each entry of rows ``a .. b - 1``
-    takes the operations and inputs it takes on the whole grid; the two
-    halo rows are spoiled by the wrap inside the band and dropped when
-    rows ``1 .. b - a`` are copied into ``out``.  The strain steps, the
-    material product and the adjoint are prepared once per band height,
-    on the workspace grown beforehand to the tallest band, so that every
-    plan runs on one buffer: a plan prepared before a growth would keep
-    the replaced buffer alive.
+    the strain steps and the product by the operator's matrix, scales by
+    its rows of the operator's per-pixel factor (a view inside the grid,
+    gathered at its edges) and runs the adjoint into the nodal buffer.
+    Each entry of rows ``a .. b - 1`` takes the operations and inputs it
+    takes on the whole grid; the two halo rows are spoiled by the wrap
+    inside the band and dropped when rows ``1 .. b - a`` are copied into
+    ``out``.  The strain steps, the material product and the adjoint are
+    prepared once per band height, on the workspace grown beforehand to
+    the tallest band, so that every plan runs on one buffer: a plan
+    prepared before a growth would keep the replaced buffer alive.
     """
     n, h = op.grid.n, op.grid.pixel_size
     lead = out.shape[:-3]
@@ -172,7 +194,8 @@ def _prepare_bands(op: SystemOperator, out: np.ndarray, bands: int,
             plans[rows] = (
                 strain, nodal, factor, nodal[..., 1:-1, :],
                 [*strain_steps(nodal, strain, planes),
-                 step(prepare_stiffness_product(op.material, strain, planes))],
+                 step(prepare_stiffness_product(op._stiffness, strain,
+                                                planes))],
                 step(fem.prepare_sym_gradient_adjoint(strain, h, nodal,
                                                       planes)))
         strain, nodal, factor, inner, front, adjoint = plans[rows]
@@ -195,17 +218,16 @@ def _prepare_k(op: SystemOperator, out: np.ndarray, strain_steps,
     from the nodal values ``u`` when given: in row bands
     (:func:`_prepare_bands`) where :func:`_band_count` gives more than
     one, else on the whole grid, in the operator's workspace and from ``u``
-    itself.  K and the right-hand side differ only in their strain
-    steps."""
+    itself.  Both scale by the operator's one (matrix, per-pixel factor)
+    pair.  K and the right-hand side differ only in their strain steps."""
     lead = out.shape[:-3]
     bands = _band_count(op.grid.n, lead[0] if lead else 1)
     if bands > 1:
         return _prepare_bands(op, out, bands, strain_steps, u)
     strain, planes = _workspace(op, lead)
-    # W * rho * C0 * eps, fused: the uniform weight and the pixel density are
-    # a single scale factor per pixel.
+    # W rho C0 eps as (w C0) eps scaled by rho, or C0 eps scaled by w rho
     return [*strain_steps(u, strain, planes),
-            step(prepare_stiffness_product(op.material, strain, planes)),
+            step(prepare_stiffness_product(op._stiffness, strain, planes)),
             step(np.multiply, strain, op._factor, strain),
             step(fem.prepare_sym_gradient_adjoint(strain, op.grid.pixel_size,
                                                   out, planes))]
@@ -321,6 +343,6 @@ def homogenized_stress(op: SystemOperator, u: VectorField, eps_bar) -> np.ndarra
         strain, planes = _workspace(op, ())
     fem.prepare_sym_gradient(u.values, op.grid.pixel_size, strain, planes)()
     strain += eps_bar[:, None, None, None]
-    prepare_stiffness_product(op.material, strain, planes)()
+    prepare_stiffness_product(op.material.stiffness, strain, planes)()
     strain *= op.density.values
     return fem.cell_average(QuadField(op.grid, strain))

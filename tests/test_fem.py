@@ -169,6 +169,15 @@ def test_flat_rows_refuse_planes_that_are_not_c_contiguous():
     assert not eps.any()
 
 
+@pytest.mark.parametrize("x, exact", [
+    (0.5, True), (2.0 ** -19, True), (2.0 ** -1074, False),
+    (1.5 / 128, False), (3.0, False), (0.0, False), (np.inf, False)],
+    ids=["half", "2^-19", "2^-1074", "1.5/128", "three", "zero", "inf"])
+def test_is_power_of_two(x, exact):
+    # 2^-1074 is a power of two, but its reciprocal overflows
+    assert fem.is_power_of_two(x) is exact
+
+
 def test_scale_by_inverse_bitwise_equal_division():
     rng = np.random.default_rng(11)
     tiny = np.nextafter(0.0, 1.0)

@@ -149,6 +149,40 @@ def test_operator_rejects_non_finite_density(bad, solid_material):
         SystemOperator(rho, solid_material)
 
 
+def test_operator_density_is_read_only(solid_material):
+    # K, the Jacobi diagonal and the stress all read the density itself
+    values = np.full((4, 4), 0.5)
+    op = SystemOperator(ScalarField(make_grid(4), values), solid_material)
+    assert op.density.values is values
+    with pytest.raises(ValueError, match="read-only"):
+        op.density.values[1, 2] = -1.0
+    with pytest.raises(ValueError, match="read-only"):
+        values *= 2.0
+    assert np.all(values == 0.5)
+
+
+# K scales by the density itself on the unit square, where the quadrature
+# weight is a power of two, and by a w rho plane of its own on the
+# 1 x 1.5 cell; at n = 512 K runs in bands and the buffers start empty
+@pytest.mark.parametrize("n", [128, 512])
+def test_operator_holds_a_density_plane_only_off_power_of_two_weights(
+        n, solid_material):
+    rng = np.random.default_rng(10)
+    excess = []
+    for lengths in [(1.0, 1.0), (1.0, 1.5)]:
+        rho = ScalarField(make_grid(n, lengths), rng.uniform(0.05, 2.0, (n, n)))
+        tracemalloc.start()
+        try:
+            op = SystemOperator(rho, solid_material)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        excess.append(peak - (op._strain.nbytes + op._planes.nbytes))
+    plane = n * n * 8
+    assert excess[0] < 64 * 1024, excess[0] / 1024
+    assert plane <= excess[1] < plane + 64 * 1024, excess[1] / 1024
+
+
 @pytest.mark.parametrize("n", [8, 9, 32])
 def test_stacked_kernels_bitwise_equal_per_load(n, solid_material):
     rng = np.random.default_rng(500 + n)
@@ -266,20 +300,26 @@ def test_apply_system_rejects_out_sharing_memory_with_u(n, solid_material):
     assert np.array_equal(other, apply_system(op, u).values)
 
 
-def test_banded_kernel_bitwise_equal_reference_at_512(bands, solid_material):
+# the quadrature weight is a power of two on the unit square, which scales
+# the matrix, and not on the 1 x 1.5 cell, which keeps its w rho plane
+@pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 1.5)])
+def test_banded_kernel_bitwise_equal_reference_at_512(lengths, bands,
+                                                      solid_material):
     n = 512
     rng = np.random.default_rng(512)
-    op = random_operator(n, rng, solid_material)
+    op = random_operator(n, rng, solid_material, lengths)
     c0, rho = solid_material.stiffness, op.density.values
     u = rng.normal(size=(3, 2, n, n))
     ku = apply_system(op, VectorField(op.grid, u[0]))
     assert bands.count > 1
-    assert np.array_equal(ku.values, reference_apply_k(u[0], rho, c0))
+    assert np.array_equal(ku.values, reference_apply_k(u[0], rho, c0,
+                                                       lengths))
     bands.count = 0
     ku = apply_system(op, VectorField(op.grid, u)).values
     assert bands.count > 1
     for j in range(3):
-        assert np.array_equal(ku[j], reference_apply_k(u[j], rho, c0))
+        assert np.array_equal(ku[j], reference_apply_k(u[j], rho, c0,
+                                                       lengths))
 
 
 # one-row bands everywhere; at most two rows at n = 9 and five or seven at

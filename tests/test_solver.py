@@ -374,9 +374,9 @@ def test_first_solve_holds_three_spectral_planes_per_load(kind, loads,
 
 def _banded_solve_excess(kind, material):
     """Peak of building K, its right-hand side and the ``kind``
-    preconditioner at n = 512 and solving, less the four fields, the
-    w rho plane, one band of the operator's workspace, the solution and
-    ``diagonal`` planes of Jacobi diagonal, in KB."""
+    preconditioner at n = 512 and solving, less the four fields, one band
+    of the operator's workspace, the solution and ``diagonal`` planes of
+    Jacobi diagonal, in KB."""
     n = 512
     rng = np.random.default_rng(91)
     rho = ScalarField(make_grid(n), rng.uniform(0.01, 1.0, (n, n)))
@@ -396,15 +396,15 @@ def _banded_solve_excess(kind, material):
     band = (8 + 2 + 1) * (-(-n // count) + 2) * n * 8
     solution = reports[0].solution.values.nbytes
     diagonal = 1 if kind == "green-jacobi" else 0
-    return (peak - 4 * field - (1 + diagonal) * plane - band - solution) / 1024
+    return (peak - 4 * field - diagonal * plane - band - solution) / 1024
 
 
 def test_banded_solve_holds_one_band_of_operator_workspace(solid_material):
-    # at n = 512 K runs in row bands: building the operator, the
-    # right-hand side and the solve hold the four fields, the w rho plane,
-    # one band of the operator's workspace and the solution, and no
-    # whole-grid operator buffer (which would add 16 MB)
-    # 44 KB above the sum measured on numpy 2.4
+    # at n = 512 K runs in row bands and scales by the density itself:
+    # building the operator, the right-hand side and the solve hold the
+    # four fields, one band of the operator's workspace and the solution,
+    # and neither a w rho plane (which would add 2 MB) nor a whole-grid
+    # operator buffer (16 MB); 52 KB above the sum measured on numpy 2.4.6
     assert _banded_solve_excess("green", solid_material) <= 256
 
 
