@@ -62,11 +62,8 @@ def _lines(shape: tuple[int, int], axis: int) -> tuple[int, slice, slice]:
 
 
 def is_power_of_two(x: float) -> bool:
-    """Whether ``x`` is a power of two whose reciprocal is finite: then
-    ``1 / x`` is exact, and scaling by ``x`` or by ``1 / x`` is exact
-    wherever the scaled value is neither subnormal nor overflows.  Zero,
-    negative numbers, infinities, NaN and the powers of two below
-    ``2^-1023``, whose reciprocals overflow, are not."""
+    """Whether ``x`` is a power of two whose reciprocal is finite, so that
+    scaling by ``x`` or ``1 / x`` is exact unless the result is subnormal."""
     return math.frexp(x)[0] == 0.5 and math.isfinite(1.0 / x)
 
 

@@ -59,14 +59,12 @@ isotropic_material = MaterialModel
 def prepare_stiffness_product(c: np.ndarray, eps: np.ndarray,
                               planes: np.ndarray):
     """Overwrite Mandel planes ``eps`` (3, 2, ..., n, n) with ``c eps``,
-    as often as run, for a 3x3 Mandel matrix ``c`` of the isotropic
-    pattern: the ``stiffness`` ``C0`` of a :class:`MaterialModel`, or a
-    scalar multiple of it, such as the ``w C0`` that K uses on a grid whose
-    quadrature weight ``w`` is a power of two.
+    as often as run, for ``c`` a material's ``C0`` or a multiple of it.
 
-    Written out for that pattern: ``c00 e0 + c01 e1``, ``c10 e0 + c11 e1``
-    and ``c22 e2``, triangle by triangle, with ``planes`` (2, ..., n, n) as
-    scratch.  The axes marked ``...`` are load axes.
+    Written out for the isotropic pattern: ``c00 e0 + c01 e1``,
+    ``c10 e0 + c11 e1`` and ``c22 e2``, triangle by triangle, with
+    ``planes`` (2, ..., n, n) as scratch.  The axes marked ``...`` are load
+    axes.
     """
     c0_of_e0, c1_of_e0 = planes
     steps = []

@@ -22,23 +22,14 @@ class SystemOperator:
 
     The operator is symmetric positive semi-definite with the two rigid
     translations as its null space; it is never assembled as a matrix.  It
-    does not copy its density: construction validates ``density.values``
-    and marks it read-only, so a later write into it raises instead of
-    reaching K, the Jacobi diagonal or the stress unvalidated.
-
-    K scales ``C0 eps`` by the quadrature weight ``w`` and the pixel
-    density, and the operator fixes once how: when ``w`` is a power of two
-    (:func:`~jfft.fem.is_power_of_two`), as on every cell of ``2^k`` pixels
-    over sides of ``2^j``, by the matrix ``w C0`` and the density itself;
-    otherwise by ``C0`` and a per-pixel factor ``w * rho`` of its own.
-    Scaling by a power of two is exact wherever no product is subnormal,
-    so both give K bitwise, and only the second holds an ``(n, n)`` plane.
-
-    It owns the workspace of :func:`apply_system`, :func:`assemble_rhs`
-    and :func:`homogenized_stress`: two flat buffers, a strain buffer and a
-    scratch buffer, each grown to what the largest call so far needed, so
-    an application allocates only the field it returns, and nothing when
-    the caller passes ``out=``.
+    does not copy its density but marks it read-only.  K runs with the
+    matrix ``w C0`` and the density itself when the quadrature weight ``w``
+    is a power of two, which is exact, else with ``C0`` and a ``w * rho``
+    plane of its own.  It owns the workspace of :func:`apply_system`,
+    :func:`assemble_rhs` and :func:`homogenized_stress`: two flat buffers,
+    a strain buffer and a scratch buffer, each grown to what the largest
+    call so far needed, so an application allocates only the field it
+    returns, and nothing when the caller passes ``out=``.
 
     On a grid that K takes whole for one load, construction sizes the
     buffers for one load, which every call there needs, and a call on
@@ -67,8 +58,7 @@ class SystemOperator:
 
     def __post_init__(self):
         rho = self.density.values
-        # min and max pass a NaN on and, unlike a mask, take no plane
-        low, high = rho.min(), rho.max()
+        low, high = rho.min(), rho.max()  # NaN-propagating, no mask plane
         if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("non-finite density")
         if low < 0.0:
