@@ -302,7 +302,8 @@ def test_apply_system_rejects_out_sharing_memory_with_u(n, solid_material):
 
 # the quadrature weight is a power of two on the unit square, which scales
 # the matrix, and not on the 1 x 1.5 cell, which keeps its w rho plane
-@pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 1.5)])
+@pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.0, 1.5)],
+                         ids=["dyadic", "rectangular"])
 def test_banded_kernel_bitwise_equal_reference_at_512(lengths, bands,
                                                       solid_material):
     n = 512
