@@ -2,7 +2,7 @@
 
 Every subcommand takes ``--config <file.json>`` and ``--out <dir>``; sweeps
 additionally honor ``--threads``.  Exit codes: 0 on success, 2 on config
-errors, 3 when the solver aborts.
+errors, also a grid too large to allocate, 3 when the solver aborts.
 """
 
 from __future__ import annotations
@@ -66,6 +66,9 @@ def main(argv=None) -> int:
             runner(cfg, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverAbortError as exc:
         print(f"solver abort: {exc}", file=sys.stderr)

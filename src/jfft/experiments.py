@@ -8,7 +8,6 @@ files carry a schema-version comment in their first line.
 
 from __future__ import annotations
 
-import concurrent.futures  # the process pool loads on first use
 import csv
 import json
 import os
@@ -342,6 +341,8 @@ def _run_sweep(family: str, cfg: dict, out_dir: Path, workers: int) -> list[dict
     # the pool forks all its workers at the first submit
     workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: it loads logging, which no serial run needs
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:

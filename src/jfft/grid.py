@@ -114,16 +114,18 @@ def _as_float_array(values, shape, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
-    """One real value per pixel (densities), shape ``(n, n)``."""
+    """One real value per pixel (densities), shape ``(n, n)``.  Frozen, so
+    an operator that validated ``values`` keeps reading that array."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
         n = self.grid.n
-        self.values = _as_float_array(self.values, (n, n), "scalar field")
+        object.__setattr__(self, "values", _as_float_array(
+            self.values, (n, n), "scalar field"))
 
     @classmethod
     def full(cls, grid: Grid, value: float) -> "ScalarField":

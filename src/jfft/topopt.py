@@ -8,12 +8,12 @@ settle on a sharp or uniform layout far from the target (see the README on
 criterion 9).  The driver is
 a plain limited-memory BFGS with backtracking line search; every objective
 evaluation solves the three cell problems from the zero initial guess, in
-one stacked PCG, and records the inner PCG iteration counts.
+one stacked PCG, and records the inner PCG iteration counts and how many
+pixels it lifted to ``DENSITY_FLOOR`` for the solves.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -29,8 +29,6 @@ from .preconditioners import (PRECONDITIONER_KINDS, GreenOperator,
 from .solver import (CONVERGED, DEFAULT_ETA_CG, DEFAULT_LAMBDA0,
                      DEFAULT_MAX_ITER, DEFAULT_MU0, SolveReport,
                      SolverAbortError, pcg_stack)
-
-log = logging.getLogger(__name__)
 
 #: Densities below this are lifted before solving so the operator stays
 #: positive semi-definite with a usable right-hand side.
@@ -106,6 +104,7 @@ class OptHistory:
     stress_part: list[float] = field(default_factory=list)
     phase_part: list[float] = field(default_factory=list)
     inner_iterations: list[dict[str, list[int]]] = field(default_factory=list)
+    clamped: list[int] = field(default_factory=list)
     status: str = ""
 
 
@@ -208,14 +207,15 @@ class Evaluation:
     phase_part: float
     gradient: np.ndarray
     inner_counts: list[int]
+    clamped: int  # pixels lifted to DENSITY_FLOOR for the solves
 
 
-def _clamped_density(problem: TopOptProblem, rho: np.ndarray) -> ScalarField:
+def _clamped_density(problem: TopOptProblem,
+                     rho: np.ndarray) -> tuple[ScalarField, int]:
+    """The density the solves use, ``rho`` lifted to the floor, and how
+    many pixels were lifted."""
     clamped = int((rho < DENSITY_FLOOR).sum())
-    if clamped:
-        log.info("lifting %d pixels to the density floor %.0e",
-                 clamped, DENSITY_FLOOR)
-    return ScalarField(problem.grid, np.maximum(rho, DENSITY_FLOOR))
+    return ScalarField(problem.grid, np.maximum(rho, DENSITY_FLOOR)), clamped
 
 
 def _stress_gradient(problem: TopOptProblem, pairings: np.ndarray,
@@ -244,7 +244,7 @@ def evaluate(problem: TopOptProblem, rho: np.ndarray) -> Evaluation:
     are needed.
     """
     cfg = problem.cfg
-    rho_solve = _clamped_density(problem, rho)
+    rho_solve, clamped = _clamped_density(problem, rho)
     strains, counts = _solve_load_cases(problem, rho_solve, cfg.preconditioner)
     pairings = _strain_pairings(problem, strains)
 
@@ -254,13 +254,13 @@ def evaluate(problem: TopOptProblem, rho: np.ndarray) -> Evaluation:
     g_stress = _stress_gradient(problem, pairings, mismatch, rho)
     f_phase, g_phase = _phase_field_parts(cfg, problem.grid, rho)
     return Evaluation(f_stress + f_phase, f_stress, f_phase,
-                      g_stress + g_phase, counts)
+                      g_stress + g_phase, counts, clamped)
 
 
 def _measured_counts(problem: TopOptProblem, rho: np.ndarray,
                      kinds) -> dict[str, list[int]]:
     """Per-load PCG counts of each preconditioner kind at one iterate."""
-    op = SystemOperator(_clamped_density(problem, rho), problem.material)
+    op = SystemOperator(_clamped_density(problem, rho)[0], problem.material)
     return {kind: [report.iterations
                    for report in _solve_loads(problem, op, kind)]
             for kind in kinds}
@@ -305,10 +305,11 @@ def lbfgs_minimize(cfg: TopOptConfig, callback=None,
                    rho0: ScalarField | None = None):
     """Run the optimization from seeded uniform-noise initial densities.
 
-    Records objective parts and per-load inner PCG counts for the driving
-    preconditioner and every extra one in ``cfg.measure`` at each accepted
-    iterate.  Returns the final density and the history; on a failed line
-    search the best-so-far density is returned with a matching status.
+    Records objective parts, per-load inner PCG counts for the driving
+    preconditioner and every extra one in ``cfg.measure``, and the pixels
+    lifted to the density floor at each accepted iterate.  Returns the
+    final density and the history; on a failed line search the
+    best-so-far density is returned with a matching status.
     ``rho0`` overrides the random start, e.g. to continue a previous run.
     """
     problem = make_problem(cfg)
@@ -331,6 +332,7 @@ def lbfgs_minimize(cfg: TopOptConfig, callback=None,
         history.stress_part.append(ev.stress_part)
         history.phase_part.append(ev.phase_part)
         history.inner_iterations.append(counts)
+        history.clamped.append(ev.clamped)
 
     ev = evaluate(problem, x)
     record(ev, x)

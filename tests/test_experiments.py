@@ -522,6 +522,11 @@ def _save_rho_with_scalar_lengths(tmp_path):
     (tmp_path / "rho.json").write_text(json.dumps(header))
 
 
+#: Grid size whose (n, n) planes take 128 TiB each: the first one fails to
+#: allocate.
+HUGE_N = 2 ** 22
+
+
 @pytest.mark.parametrize("command, cfg, prepare", [
     ("solve", {"n": 8, "geometry": {"kind": "laminate", "p": 1, "chi_tot": 10.0}},
      None),
@@ -543,16 +548,26 @@ def _save_rho_with_scalar_lengths(tmp_path):
                          "preconditioners": ["green"]}, _save_constant_rho),
     ("solve", {"n": 8, "geometry": {"kind": "from-file", "path": "rho"}},
      _save_rho_with_scalar_lengths),
+    # grids whose first large array cannot be allocated; a small p would
+    # fill arrays of its own size before the grid's first allocation
+    ("solve", {"n": HUGE_N, "geometry": {"kind": "cosine", "p": HUGE_N,
+                                         "chi_tot": 10.0}}, None),
+    ("motivate", {"n": HUGE_N}, None),
+    ("topopt", {"n": HUGE_N, "max_outer": 1}, None),
 ], ids=["laminate-p1", "cosine-p1", "inclusion-radius", "topopt-n1",
         "topopt-mu-target", "topopt-k-target", "topopt-seed",
         "topopt-max-outer", "topopt-preconditioner", "topopt-measure",
-        "smooth-vs-sharp-constant", "from-file-lengths"])
-def test_cli_rejects_out_of_range_config(tmp_path, command, cfg, prepare):
+        "smooth-vs-sharp-constant", "from-file-lengths",
+        "solve-out-of-memory", "motivate-out-of-memory",
+        "topopt-out-of-memory"])
+def test_cli_rejects_out_of_range_config(tmp_path, capsys, command, cfg,
+                                         prepare):
     if prepare is not None:
         prepare(tmp_path)
     path = write_config(tmp_path / "cfg.json", cfg)
     assert main([command, "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_quickstart_demo_runs():
@@ -576,15 +591,28 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("module, unloaded", [
-    ("jfft", ["jfft.cli", "jfft.experiments", "concurrent.futures.process"]),
-    ("jfft.cli", ["concurrent.futures.process"])])
-def test_import_leaves_unused_modules_unloaded(module, unloaded):
+#: What neither the library, the CLI nor a serial sweep needs: the pool
+#: and the logging it imports.
+POOL_AND_LOGGING = ["concurrent.futures", "logging"]
+
+
+@pytest.mark.parametrize("run, unloaded", [
+    ("import jfft", ["jfft.cli", "jfft.experiments", *POOL_AND_LOGGING]),
+    ("import jfft.cli", POOL_AND_LOGGING),
+    ("from jfft.cli import main; "
+     "main(['laminate-sweep', '--config', 'sweep.json', '--out', 'out'])",
+     POOL_AND_LOGGING),
+], ids=["jfft", "jfft.cli", "serial-sweep"])
+def test_import_leaves_unused_modules_unloaded(tmp_path, run, unloaded):
     # the library needs neither the CLI nor the harness, and only a
     # parallel sweep needs the process pool
-    code = (f"import sys, {module}; "
+    write_config(tmp_path / "sweep.json", {
+        "p_values": [4], "n_values": [4, 8], "contrasts": [10.0],
+        "preconditioners": ["green"]})
+    code = (f"import sys; {run}; "
             f"print([m for m in {unloaded!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=60,
+                         text=True, check=True, timeout=60, cwd=tmp_path,
                          env={**os.environ, "PYTHONPATH": str(SRC)})
     assert out.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "iterations.csv").exists() == ("main" in run)

@@ -158,6 +158,10 @@ def test_operator_density_is_read_only(solid_material):
         op.density.values[1, 2] = -1.0
     with pytest.raises(ValueError, match="read-only"):
         values *= 2.0
+    # nor can the field be given another array
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.density.values = np.full((4, 4), -1.0)
+    assert op.density.values is values
     assert np.all(values == 0.5)
 
 

@@ -198,6 +198,19 @@ def test_lbfgs_objective_non_increasing():
     diffs = np.diff(history.objective)
     assert np.all(diffs <= 0.0)
     assert len(history.inner_iterations) == len(history.objective)
+    assert len(history.clamped) == len(history.objective)
+
+
+def test_lbfgs_records_pixels_lifted_to_floor():
+    # three pixels lie below the floor, one sits on it and is not lifted
+    rho0 = np.full((8, 8), 0.5)
+    rho0.flat[[3, 17, 40, 50]] = [-0.2, 0.0, 0.5 * DENSITY_FLOOR,
+                                  DENSITY_FLOOR]
+    cfg = TopOptConfig(n=8, max_outer=3, eta_cg=1e-8)
+    assert evaluate(make_problem(cfg), rho0).clamped == 3
+    _, history = lbfgs_minimize(cfg, rho0=ScalarField(make_grid(8), rho0))
+    assert history.clamped[0] == 3
+    assert len(history.clamped) == len(history.objective) > 1
 
 
 def test_lbfgs_stationary_start():
